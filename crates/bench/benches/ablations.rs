@@ -130,10 +130,8 @@ fn bench_read_path(c: &mut Criterion) {
     // * coalescing + selective decode — same blocks_deserialized for a
     //   single scan (locations are (block, tx)-sorted either way), but far
     //   fewer transactions decoded, so less CPU per block touched;
-    // * the sharded clock-LRU cache — repeated scans stop re-deserializing
-    //   blocks entirely, and shard count sets the lock contention under
-    //   parallel queries.
-    use temporal_core::parallel::ferry_query_parallel;
+    // * the clock-LRU cache — repeated scans stop re-deserializing blocks
+    //   entirely.
     let workload = generate_scaled(DatasetId::Ds1, 600);
     let t_max = workload.params.t_max;
     let tau = Interval::new(t_max - t_max / 15, t_max);
@@ -182,35 +180,6 @@ fn bench_read_path(c: &mut Criterion) {
                 .len()
         })
     });
-    g.finish();
-
-    // Shard-count sweep: same cache capacity, parallel TQF, warm cache.
-    let mut g = c.benchmark_group("ablation/cache_shards_parallel_tqf");
-    g.sample_size(10);
-    for shards in [1usize, 4, 8] {
-        let ledger = build(
-            &format!("shards-{shards}"),
-            LedgerConfig::default()
-                .with_cache_blocks(100_000)
-                .with_cache_shards(shards),
-        );
-        ferry_query_parallel(&TqfEngine, &ledger, tau, 4).unwrap(); // warm
-        let before = ledger.stats();
-        ferry_query_parallel(&TqfEngine, &ledger, tau, 4).unwrap();
-        let warm = ledger.stats().delta(&before);
-        eprintln!(
-            "[ablation] shards={shards}: warm scan deserializes {} block(s), {} cache hit(s)",
-            warm.blocks_deserialized, warm.cache_hits
-        );
-        g.bench_function(&format!("shards-{shards}"), |b| {
-            b.iter(|| {
-                ferry_query_parallel(&TqfEngine, &ledger, tau, 4)
-                    .unwrap()
-                    .records
-                    .len()
-            })
-        });
-    }
     g.finish();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -293,7 +262,7 @@ fn bench_parallel_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/parallel_tqf_late");
     g.sample_size(10);
     for workers in [1usize, 2, 4, 8] {
-        g.bench_function(&format!("workers-{workers}"), |b| {
+        g.bench_function(format!("workers-{workers}"), |b| {
             b.iter(|| {
                 ferry_query_parallel(&TqfEngine, &ledger, tau, workers)
                     .unwrap()

@@ -26,7 +26,7 @@ fn bench_get_state_base(c: &mut Criterion) {
             .expect("m2 fixture");
         let api = M2BaseApi::new(u, t_max);
         let mut rng = StdRng::seed_from_u64(1);
-        g.bench_function(&format!("u{u_paper}"), |b| {
+        g.bench_function(format!("u{u_paper}"), |b| {
             b.iter(|| {
                 let key = keys[rng.gen_range(0..keys.len())];
                 api.get_state_base(&ledger, key).unwrap().probes
@@ -61,7 +61,7 @@ fn bench_ghfk_base(c: &mut Criterion) {
             .expect("m2 fixture");
         let api = M2BaseApi::new(u, t_max);
         let mut rng = StdRng::seed_from_u64(2);
-        g.bench_function(&format!("u{u_paper}"), |b| {
+        g.bench_function(format!("u{u_paper}"), |b| {
             b.iter(|| {
                 let key = keys[rng.gen_range(0..keys.len())];
                 api.ghfk_base(&ledger, key).unwrap().len()

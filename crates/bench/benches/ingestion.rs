@@ -14,11 +14,8 @@ use temporal_core::m2::M2Encoder;
 use temporal_core::partition::FixedLength;
 
 fn fresh_ledger(tag: &str) -> (std::path::PathBuf, Ledger) {
-    let dir = std::env::temp_dir().join(format!(
-        "ingest-bench-{}-{tag}-{}",
-        std::process::id(),
-        rand::random::<u32>()
-    ));
+    // One ledger per tag is alive at a time: each routine deletes its own.
+    let dir = std::env::temp_dir().join(format!("ingest-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ledger = Ledger::open(&dir, LedgerConfig::default()).unwrap();
     (dir, ledger)
@@ -34,7 +31,7 @@ fn bench_ingestion_modes(c: &mut Criterion) {
         ("se", IngestMode::SingleEvent),
         ("me", IngestMode::MultiEvent),
     ] {
-        g.bench_function(&format!("{label}-identity"), |b| {
+        g.bench_function(format!("{label}-identity"), |b| {
             b.iter_batched(
                 || fresh_ledger(label),
                 |(dir, ledger)| {

@@ -119,7 +119,7 @@ fn bench_maintenance(c: &mut Criterion) {
     g.bench_function("flush-10k-entries", |b| {
         b.iter_batched(
             || {
-                let dir = TempDir::new(&format!("flush-{}", rand::random::<u32>()));
+                let dir = TempDir::new("flush");
                 let db = KvStore::open(&dir.0, Options::default()).unwrap();
                 for i in 0..10_000 {
                     db.put(format!("key{i:08}"), format!("v{i}")).unwrap();
@@ -133,7 +133,7 @@ fn bench_maintenance(c: &mut Criterion) {
     g.bench_function("compact-4-tables", |b| {
         b.iter_batched(
             || {
-                let dir = TempDir::new(&format!("compact-{}", rand::random::<u32>()));
+                let dir = TempDir::new("compact");
                 let db = KvStore::open(&dir.0, Options::default()).unwrap();
                 for round in 0..4 {
                     for i in 0..2500 {

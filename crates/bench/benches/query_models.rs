@@ -39,7 +39,7 @@ fn bench_join_models(c: &mut Criterion) {
     let mut g = c.benchmark_group("table1/join");
     g.sample_size(20);
     for (label, tau) in [("early", early), ("late", late)] {
-        g.bench_function(&format!("tqf/{label}"), |b| {
+        g.bench_function(format!("tqf/{label}"), |b| {
             b.iter(|| {
                 ferry_query(&TqfEngine, &m1_ledger, tau)
                     .unwrap()
@@ -47,7 +47,7 @@ fn bench_join_models(c: &mut Criterion) {
                     .len()
             })
         });
-        g.bench_function(&format!("m1/{label}"), |b| {
+        g.bench_function(format!("m1/{label}"), |b| {
             b.iter(|| {
                 ferry_query(&M1Engine::default(), &m1_ledger, tau)
                     .unwrap()
@@ -55,7 +55,7 @@ fn bench_join_models(c: &mut Criterion) {
                     .len()
             })
         });
-        g.bench_function(&format!("m2/{label}"), |b| {
+        g.bench_function(format!("m2/{label}"), |b| {
             b.iter(|| {
                 ferry_query(&M2Engine { u }, &m2_ledger, tau)
                     .unwrap()
@@ -122,7 +122,7 @@ fn bench_u_sweep(c: &mut Criterion) {
         let ledger = ctx
             .m1_ledger(id, IngestMode::MultiEvent, u)
             .expect("m1 fixture");
-        g.bench_function(&format!("u{u_paper}"), |b| {
+        g.bench_function(format!("u{u_paper}"), |b| {
             b.iter(|| {
                 ferry_query(&M1Engine::default(), &ledger, tau)
                     .unwrap()

@@ -1,22 +1,19 @@
-//! Commit-path ablation: serial vs dependency-wave parallel MVCC
-//! validation, crossed with 1/2/4 key-sharded commit streams.
+//! Commit-path ablation: 1/2/4 key-sharded commit streams.
 //!
-//! Guards the commit-path overhaul the same way [`crate::tables::ingest`]
+//! Guards the sharded commit path the same way [`crate::tables::ingest`]
 //! guards the pipelined writer. Every cell ingests DS1 (single-event
 //! transactions — the validation-heaviest mode) into a throwaway ledger
 //! with durable WAL fsyncs, the profile where sharding actually pays:
-//! N shards are N independent fsync streams. Parallel validation must be
-//! bit-identical to the serial scan, so cells that differ only in the
-//! validator are asserted to land on the same chain tips.
+//! N shards are N independent fsync streams. Cell names keep the
+//! `serial-` prefix they were recorded under in `BENCH_ingest.json`.
 //!
 //! A second section commits a synthetic read-modify-write batch where the
 //! conflict count is known in closed form, pinning the
-//! `commit.validate.conflicts` counter deterministically for both
-//! validators.
+//! `commit.validate.conflicts` counter deterministically.
 
 use std::collections::BTreeMap;
 
-use fabric_ledger::{Digest, Error, Ledger, LedgerConfig, Result, ShardedLedger, TxSimulator};
+use fabric_ledger::{Error, Ledger, LedgerConfig, Result, ShardedLedger, TxSimulator};
 use fabric_workload::dataset::DatasetId;
 use fabric_workload::ingest::{ingest, ingest_sharded, IdentityEncoder, IngestMode, IngestReport};
 
@@ -25,8 +22,6 @@ use crate::regress::MetricKind;
 
 /// Repetitions per cell; samples reduce to medians in the bench file.
 const REPS: usize = 3;
-/// Worker-pool width for the parallel-validate variants.
-const VALIDATE_THREADS: usize = 4;
 /// Shard counts in the grid (1 = a plain single ledger).
 const SHARD_GRID: [usize; 3] = [1, 2, 4];
 /// Distinct contended keys in the synthetic-conflict section.
@@ -45,71 +40,46 @@ fn scratch(ctx: &Ctx, name: &str) -> Result<std::path::PathBuf> {
 }
 
 /// Durable config for one cell: WAL fsyncs on, pipeline off (the cell
-/// isolates validate + shard parallelism), validator per `parallel`.
-fn cell_config(parallel: bool) -> LedgerConfig {
+/// isolates shard parallelism).
+fn cell_config() -> LedgerConfig {
     let mut config = LedgerConfig::default();
     config.state_db.sync_wal = true;
     config.index_db.sync_wal = true;
-    if parallel {
-        config = config
-            .with_parallel_validate(true)
-            .with_validate_threads(VALIDATE_THREADS);
-    }
     config
 }
 
-/// One grid cell's outcome: the ingest report, the chain tip per shard,
-/// and the `commit.validate.*` counter family.
+/// One grid cell's outcome: the ingest report and the
+/// `commit.validate.*` counters.
 struct CellOut {
     report: IngestReport,
-    tips: Vec<(u64, Digest)>,
     validate_txs: u64,
     conflicts: u64,
-    chunks: u64,
-    waves: u64,
 }
 
 fn run_cell(
     ctx: &Ctx,
     name: &str,
-    parallel: bool,
     shards: usize,
     events: &[fabric_workload::Event],
 ) -> Result<CellOut> {
     let dir = scratch(ctx, name)?;
-    let out = if shards == 1 {
-        let ledger = Ledger::open(&dir, cell_config(parallel))?;
+    let (report, snap) = if shards == 1 {
+        let ledger = Ledger::open(&dir, cell_config())?;
         ledger.telemetry().enable();
         let report = ingest(&ledger, events, IngestMode::SingleEvent, &IdentityEncoder)?;
-        let snap = ledger.telemetry().snapshot();
-        CellOut {
-            report,
-            tips: vec![(ledger.height(), ledger.last_hash())],
-            validate_txs: snap.counter("commit.validate.txs"),
-            conflicts: snap.counter("commit.validate.conflicts"),
-            chunks: snap.counter("commit.validate.chunks"),
-            waves: snap.counter("commit.validate.waves"),
-        }
+        (report, ledger.telemetry().snapshot())
     } else {
-        let ledger = ShardedLedger::open(&dir, cell_config(parallel), shards)?;
+        let ledger = ShardedLedger::open(&dir, cell_config(), shards)?;
         ledger.telemetry().enable();
         let report = ingest_sharded(&ledger, events, IngestMode::SingleEvent, &IdentityEncoder)?;
-        let snap = ledger.telemetry().snapshot();
-        CellOut {
-            report,
-            tips: ledger
-                .shards()
-                .iter()
-                .map(|s| (s.height(), s.last_hash()))
-                .collect(),
-            validate_txs: snap.counter("commit.validate.txs"),
-            conflicts: snap.counter("commit.validate.conflicts"),
-            chunks: snap.counter("commit.validate.chunks"),
-            waves: snap.counter("commit.validate.waves"),
-        }
+        (report, ledger.telemetry().snapshot())
     };
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(out)
+    Ok(CellOut {
+        report,
+        validate_txs: snap.counter("commit.validate.txs"),
+        conflicts: snap.counter("commit.validate.conflicts"),
+    })
 }
 
 /// Run the commit-path ablation, appending bench samples (keyed under
@@ -127,17 +97,15 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
         "txs",
         "blocks",
         "conflicts",
-        "chunks",
-        "waves",
     ]);
 
-    // ── Section 1: validation × shards grid, durable SE ingest ──────────
+    // ── Section 1: shard grid, durable SE ingest ────────────────────────
     let id = DatasetId::Ds1;
     let workload = ctx.workload(id);
-    let mut medians: BTreeMap<(&str, usize), Vec<f64>> = BTreeMap::new();
-    let mut cells: BTreeMap<(&str, usize), CellOut> = BTreeMap::new();
+    let variant = "serial";
+    let mut medians: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+    let mut cells: BTreeMap<usize, CellOut> = BTreeMap::new();
     let mut table = TableOut::new(&[
-        "Validator",
         "Shards",
         "Ingest",
         "Events/s",
@@ -150,74 +118,51 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
     // per-cell medians shrug it off.
     for rep in 0..REPS {
         for shards in SHARD_GRID {
-            for (variant, parallel) in [("serial", false), (par_name(), true)] {
-                eprintln!("[commit] {id} {variant} shards={shards} rep {rep} ...");
-                let cell = run_cell(
-                    ctx,
-                    &format!("{id}-{variant}-s{shards}-{rep}").to_lowercase(),
-                    parallel,
-                    shards,
-                    &workload.events,
-                )?;
-                let r = &cell.report;
-                let wall = r.wall.as_secs_f64();
-                let prefix = format!("ablation/commit_path/{variant}-shards{shards}");
-                samples.push((format!("{prefix}/ingest_s"), MetricKind::Time, wall));
-                samples.push((
-                    format!("{prefix}/ingest_eps"),
-                    MetricKind::Counter,
-                    r.events as f64 / wall.max(1e-9),
-                ));
-                for (metric, v) in [
-                    ("events", r.events),
-                    ("txs", r.txs),
-                    ("blocks", r.blocks),
-                    ("validate_txs", cell.validate_txs),
-                    ("conflicts", cell.conflicts),
-                ] {
-                    samples.push((format!("{prefix}/{metric}"), MetricKind::Counter, v as f64));
-                }
-                csv.row(vec![
-                    "grid".into(),
-                    variant.into(),
-                    shards.to_string(),
-                    rep.to_string(),
-                    wall.to_string(),
-                    r.events.to_string(),
-                    r.txs.to_string(),
-                    r.blocks.to_string(),
-                    cell.conflicts.to_string(),
-                    cell.chunks.to_string(),
-                    cell.waves.to_string(),
-                ]);
-                medians.entry((variant, shards)).or_default().push(wall);
-                cells.insert((variant, shards), cell);
+            eprintln!("[commit] {id} {variant} shards={shards} rep {rep} ...");
+            let cell = run_cell(
+                ctx,
+                &format!("{id}-{variant}-s{shards}-{rep}").to_lowercase(),
+                shards,
+                &workload.events,
+            )?;
+            let r = &cell.report;
+            let wall = r.wall.as_secs_f64();
+            let prefix = format!("ablation/commit_path/{variant}-shards{shards}");
+            samples.push((format!("{prefix}/ingest_s"), MetricKind::Time, wall));
+            samples.push((
+                format!("{prefix}/ingest_eps"),
+                MetricKind::Counter,
+                r.events as f64 / wall.max(1e-9),
+            ));
+            for (metric, v) in [
+                ("events", r.events),
+                ("txs", r.txs),
+                ("blocks", r.blocks),
+                ("validate_txs", cell.validate_txs),
+                ("conflicts", cell.conflicts),
+            ] {
+                samples.push((format!("{prefix}/{metric}"), MetricKind::Counter, v as f64));
             }
+            csv.row(vec![
+                "grid".into(),
+                variant.into(),
+                shards.to_string(),
+                rep.to_string(),
+                wall.to_string(),
+                r.events.to_string(),
+                r.txs.to_string(),
+                r.blocks.to_string(),
+                cell.conflicts.to_string(),
+            ]);
+            medians.entry(shards).or_default().push(wall);
+            cells.insert(shards, cell);
         }
     }
-    // Same shard count, different validator: the chains must be
-    // byte-identical (tips hash-chain the full content) and the report
-    // counters must agree.
-    for shards in SHARD_GRID {
-        let (s, p) = (&cells[&("serial", shards)], &cells[&(par_name(), shards)]);
-        assert!(
-            s.tips == p.tips,
-            "serial and parallel validation diverged at {shards} shard(s)"
-        );
-        assert!(
-            (s.report.events, s.report.txs, s.report.blocks)
-                == (p.report.events, p.report.txs, p.report.blocks),
-            "ingest reports diverged at {shards} shard(s): {:?} vs {:?}",
-            s.report,
-            p.report
-        );
-    }
-    let baseline_s = crate::regress::median(&medians[&("serial", 1)]);
-    for ((variant, shards), walls) in &medians {
+    let baseline_s = crate::regress::median(&medians[&1]);
+    for (shards, walls) in &medians {
         let wall = crate::regress::median(walls);
-        let cell = &cells[&(*variant, *shards)];
+        let cell = &cells[shards];
         table.row(vec![
-            (*variant).into(),
             shards.to_string(),
             fmt_secs(std::time::Duration::from_secs_f64(wall)),
             format!("{:.0}", cell.report.events as f64 / wall.max(1e-9)),
@@ -226,98 +171,80 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
             cell.conflicts.to_string(),
         ]);
     }
-    let headline = baseline_s / crate::regress::median(&medians[&(par_name(), 4)]).max(1e-9);
+    let headline = baseline_s / crate::regress::median(&medians[&4]).max(1e-9);
     samples.push((
         "ablation/commit_path/headline_speedup".into(),
         MetricKind::Time,
         headline,
     ));
-    report.push_str(&format!(
-        "## Commit path: MVCC validation × shards ({id} SE, durable)\n\n"
-    ));
+    report.push_str(&format!("## Commit path: shards ({id} SE, durable)\n\n"));
     report.push_str(&table.to_markdown());
     report.push_str(&format!(
-        "\nHeadline: parallel validate ({VALIDATE_THREADS} threads) + 4 shards is \
-         {headline:.2}x the serial single-shard path.\n\n"
+        "\nHeadline: 4 shards is {headline:.2}x the single-shard path.\n\n"
     ));
 
     // ── Section 2: synthetic contention, closed-form conflict count ─────
     // One seed block writes K keys; the next block races T read-modify-
     // write txs over them. MVCC admits the first writer per key and
     // invalidates every later reader of a stale version, so exactly
-    // T - K txs conflict — for both validators, by construction.
+    // T - K txs conflict, by construction.
     let expected = (CONTENTION_TXS - CONTENTION_KEYS) as u64;
-    let mut table = TableOut::new(&["Validator", "Txs", "Valid", "Conflicts", "Tip"]);
-    let mut tips = BTreeMap::new();
-    for (variant, parallel) in [("serial", false), (par_name(), true)] {
-        let dir = scratch(ctx, &format!("contention-{variant}"))?;
-        let config = cell_config(parallel).with_block_max_txs(CONTENTION_TXS + 1);
-        let ledger = Ledger::open(&dir, config)?;
-        ledger.telemetry().enable();
-        let key = |i: usize| format!("K{:05}", i % CONTENTION_KEYS);
-        let mut sim = TxSimulator::new(&ledger);
-        for i in 0..CONTENTION_KEYS {
-            sim.put_state(key(i), "seed");
-        }
-        ledger.submit(sim.into_transaction(1)?)?;
-        ledger.cut_block()?;
-        for i in 0..CONTENTION_TXS {
-            let mut sim = TxSimulator::new(&ledger);
-            let _ = sim.get_state(key(i).as_bytes())?;
-            sim.put_state(key(i), format!("v{i}"));
-            ledger.submit(sim.into_transaction(2 + i as u64)?)?;
-        }
-        ledger.cut_block()?;
-        ledger.drain_commits()?;
-        let snap = ledger.telemetry().snapshot();
-        let conflicts = snap.counter("commit.validate.conflicts");
-        assert_eq!(
-            conflicts, expected,
-            "{variant} validator missed the closed-form conflict count"
-        );
-        let tip = (ledger.height(), ledger.last_hash());
-        tips.insert(variant, tip);
-        let prefix = format!("ablation/commit_path/contention/{variant}");
-        samples.push((
-            format!("{prefix}/conflicts"),
-            MetricKind::Counter,
-            conflicts as f64,
-        ));
-        samples.push((
-            format!("{prefix}/txs"),
-            MetricKind::Counter,
-            snap.counter("commit.validate.txs") as f64,
-        ));
-        csv.row(vec![
-            "contention".into(),
-            variant.into(),
-            "1".into(),
-            "0".into(),
-            "-".into(),
-            "-".into(),
-            (CONTENTION_TXS + 1).to_string(),
-            "2".into(),
-            conflicts.to_string(),
-            snap.counter("commit.validate.chunks").to_string(),
-            snap.counter("commit.validate.waves").to_string(),
-        ]);
-        table.row(vec![
-            variant.into(),
-            (CONTENTION_TXS + 1).to_string(),
-            (CONTENTION_KEYS + 1).to_string(),
-            conflicts.to_string(),
-            format!("height {}", tip.0),
-        ]);
-        drop(ledger);
-        let _ = std::fs::remove_dir_all(&dir);
+    let mut table = TableOut::new(&["Txs", "Valid", "Conflicts", "Tip"]);
+    let dir = scratch(ctx, &format!("contention-{variant}"))?;
+    let config = cell_config().with_block_max_txs(CONTENTION_TXS + 1);
+    let ledger = Ledger::open(&dir, config)?;
+    ledger.telemetry().enable();
+    let key = |i: usize| format!("K{:05}", i % CONTENTION_KEYS);
+    let mut sim = TxSimulator::new(&ledger);
+    for i in 0..CONTENTION_KEYS {
+        sim.put_state(key(i), "seed");
     }
-    assert!(
-        tips.values()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-            == 1,
-        "contended block tips diverged across validators: {tips:?}"
+    ledger.submit(sim.into_transaction(1)?)?;
+    ledger.cut_block()?;
+    for i in 0..CONTENTION_TXS {
+        let mut sim = TxSimulator::new(&ledger);
+        let _ = sim.get_state(key(i).as_bytes())?;
+        sim.put_state(key(i), format!("v{i}"));
+        ledger.submit(sim.into_transaction(2 + i as u64)?)?;
+    }
+    ledger.cut_block()?;
+    ledger.drain_commits()?;
+    let snap = ledger.telemetry().snapshot();
+    let conflicts = snap.counter("commit.validate.conflicts");
+    assert_eq!(
+        conflicts, expected,
+        "validation missed the closed-form conflict count"
     );
+    let prefix = format!("ablation/commit_path/contention/{variant}");
+    samples.push((
+        format!("{prefix}/conflicts"),
+        MetricKind::Counter,
+        conflicts as f64,
+    ));
+    samples.push((
+        format!("{prefix}/txs"),
+        MetricKind::Counter,
+        snap.counter("commit.validate.txs") as f64,
+    ));
+    csv.row(vec![
+        "contention".into(),
+        variant.into(),
+        "1".into(),
+        "0".into(),
+        "-".into(),
+        "-".into(),
+        (CONTENTION_TXS + 1).to_string(),
+        "2".into(),
+        conflicts.to_string(),
+    ]);
+    table.row(vec![
+        (CONTENTION_TXS + 1).to_string(),
+        (CONTENTION_KEYS + 1).to_string(),
+        conflicts.to_string(),
+        format!("height {}", ledger.height()),
+    ]);
+    drop(ledger);
+    let _ = std::fs::remove_dir_all(&dir);
     report.push_str(&format!(
         "## Synthetic contention ({CONTENTION_TXS} RMW txs over {CONTENTION_KEYS} keys)\n\n"
     ));
@@ -326,12 +253,4 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
 
     ctx.save_result("commit.csv", &csv.to_csv());
     Ok(report)
-}
-
-/// The parallel variant's name, embedding the thread count (`par4`).
-fn par_name() -> &'static str {
-    match VALIDATE_THREADS {
-        4 => "par4",
-        _ => "par",
-    }
 }

@@ -1,7 +1,7 @@
 //! Ingest-path ablation: serial vs pipelined block commit, WAL group
-//! commit under concurrent writers, M1 index construction with 1 vs N
-//! worker threads, and a storage-backend head-to-head (LSM vs value log,
-//! plus a write-amplification cell with asserted space bounds).
+//! commit under concurrent writers, M1 index construction, and a
+//! storage-backend head-to-head (LSM vs value log, plus a
+//! write-amplification cell with asserted space bounds).
 //!
 //! Unlike the paper tables this is not a reproduction target — it guards
 //! the write-path overhaul. The serial commit path is the paper's cost
@@ -30,8 +30,6 @@ const REPS: usize = 3;
 const WAL_WRITERS: usize = 4;
 /// Writes per writer in the WAL group-commit cell.
 const WAL_WRITES_PER: usize = 64;
-/// Worker-pool width for the parallel-M1 cell.
-const M1_THREADS: usize = 4;
 
 /// A scratch directory under the cache root, wiped before use.
 fn scratch(ctx: &Ctx, name: &str) -> Result<std::path::PathBuf> {
@@ -261,7 +259,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     report.push_str(&table.to_markdown());
     report.push('\n');
 
-    // ── Section 3: M1 index construction, 1 vs N worker threads ─────────
+    // ── Section 3: M1 index construction ────────────────────────────────
     let id = DatasetId::Ds3;
     let workload = ctx.workload(id);
     let u = ctx.scale_time(id, 2000);
@@ -278,70 +276,63 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         )?;
         ledger.flush_stores()?;
     }
-    let mut table = TableOut::new(&["Threads", "Index build", "Keys", "Tip"]);
-    let mut tips = BTreeMap::new();
-    for threads in [1usize, M1_THREADS] {
-        for rep in 0..REPS {
-            eprintln!("[ingest] m1 index threads={threads} rep {rep} ...");
-            let dir = scratch(ctx, &format!("m1-t{threads}-{rep}"))?;
-            copy_dir_recursive(&base, &dir)
-                .map_err(|e| Error::InvalidArgument(format!("cannot fork m1 base ledger: {e}")))?;
-            let ledger = Ledger::open(&dir, LedgerConfig::default())?;
-            let start = Instant::now();
-            M1Indexer::fixed(&strategy)
-                .with_threads(threads)
-                .run_epoch(&ledger, &keys, Interval::new(0, workload.params.t_max))?;
-            let wall = start.elapsed();
-            let tip = (ledger.height(), ledger.last_hash());
-            drop(ledger);
-            let _ = std::fs::remove_dir_all(&dir);
-            let prefix = format!("m1/threads-{threads}");
-            samples.push((
-                format!("{prefix}/index_s"),
-                MetricKind::Time,
-                wall.as_secs_f64(),
-            ));
-            samples.push((
-                format!("{prefix}/keys"),
-                MetricKind::Counter,
-                keys.len() as f64,
-            ));
-            samples.push((
-                format!("{prefix}/height"),
-                MetricKind::Counter,
-                tip.0 as f64,
-            ));
-            csv.row(vec![
-                "m1".into(),
-                id.to_string(),
-                "se".into(),
-                format!("threads-{threads}"),
-                rep.to_string(),
-                wall.as_secs_f64().to_string(),
-                "-".into(),
-                "-".into(),
-                tip.0.to_string(),
-                "-".into(),
+    let mut table = TableOut::new(&["Index build", "Keys", "Tip"]);
+    // The cell keeps the name it was recorded under in `BENCH_ingest.json`.
+    let cell = "threads-1";
+    for rep in 0..REPS {
+        eprintln!("[ingest] m1 index rep {rep} ...");
+        let dir = scratch(ctx, &format!("m1-{rep}"))?;
+        copy_dir_recursive(&base, &dir)
+            .map_err(|e| Error::InvalidArgument(format!("cannot fork m1 base ledger: {e}")))?;
+        let ledger = Ledger::open(&dir, LedgerConfig::default())?;
+        let start = Instant::now();
+        M1Indexer::fixed(&strategy).run_epoch(
+            &ledger,
+            &keys,
+            Interval::new(0, workload.params.t_max),
+        )?;
+        let wall = start.elapsed();
+        let height = ledger.height();
+        drop(ledger);
+        let _ = std::fs::remove_dir_all(&dir);
+        let prefix = format!("m1/{cell}");
+        samples.push((
+            format!("{prefix}/index_s"),
+            MetricKind::Time,
+            wall.as_secs_f64(),
+        ));
+        samples.push((
+            format!("{prefix}/keys"),
+            MetricKind::Counter,
+            keys.len() as f64,
+        ));
+        samples.push((
+            format!("{prefix}/height"),
+            MetricKind::Counter,
+            height as f64,
+        ));
+        csv.row(vec![
+            "m1".into(),
+            id.to_string(),
+            "se".into(),
+            cell.into(),
+            rep.to_string(),
+            wall.as_secs_f64().to_string(),
+            "-".into(),
+            "-".into(),
+            height.to_string(),
+            "-".into(),
+        ]);
+        if rep == 0 {
+            table.row(vec![
+                fmt_secs(wall),
+                keys.len().to_string(),
+                format!("height {height}"),
             ]);
-            if rep == 0 {
-                table.row(vec![
-                    threads.to_string(),
-                    fmt_secs(wall),
-                    keys.len().to_string(),
-                    format!("height {}", tip.0),
-                ]);
-                tips.insert(threads, tip);
-            }
         }
     }
     let _ = std::fs::remove_dir_all(&base);
-    // Parallel construction must leave the ledger on the same tip.
-    let baseline_tip = tips[&1];
-    assert!(
-        tips.values().all(|t| *t == baseline_tip),
-        "M1 thread counts disagree on the resulting chain: {tips:?}"
-    );
-    report.push_str("## M1 index construction (parallel EV-set build)\n\n");
+    report.push_str("## M1 index construction\n\n");
     report.push_str(&table.to_markdown());
     report.push('\n');
 

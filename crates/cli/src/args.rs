@@ -66,6 +66,14 @@ impl Args {
             .transpose()
     }
 
+    /// The first option given whose name is not in `known`.
+    pub fn unknown_option(&self, known: &[&str]) -> Option<&str> {
+        self.options
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .find(|name| !known.contains(name))
+    }
+
     /// Number of positional arguments.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
@@ -116,6 +124,13 @@ mod tests {
         let a = Args::parse(&argv(&["--p", "a=1", "--q", "x", "--p", "b=2"])).unwrap();
         assert_eq!(a.opt_all("p"), vec!["a=1", "b=2"]);
         assert!(a.opt_all("absent").is_empty());
+    }
+
+    #[test]
+    fn unknown_option_names_the_first_stranger() {
+        let a = Args::parse(&argv(&["--u", "1", "--x", "2", "--y", "3"])).unwrap();
+        assert_eq!(a.unknown_option(&["u", "y"]), Some("x"));
+        assert_eq!(a.unknown_option(&["u", "x", "y"]), None);
     }
 
     #[test]

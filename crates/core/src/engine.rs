@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use fabric_ledger::{Ledger, Result};
 use fabric_workload::{EntityId, EntityKind, Event};
 
-use crate::cursor::{EventCursor, VecCursor};
+use crate::cursor::{drain, EventCursor};
 use crate::interval::Interval;
 
 /// A strategy for answering temporal event queries on the ledger.
@@ -44,25 +44,21 @@ pub trait TemporalEngine {
         Ok(keys.into_iter().collect())
     }
 
-    /// Every event of `key` with time in `tau`, ascending by time.
-    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>>;
-
-    /// A streaming cursor over the same events [`events_for_key`] returns,
-    /// in the same order. The provided default materializes eagerly and
-    /// wraps the result, so external engines keep compiling; the engines in
-    /// this crate override it with genuinely lazy cursors whose early
-    /// termination stops block deserialization.
-    ///
-    /// [`events_for_key`]: TemporalEngine::events_for_key
+    /// A streaming cursor over every event of `key` with time in `tau`,
+    /// ascending by time. Cursors are lazy: abandoning one early stops
+    /// block deserialization.
     fn events_cursor<'l>(
         &self,
         ledger: &'l Ledger,
         key: EntityId,
         tau: Interval,
-    ) -> Result<Box<dyn EventCursor + 'l>> {
-        Ok(Box::new(VecCursor::new(
-            self.events_for_key(ledger, key, tau)?,
-        )))
+    ) -> Result<Box<dyn EventCursor + 'l>>;
+
+    /// The events [`events_cursor`] streams, collected.
+    ///
+    /// [`events_cursor`]: TemporalEngine::events_cursor
+    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>> {
+        drain(self.events_cursor(ledger, key, tau)?.as_mut())
     }
 }
 

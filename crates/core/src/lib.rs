@@ -74,7 +74,7 @@ pub mod tqf;
 pub use analyze::{explain_analyze, AnalyzedPlan, StepMeasurement};
 pub use base_api::M2BaseApi;
 pub use calibrate::{CalibratedCursor, CalibrationGroup, PlannerLog, PlannerRecord};
-pub use cursor::{drain, EventCursor, VecCursor};
+pub use cursor::{drain, EventCursor};
 pub use daemon::{
     index_freshness, publish_m1_gauges, publish_m1_gauges_sharded, DaemonConfig, DaemonHandle,
     DaemonMeta, DaemonReport, IndexFreshness, IndexerDaemon, ShardedDaemon, ThetaPolicy,

@@ -27,7 +27,7 @@ use fabric_ledger::codec::{put_u64, put_uvarint, Cursor};
 use fabric_ledger::{Error, Ledger, Result, TxSimulator};
 use fabric_workload::{EntityId, Event};
 
-use crate::cursor::{drain, EventCursor, M1Cursor};
+use crate::cursor::{EventCursor, M1Cursor};
 use crate::engine::{decode_event, TemporalEngine};
 use crate::evset::{EvSet, TemporalEvent};
 use crate::interval::Interval;
@@ -151,8 +151,6 @@ pub struct M1Indexer<'s> {
     strategy: &'s (dyn PartitionStrategy + Sync),
     /// Fixed `u` when the strategy is the paper's; `None` → catalogs.
     fixed_u: Option<u64>,
-    /// Worker threads for the per-key EV-set build (phase 1 of an epoch).
-    threads: usize,
 }
 
 impl<'s> M1Indexer<'s> {
@@ -161,7 +159,6 @@ impl<'s> M1Indexer<'s> {
         M1Indexer {
             strategy,
             fixed_u: Some(strategy.u),
-            threads: 1,
         }
     }
 
@@ -171,17 +168,7 @@ impl<'s> M1Indexer<'s> {
         M1Indexer {
             strategy,
             fixed_u: None,
-            threads: 1,
         }
-    }
-
-    /// Build EV sets for independent keys on `threads` workers. Only the
-    /// read phase parallelises; transactions are still submitted serially
-    /// in key order, so the resulting ledger is byte-identical for any
-    /// thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Run one indexing invocation covering `epoch` for every key in
@@ -201,13 +188,18 @@ impl<'s> M1Indexer<'s> {
         let mut indexes = 0usize;
         let mut txs = 0u64;
         let ((), stats) = measure(ledger, || -> Result<()> {
-            // Phase 1 — read each key's epoch events and build its EV
-            // sets, fanned out over the worker pool (reads only).
-            let prepared = self.prepare_keys(ledger, keys, epoch)?;
-            // Phase 2 — submit the index transactions serially, in key
-            // order: the ledger bytes match a 1-thread build exactly.
-            let items: Vec<(EntityId, Vec<(Interval, Bytes)>)> =
-                keys.iter().copied().zip(prepared).collect();
+            // Phase 1 — read each key's epoch events (a GHFK scan of base
+            // data) and build its `(θ, encoded EV set)` pairs.
+            let items = keys
+                .iter()
+                .map(|&key| {
+                    let events = self.collect_epoch_events(ledger, key, epoch)?;
+                    Ok((key, pairs_from_events(self.strategy, epoch, &events)))
+                })
+                .collect::<Result<Vec<(EntityId, Vec<(Interval, Bytes)>)>>>()?;
+            // Phase 2 — submit the index transactions in key order. They
+            // write only composite `(k,θ)` keys and metadata, never the
+            // base keys read above.
             let (i, t) = submit_epoch(ledger, &items, epoch, self.fixed_u, &[], &meta)?;
             indexes = i;
             txs = t;
@@ -222,65 +214,6 @@ impl<'s> M1Indexer<'s> {
             txs,
             stats,
         })
-    }
-
-    /// Phase 1 of an epoch: for every key, scan its history and build the
-    /// `(θ, encoded EV set)` pairs to ingest. Pure reads against base
-    /// data, so independent keys parallelise over [`Self::with_threads`]
-    /// workers using the per-slot cell pattern of
-    /// [`crate::parallel::events_for_keys_parallel`]. Index transactions
-    /// write only composite `(k,θ)` keys and metadata — never the base
-    /// keys read here — so splitting the read phase from the submit phase
-    /// preserves the serial build's ledger bytes exactly.
-    fn prepare_keys(
-        &self,
-        ledger: &Ledger,
-        keys: &[EntityId],
-        epoch: Interval,
-    ) -> Result<Vec<Vec<(Interval, Bytes)>>> {
-        let prepare_one = |key: EntityId| -> Result<Vec<(Interval, Bytes)>> {
-            let events = self.collect_epoch_events(ledger, key, epoch)?;
-            Ok(pairs_from_events(self.strategy, epoch, &events))
-        };
-        let workers = self.threads.clamp(1, keys.len().max(1));
-        if workers == 1 || keys.len() <= 1 {
-            return keys.iter().map(|&k| prepare_one(k)).collect();
-        }
-        type Slot = std::sync::Mutex<Option<Result<Vec<(Interval, Bytes)>>>>;
-        let mut slots: Vec<Slot> = Vec::with_capacity(keys.len());
-        slots.resize_with(keys.len(), || std::sync::Mutex::new(None));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Handoff token: per-key build spans on the workers parent under
-        // the `m1.build` span open on this thread.
-        let tel = ledger.telemetry();
-        let ctx = tel.current_context();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= keys.len() {
-                        break;
-                    }
-                    let mut span = tel
-                        .span_in("m1.prepare.key", ctx)
-                        .with_label(format!("{}", keys[i]));
-                    let prepared = prepare_one(keys[i]);
-                    if let Ok(pairs) = &prepared {
-                        span.record("ev_sets", pairs.len() as u64);
-                    }
-                    *slots[i].lock().expect("slot mutex poisoned") = Some(prepared);
-                });
-            }
-        })
-        .expect("m1 prepare worker panicked");
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot mutex poisoned")
-                    .expect("every slot filled")
-            })
-            .collect()
     }
 
     /// Read `key`'s events inside `epoch` via a plain GHFK scan (this is
@@ -615,10 +548,6 @@ impl TemporalEngine for M1Engine {
         "M1".to_string()
     }
 
-    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>> {
-        drain(self.events_cursor(ledger, key, tau)?.as_mut())
-    }
-
     fn events_cursor<'l>(
         &self,
         ledger: &'l Ledger,
@@ -933,52 +862,6 @@ mod tests {
         assert_eq!(total_epochs, 4);
         // Queries over the maintained index agree with TQF.
         let tau = Interval::new(120, 380);
-        let m1 = M1Engine::default()
-            .events_for_key(&ledger, EntityId::shipment(0), tau)
-            .unwrap();
-        let tqf = TqfEngine
-            .events_for_key(&ledger, EntityId::shipment(0), tau)
-            .unwrap();
-        assert_eq!(m1, tqf);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_serial() {
-        // The tentpole guarantee for M1: thread count must not change a
-        // single ledger byte, because only the read phase parallelises.
-        let mut tips = Vec::new();
-        for threads in [1usize, 4] {
-            let dir = TempDir::new(&format!("par-{threads}"));
-            let ledger = Ledger::open(&dir.0, LedgerConfig::small_for_tests()).unwrap();
-            // Events across several keys so the pool has real fan-out.
-            let events: Vec<Event> = (1..=60).map(|i| event((i % 5) as u32, i * 10)).collect();
-            ingest(&ledger, &events, IngestMode::SingleEvent, &IdentityEncoder).unwrap();
-            let strategy = FixedLength { u: 100 };
-            let keys: Vec<EntityId> = (0..5).map(EntityId::shipment).collect();
-            let report = M1Indexer::fixed(&strategy)
-                .with_threads(threads)
-                .run_epoch(&ledger, &keys, Interval::new(0, 600))
-                .unwrap();
-            tips.push((
-                ledger.height(),
-                ledger.last_hash(),
-                report.indexes,
-                report.txs,
-            ));
-        }
-        assert_eq!(tips[0], tips[1], "thread count changed the ledger");
-    }
-
-    #[test]
-    fn parallel_build_queries_match_tqf() {
-        let dir = TempDir::new("par-query");
-        let (ledger, _) = setup(&dir);
-        let strategy = FixedLength { u: 100 };
-        M1Indexer::fixed(&strategy)
-            .with_threads(8)
-            .run_epoch(&ledger, &[EntityId::shipment(0)], Interval::new(0, 400))
-            .unwrap();
-        let tau = Interval::new(50, 350);
         let m1 = M1Engine::default()
             .events_for_key(&ledger, EntityId::shipment(0), tau)
             .unwrap();

@@ -19,7 +19,7 @@ use fabric_ledger::{Ledger, Result};
 use fabric_workload::ingest::EventEncoder;
 use fabric_workload::{EntityId, Event};
 
-use crate::cursor::{drain, EventCursor, M2Cursor};
+use crate::cursor::{EventCursor, M2Cursor};
 use crate::engine::TemporalEngine;
 use crate::interval::Interval;
 
@@ -48,16 +48,6 @@ pub struct M2Engine {
 impl TemporalEngine for M2Engine {
     fn name(&self) -> String {
         format!("M2(u={})", self.u)
-    }
-
-    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>> {
-        // GHFK on each overlapping (k, θ): deserializes exactly the blocks
-        // holding k's events within θ. Each interval's history is in time
-        // order, so once past te the lazy iterator is abandoned and the
-        // blocks holding the rest of θ are never deserialized (this is why
-        // the paper's u=50K numbers grow within a band as the query window
-        // moves right, then drop at the next band).
-        drain(&mut M2Cursor::new(ledger, key, tau)?)
     }
 
     fn events_cursor<'l>(

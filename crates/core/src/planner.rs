@@ -29,13 +29,12 @@
 //! `planner.pick.*` telemetry counters and rendered by `tfq plan`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fabric_ledger::{HistoryEntryMeta, Ledger, Result};
-use fabric_workload::{EntityId, Event};
-use parking_lot::Mutex;
+use fabric_workload::EntityId;
 
-use crate::cursor::{drain, EventCursor, M2Cursor, TqfCursor};
+use crate::cursor::{EventCursor, M2Cursor, TqfCursor};
 use crate::engine::TemporalEngine;
 use crate::explain::{ExplainQuery, QueryPlan};
 use crate::interval::Interval;
@@ -234,7 +233,7 @@ impl AutoEngine {
         stamp: ProbeStamp,
     ) -> Result<u64> {
         let tel = ledger.telemetry();
-        let mut probes = self.probes.lock();
+        let mut probes = self.probes.lock().unwrap_or_else(|e| e.into_inner());
         let entry = probes.entry(shard).or_default();
         if entry.stamp != stamp {
             entry.map.clear();
@@ -403,10 +402,6 @@ fn relabel(mut plan: QueryPlan, label: &str) -> QueryPlan {
 impl TemporalEngine for AutoEngine {
     fn name(&self) -> String {
         "Auto".to_string()
-    }
-
-    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>> {
-        drain(self.events_cursor(ledger, key, tau)?.as_mut())
     }
 
     fn events_cursor<'l>(

@@ -10,9 +10,9 @@
 //! bottleneck both models in this crate exist to remove.
 
 use fabric_ledger::{Ledger, Result};
-use fabric_workload::{EntityId, Event};
+use fabric_workload::EntityId;
 
-use crate::cursor::{drain, EventCursor, TqfCursor};
+use crate::cursor::{EventCursor, TqfCursor};
 use crate::engine::TemporalEngine;
 use crate::interval::Interval;
 
@@ -23,10 +23,6 @@ pub struct TqfEngine;
 impl TemporalEngine for TqfEngine {
     fn name(&self) -> String {
         "TQF".to_string()
-    }
-
-    fn events_for_key(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<Vec<Event>> {
-        drain(&mut TqfCursor::new(ledger, key, tau)?)
     }
 
     fn events_cursor<'l>(
@@ -44,7 +40,7 @@ mod tests {
     use super::*;
     use fabric_ledger::{Ledger, LedgerConfig};
     use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
-    use fabric_workload::{EntityKind, EventKind};
+    use fabric_workload::{EntityKind, Event, EventKind};
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {

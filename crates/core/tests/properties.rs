@@ -260,7 +260,7 @@ fn unique_dir() -> std::path::PathBuf {
 
 proptest! {
     // Each case builds and M1-indexes two ledgers; keep the count modest.
-    #![proptest_config(ProptestConfig { cases: 6 })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `Ledger::history` must be byte-identical with coalescing on vs. off,
     /// across MultiEvent/SingleEvent ingest and the M1 write-then-delete
@@ -288,8 +288,7 @@ proptest! {
             // the per-location ledger is the seed baseline: no cache.
             let config = LedgerConfig::small_for_tests()
                 .with_coalesce_history(coalesce)
-                .with_cache_blocks(if coalesce { cache_blocks } else { 0 })
-                .with_cache_shards(2);
+                .with_cache_blocks(if coalesce { cache_blocks } else { 0 });
             let ledger = Ledger::open(dir.join(sub), config).unwrap();
             ingest(&ledger, &workload.events, mode, &IdentityEncoder).unwrap();
             let strategy = FixedLength { u };

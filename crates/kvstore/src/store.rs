@@ -10,16 +10,19 @@
 //!
 //! The manifest is a small text file: `next <n>`, `wal <n>` and one
 //! `sst <n>` line per live table, oldest first. It is replaced with a
-//! write-to-temp-then-rename so a crash can never leave a half-written
-//! manifest; the WAL covers everything newer than the manifest.
+//! write-to-temp, fsync, rename, fsync-the-directory sequence so a crash
+//! can never leave a half-written manifest or one naming a file whose
+//! directory entry was lost; the WAL covers everything newer than the
+//! manifest.
 
+use std::fs::File;
+use std::io::Write;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 
 use bytes::Bytes;
 use fabric_telemetry::{QueueProbe, Telemetry};
-use parking_lot::{Mutex, RwLock};
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::error::{Error, Result};
@@ -67,12 +70,11 @@ pub struct KvStore {
 
 /// Shared state of the group-commit path: writers enqueue their batch, the
 /// first to find no leader running drains the queue and commits it as one
-/// WAL append + fsync. Uses std primitives (not `parking_lot`) because the
-/// queue needs a condvar paired with its mutex guard.
+/// WAL append + fsync.
 #[derive(Default)]
 struct GroupCommit {
-    state: std::sync::Mutex<GroupState>,
-    cond: std::sync::Condvar,
+    state: Mutex<GroupState>,
+    cond: Condvar,
 }
 
 #[derive(Default)]
@@ -108,6 +110,35 @@ impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore").field("dir", &self.dir).finish()
     }
+}
+
+/// Make `dir`'s entry list (names created, renamed or unlinked in it)
+/// durable. A file's own `sync_all` covers its bytes, not its name.
+pub(crate) fn fsync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), e))
+}
+
+/// Durably replace `dir/MANIFEST` with `text`: on return a crash leaves the
+/// new manifest, whole, and every file it names; a crash before return
+/// leaves either that or the old manifest untouched. Callers unlink files
+/// only the old manifest named (the previous WAL, merged tables) after
+/// this returns, never before.
+fn install_manifest(dir: &Path, text: &str) -> Result<()> {
+    let tmp = dir.join("MANIFEST.tmp");
+    File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        })
+        .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
+    // The names of the files the manifest lists (a table just written, the
+    // new WAL) must be on disk before the rename can publish them.
+    fsync_dir(dir)?;
+    std::fs::rename(&tmp, dir.join("MANIFEST"))
+        .map_err(|e| Error::io(format!("installing manifest in {}", dir.display()), e))?;
+    fsync_dir(dir)
 }
 
 fn sst_path(dir: &Path, num: u64) -> PathBuf {
@@ -186,7 +217,7 @@ impl KvStore {
             group: GroupCommit::default(),
             compaction_gate: Mutex::new(()),
         };
-        store.write_manifest(&store.inner.read())?;
+        store.write_manifest(&store.inner.read().unwrap_or_else(|e| e.into_inner()))?;
         if old_wal.exists() && old_wal != wal_path(&dir, new_wal_num) {
             let _ = std::fs::remove_file(old_wal);
         }
@@ -225,11 +256,7 @@ impl KvStore {
         for num in &inner.table_nums {
             text.push_str(&format!("sst {num}\n"));
         }
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let final_path = self.dir.join("MANIFEST");
-        std::fs::write(&tmp, text)
-            .and_then(|_| std::fs::rename(&tmp, &final_path))
-            .map_err(|e| Error::io("writing manifest".to_string(), e))
+        install_manifest(&self.dir, &text)
     }
 
     fn apply_to_memtable(memtable: &mut MemTable, batch: WriteBatch) {
@@ -270,7 +297,7 @@ impl KvStore {
             .filter(|op| matches!(op, BatchOp::Put { .. }))
             .count();
         let dels = batch.len() - puts;
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let bytes = {
             let mut span = self.tel.span("kv.wal.append");
             let bytes = inner.wal.append(&batch.encode())?;
@@ -305,7 +332,7 @@ impl KvStore {
                 None => Ok(()),
             };
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         Metrics::incr(&self.metrics.group_commits);
         Metrics::add(&self.metrics.group_commit_batches, batches.len() as u64);
         let payloads: Vec<Vec<u8>> = batches.iter().map(|b| b.encode()).collect();
@@ -350,12 +377,15 @@ impl KvStore {
     /// keeps this automatic path single-flight: if another thread is
     /// already compacting, this one moves on.
     fn compact_if_wanted(&self, wanted: bool) -> Result<()> {
-        if wanted {
-            if let Some(_gate) = self.compaction_gate.try_lock() {
-                self.compact_gated()?;
-            }
+        if !wanted {
+            return Ok(());
         }
-        Ok(())
+        match self.compaction_gate.try_lock() {
+            Err(TryLockError::WouldBlock) => Ok(()),
+            // Free, or poisoned by a merge that panicked: the gate guards
+            // no data, so either way this thread now holds it.
+            _gate => self.compact_gated(),
+        }
     }
 
     /// Group-commit front door: enqueue the batch, then either become the
@@ -392,6 +422,7 @@ impl KvStore {
                 return slot
                     .0
                     .lock()
+                    .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("leader fills every slot it drained, including its own");
             }
@@ -400,7 +431,7 @@ impl KvStore {
                 .cond
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
-            if let Some(result) = slot.0.lock().take() {
+            if let Some(result) = slot.0.lock().unwrap_or_else(|e| e.into_inner()).take() {
                 self.group_probe.send_waited_ns(wait_ns(enqueued_at));
                 return result;
             }
@@ -414,7 +445,7 @@ impl KvStore {
     /// order. Fills every waiter's result slot; never returns an error —
     /// failures fan out to the waiters instead.
     fn run_group(&self, work: Vec<PendingWrite>) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         Metrics::incr(&self.metrics.group_commits);
         Metrics::add(&self.metrics.group_commit_batches, work.len() as u64);
         let payloads: Vec<Vec<u8>> = work.iter().map(|w| w.batch.encode()).collect();
@@ -434,7 +465,7 @@ impl KvStore {
                 // `Error` is not `Clone`, so each gets a formatted copy.
                 let msg = e.to_string();
                 for w in work {
-                    *w.slot.0.lock() = Some(Err(Error::io(
+                    *w.slot.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Err(Error::io(
                         "group commit".to_string(),
                         std::io::Error::other(msg.clone()),
                     )));
@@ -469,13 +500,13 @@ impl KvStore {
         match tail {
             Ok(()) => {
                 for s in slots {
-                    *s.0.lock() = Some(Ok(()));
+                    *s.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(()));
                 }
             }
             Err(e) => {
                 let msg = e.to_string();
                 for s in slots {
-                    *s.0.lock() = Some(Err(Error::io(
+                    *s.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Err(Error::io(
                         "group commit flush".to_string(),
                         std::io::Error::other(msg.clone()),
                     )));
@@ -487,7 +518,7 @@ impl KvStore {
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         Metrics::incr(&self.metrics.gets);
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         if let Some(slot) = inner.memtable.get(key) {
             return Ok(slot.as_value().cloned());
         }
@@ -533,7 +564,7 @@ impl KvStore {
                 done: true,
             });
         }
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let mut sources: Vec<Box<dyn EntrySource + Send>> = Vec::new();
         // Memtable snapshot is the newest source.
         let mem_entries: Vec<SsEntry> = inner
@@ -581,7 +612,7 @@ impl KvStore {
 
     /// Force the memtable to an SSTable regardless of size.
     pub fn flush(&self) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         self.flush_locked(&mut inner)
     }
 
@@ -626,7 +657,10 @@ impl KvStore {
     /// readers and writers proceed; only the snapshot at the start and the
     /// table swap at the end take the lock briefly.
     pub fn compact(&self) -> Result<()> {
-        let _gate = self.compaction_gate.lock();
+        let _gate = self
+            .compaction_gate
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         self.compact_gated()
     }
 
@@ -639,7 +673,7 @@ impl KvStore {
         // dropping tombstones from its merge stays safe because nothing
         // older can exist beneath it.
         let (snap_tables, snap_nums, out_num) = {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             if inner.tables.len() <= 1 {
                 return Ok(());
             }
@@ -687,7 +721,7 @@ impl KvStore {
         // merged table. Tables flushed during the merge stay stacked on
         // top, in order.
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             debug_assert_eq!(inner.table_nums[..snap_nums.len()], snap_nums[..]);
             let newer_tables = inner.tables.split_off(snap_tables.len());
             let newer_nums = inner.table_nums.split_off(snap_nums.len());
@@ -716,7 +750,7 @@ impl KvStore {
                 dest.display()
             )));
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         self.flush_locked(&mut inner)?;
         let mut text = format!("next {}\nwal 0\n", inner.next_file);
         for (num, _table) in inner.table_nums.iter().zip(&inner.tables) {
@@ -725,23 +759,23 @@ impl KvStore {
                 .map_err(|e| Error::io(format!("copying {name} to checkpoint"), e))?;
             text.push_str(&format!("sst {num}\n"));
         }
-        let tmp = dest.join("MANIFEST.tmp");
-        std::fs::write(&tmp, text)
-            .and_then(|_| std::fs::rename(&tmp, dest.join("MANIFEST")))
-            .map_err(|e| Error::io("writing checkpoint manifest".to_string(), e))?;
-        Ok(())
+        install_manifest(&dest, &text)
     }
 
     /// Number of live SSTables (diagnostics / tests).
     pub fn table_count(&self) -> usize {
-        self.inner.read().tables.len()
+        self.inner
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .tables
+            .len()
     }
 
     /// Point-in-time occupancy numbers for live-metrics surfaces
     /// (`/metrics` gauges): SSTable count, bytes appended to the current
     /// WAL, and memtable entries/bytes. One shared read lock, no I/O.
     pub fn storage_stats(&self) -> StorageStats {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         StorageStats {
             sstables: inner.tables.len() as u64,
             wal_bytes: inner.wal.bytes_written(),
@@ -905,6 +939,16 @@ mod tests {
         KvStore::open(&dir.0, Options::small_for_tests()).unwrap()
     }
 
+    /// The numbers on the installed manifest's lines starting with `kind`.
+    fn manifest_nums(dir: &TempDir, kind: &str) -> Vec<u64> {
+        std::fs::read_to_string(dir.0.join("MANIFEST"))
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.strip_prefix(kind))
+            .map(|n| n.trim().parse().unwrap())
+            .collect()
+    }
+
     #[test]
     fn put_get_delete() {
         let dir = TempDir::new("pgd");
@@ -969,7 +1013,10 @@ mod tests {
         assert!(db.metrics().flushes > 0, "expected automatic flushes");
         for i in 0..100 {
             let k = format!("key-{i:05}");
-            assert_eq!(db.get(k.as_bytes()).unwrap().unwrap(), "x".repeat(50));
+            assert_eq!(
+                db.get(k.as_bytes()).unwrap().unwrap(),
+                "x".repeat(50).as_bytes()
+            );
         }
     }
 
@@ -1367,7 +1414,7 @@ mod tests {
                 let key = format!("t{t}-k{i}");
                 assert_eq!(
                     db.get(key.as_bytes()).unwrap().unwrap(),
-                    format!("v{i}"),
+                    format!("v{i}").as_bytes(),
                     "{key} lost"
                 );
             }
@@ -1433,7 +1480,7 @@ mod tests {
                 let key = format!("t{t}-k{i}");
                 assert_eq!(
                     db.get(key.as_bytes()).unwrap().unwrap(),
-                    format!("v{i}"),
+                    format!("v{i}").as_bytes(),
                     "acknowledged write {key} lost"
                 );
             }
@@ -1521,6 +1568,40 @@ mod tests {
     }
 
     #[test]
+    fn flush_installs_a_whole_manifest_naming_the_new_wal() {
+        let dir = TempDir::new("manifest-install");
+        let wal_before;
+        {
+            let db = open(&dir);
+            db.put(&b"k"[..], &b"v"[..]).unwrap();
+            wal_before = manifest_nums(&dir, "wal ")[0];
+            db.flush().unwrap();
+            // The flush rotated the WAL; the installed manifest names the
+            // new one and the new table, both present, and nothing else.
+            let wal_after = manifest_nums(&dir, "wal ")[0];
+            assert_ne!(wal_after, wal_before);
+            assert!(wal_path(&dir.0, wal_after).exists());
+            assert!(!wal_path(&dir.0, wal_before).exists());
+            let tables = manifest_nums(&dir, "sst ");
+            assert_eq!(tables.len(), 1);
+            assert!(sst_path(&dir.0, tables[0]).exists());
+            assert!(!dir.0.join("MANIFEST.tmp").exists());
+        }
+        let db = open(&dir);
+        assert_eq!(db.get(b"k").unwrap().unwrap(), &b"v"[..]);
+        assert_eq!(db.table_count(), 1);
+    }
+
+    #[test]
+    fn fsync_dir_reports_a_missing_directory() {
+        let dir = TempDir::new("fsync-missing");
+        let gone = dir.0.join("not-there");
+        let err = fsync_dir(&gone).unwrap_err();
+        assert!(err.to_string().contains("not-there"), "{err}");
+        fsync_dir(&dir.0).unwrap();
+    }
+
+    #[test]
     fn open_discards_orphan_wal_from_crashed_rotation() {
         let dir = TempDir::new("orphan-wal");
         {
@@ -1530,14 +1611,7 @@ mod tests {
         // A crash between allocating a WAL number and writing the manifest
         // leaves an unreferenced file at `next`. Fabricate garbage there;
         // the next open must discard it rather than refuse or replay it.
-        let manifest = std::fs::read_to_string(dir.0.join("MANIFEST")).unwrap();
-        let next: u64 = manifest
-            .lines()
-            .find_map(|l| l.strip_prefix("next "))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
+        let next = manifest_nums(&dir, "next ")[0];
         std::fs::write(dir.0.join(format!("{next:06}.wal")), b"garbage orphan").unwrap();
         let db = open(&dir);
         assert_eq!(db.get(b"live").unwrap().unwrap(), &b"1"[..]);
@@ -1631,7 +1705,10 @@ mod tests {
                 for i in 0..250 {
                     let key = format!("t{t}-k{i}");
                     db.put(key.clone(), format!("v{i}")).unwrap();
-                    assert_eq!(db.get(key.as_bytes()).unwrap().unwrap(), format!("v{i}"));
+                    assert_eq!(
+                        db.get(key.as_bytes()).unwrap().unwrap(),
+                        format!("v{i}").as_bytes()
+                    );
                 }
             }));
         }

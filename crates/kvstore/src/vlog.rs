@@ -36,11 +36,10 @@ use std::io::Read;
 use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 
 use bytes::Bytes;
 use fabric_telemetry::Telemetry;
-use parking_lot::{Mutex, RwLock};
 
 use crate::batch::{get_uvarint, put_uvarint, WriteBatch, TAG_DELETE, TAG_PUT};
 use crate::crc32::crc32;
@@ -48,7 +47,7 @@ use crate::engine::ENGINE_MARKER;
 use crate::error::{Error, Result};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::options::{Backend, Options};
-use crate::store::{prefix_end, StorageStats};
+use crate::store::{fsync_dir, prefix_end, StorageStats};
 use crate::wal::Wal;
 
 fn vlog_path(dir: &Path, num: u64) -> PathBuf {
@@ -254,12 +253,6 @@ fn open_reader(path: &Path) -> Result<Arc<File>> {
         .map_err(|e| Error::io(format!("opening reader for {}", path.display()), e))
 }
 
-fn fsync_dir(dir: &Path) -> Result<()> {
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), e))
-}
-
 impl LogStore {
     /// Open (or create) a value-log store in `dir`.
     pub fn open(dir: impl Into<PathBuf>, options: Options) -> Result<Self> {
@@ -440,7 +433,7 @@ impl LogStore {
         }
         let dead_total;
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             let base = inner.active.bytes_written();
             let mut span = self.tel.span("kv.vlog.append");
             let bytes = inner.active.append_group(&payloads)?;
@@ -506,7 +499,7 @@ impl LogStore {
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         Metrics::incr(&self.metrics.gets);
         let (loc, reader) = {
-            let inner = self.inner.read();
+            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
             let Some(loc) = inner.index.get(key).copied() else {
                 return Ok(None);
             };
@@ -539,7 +532,7 @@ impl LogStore {
                 entries: Vec::new().into_iter(),
             });
         }
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let entries: Vec<(Bytes, ValueLoc, Arc<File>)> = inner
             .index
             .range::<[u8], _>((start, end))
@@ -569,14 +562,21 @@ impl LogStore {
 
     /// Durably flush the active data file.
     pub fn flush(&self) -> Result<()> {
-        self.inner.write().active.sync()
+        self.inner
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .active
+            .sync()
     }
 
     /// Run a merge compaction: rewrite every live entry into fresh output
     /// files, then delete the inputs. Blocks until any in-flight compaction
     /// finishes first.
     pub fn compact(&self) -> Result<()> {
-        let _gate = self.compaction_gate.lock();
+        let _gate = self
+            .compaction_gate
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         self.compact_gated()
     }
 
@@ -584,8 +584,10 @@ impl LogStore {
     /// path's trigger, so a burst of writers cannot queue up merges.
     fn maybe_compact(&self) -> Result<()> {
         match self.compaction_gate.try_lock() {
-            Some(_gate) => self.compact_gated(),
-            None => Ok(()),
+            Err(TryLockError::WouldBlock) => Ok(()),
+            // Free, or poisoned by a merge that panicked: the gate guards
+            // no data, so either way this thread now holds it.
+            _gate => self.compact_gated(),
         }
     }
 
@@ -597,7 +599,7 @@ impl LogStore {
         // (file-id ascending) keeps merge output older than new writes.
         let (sealed_ids, snapshot, readers, out_base, out_reserve);
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             let inner = &mut *inner;
             sealed_ids = inner
                 .files
@@ -730,7 +732,7 @@ impl LogStore {
         // removed once every output is durably in place, and replaying both
         // is idempotent.
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             let inner = &mut *inner;
             let mut out_files = BTreeMap::new();
             for &id in &out_ids {
@@ -798,7 +800,7 @@ impl LogStore {
                 dest.display()
             )));
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
         inner.active.sync()?;
         for &id in inner.files.keys() {
             let name = format!("{id:06}.vlog");
@@ -814,7 +816,7 @@ impl LogStore {
     /// count, active-file bytes and the dead-byte estimate compaction runs
     /// on. One shared read lock, no I/O.
     pub fn storage_stats(&self) -> StorageStats {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
         StorageStats {
             backend: Backend::Log,
             wal_bytes: inner.active.bytes_written(),
@@ -842,12 +844,20 @@ impl LogStore {
 
     /// Number of data files on disk, sealed plus active (diagnostics/tests).
     pub fn data_file_count(&self) -> usize {
-        self.inner.read().files.len()
+        self.inner
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .files
+            .len()
     }
 
     /// Number of live keys (diagnostics/tests).
     pub fn key_count(&self) -> usize {
-        self.inner.read().index.len()
+        self.inner
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .index
+            .len()
     }
 }
 

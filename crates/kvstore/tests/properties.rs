@@ -80,7 +80,7 @@ fn check_equiv(db: &KvStore, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48 })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn store_matches_sorted_map_model(ops in prop::collection::vec(op_strategy(), 1..60), seed in any::<u64>()) {

@@ -15,9 +15,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fabric_kvstore::crc32::crc32;
 use fabric_telemetry::Telemetry;
@@ -159,7 +157,7 @@ impl BlockFileManager {
         frame.extend_from_slice(&crc.to_le_bytes());
         frame.extend_from_slice(&payload);
 
-        let mut active = self.active.lock();
+        let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
         // Roll to a new file if the active one is full (but never leave a
         // file completely empty: always write at least one block).
         if active.offset > 0 && active.offset + frame.len() as u64 > self.max_file_bytes {
@@ -194,7 +192,7 @@ impl BlockFileManager {
 
     /// Durably flush the active file.
     pub fn sync(&self) -> Result<()> {
-        let active = self.active.lock();
+        let active = self.active.lock().unwrap_or_else(|e| e.into_inner());
         active
             .file
             .sync_data()
@@ -202,7 +200,7 @@ impl BlockFileManager {
     }
 
     fn reader(&self, file_num: u32) -> Result<Arc<File>> {
-        let mut readers = self.readers.lock();
+        let mut readers = self.readers.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(f) = readers.get(&file_num) {
             return Ok(f.clone());
         }
@@ -333,7 +331,7 @@ impl BlockFileManager {
         start: Option<BlockLocation>,
         mut visit: impl FnMut(Block, BlockLocation) -> Result<()>,
     ) -> Result<()> {
-        let last_file = self.active.lock().num;
+        let last_file = self.active.lock().unwrap_or_else(|e| e.into_inner()).num;
         let first_file = start.map_or(0, |s| s.file_num);
         for file_num in first_file..=last_file {
             let path = file_path(&self.dir, file_num);

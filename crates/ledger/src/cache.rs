@@ -15,9 +15,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::block::Block;
 use crate::tx::BlockNum;
@@ -173,7 +171,7 @@ impl BlockCache {
     /// Cache with an explicit shard count. The count is clamped to
     /// `[1, max(capacity, 1)]`; capacity is split across shards (earlier
     /// shards take the remainder).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.clamp(1, capacity.max(1));
         let base = capacity / shards;
         let rem = capacity % shards;
@@ -204,7 +202,10 @@ impl BlockCache {
     /// Fetch a block, refreshing its recency.
     pub fn get(&self, num: BlockNum) -> Option<Arc<Block>> {
         let s = self.shard_of(num);
-        let found = self.shards[s].lock().get(num);
+        let found = self.shards[s]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(num);
         let counter = match found {
             Some(_) => &self.counters[s].hits,
             None => &self.counters[s].misses,
@@ -217,7 +218,10 @@ impl BlockCache {
     /// full.
     pub fn put(&self, num: BlockNum, block: Arc<Block>) {
         let s = self.shard_of(num);
-        let evicted = self.shards[s].lock().put(num, block);
+        let evicted = self.shards[s]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .put(num, block);
         if evicted {
             self.counters[s].evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -225,7 +229,10 @@ impl BlockCache {
 
     /// Number of cached blocks across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len())
+            .sum()
     }
 
     /// `true` when nothing is cached.
@@ -246,7 +253,7 @@ impl BlockCache {
     /// Drop every cached block (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 
@@ -258,7 +265,7 @@ impl BlockCache {
                 hits: counters.hits.load(Ordering::Relaxed),
                 misses: counters.misses.load(Ordering::Relaxed),
                 evictions: counters.evictions.load(Ordering::Relaxed),
-                blocks: shard.lock().map.len() as u64,
+                blocks: shard.lock().unwrap_or_else(|e| e.into_inner()).map.len() as u64,
             };
             out.total.hits += s.hits;
             out.total.misses += s.misses;

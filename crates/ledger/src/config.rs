@@ -15,12 +15,9 @@ pub struct LedgerConfig {
     pub blockfile_max_bytes: u64,
     /// Number of deserialized blocks to cache. **Zero (default) disables
     /// caching** — matching Fabric v1.0, which re-deserializes blocks on
-    /// every history read; the paper's cost model depends on this.
+    /// every history read; the paper's cost model depends on this. The
+    /// cache's mutex shard count is derived from this capacity.
     pub cache_blocks: usize,
-    /// Number of mutex shards for the block cache. **Zero (default)**
-    /// derives a count from `cache_blocks` (small caches stay
-    /// single-shard); set explicitly when benchmarking shard effects.
-    pub cache_shards: usize,
     /// Commit blocks through the multi-stage pipeline (stage A validates
     /// and assembles on the caller thread; blockfile append, history/tx
     /// indexing and state-db apply run on dedicated worker threads, with
@@ -31,19 +28,6 @@ pub struct LedgerConfig {
     /// that read their own writes must [`crate::Ledger::drain_commits`]
     /// first.
     pub pipeline: bool,
-    /// Validate each block's MVCC read sets on a dependency-wave thread
-    /// pool instead of the serial in-order scan. **Off by default**: the
-    /// serial scan is the paper's cost model. The parallel validator is
-    /// bit-identical — a transaction conflicting with an *earlier valid*
-    /// transaction in the same block is still marked `MvccConflict` —
-    /// because transactions are grouped into waves such that every
-    /// earlier writer of a key a transaction reads has already been
-    /// decided (see [`crate::validate`]).
-    pub parallel_validate: bool,
-    /// Worker threads for the parallel validator. **Zero (default)**
-    /// derives the count from available parallelism; ignored unless
-    /// [`LedgerConfig::parallel_validate`] is set.
-    pub validate_threads: usize,
     /// Group history locations by block so each block is read and decoded
     /// at most once per GHFK scan (on by default). Turning this off
     /// restores the per-location read path — one block fetch per
@@ -71,10 +55,7 @@ impl Default for LedgerConfig {
             block_max_bytes: 512 << 10,
             blockfile_max_bytes: 64 << 20,
             cache_blocks: 0,
-            cache_shards: 0,
             pipeline: false,
-            parallel_validate: false,
-            validate_threads: 0,
             coalesce_history: true,
             state_db: KvOptions::default(),
             index_db: KvOptions::default(),
@@ -91,10 +72,7 @@ impl LedgerConfig {
             block_max_bytes: 4 << 10,
             blockfile_max_bytes: 8 << 10,
             cache_blocks: 0,
-            cache_shards: 0,
             pipeline: false,
-            parallel_validate: false,
-            validate_threads: 0,
             coalesce_history: true,
             state_db: KvOptions::small_for_tests(),
             index_db: KvOptions::small_for_tests(),
@@ -114,12 +92,6 @@ impl LedgerConfig {
         self
     }
 
-    /// Builder-style setter for [`LedgerConfig::cache_shards`].
-    pub fn with_cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = n;
-        self
-    }
-
     /// Builder-style setter for [`LedgerConfig::coalesce_history`].
     pub fn with_coalesce_history(mut self, on: bool) -> Self {
         self.coalesce_history = on;
@@ -129,22 +101,6 @@ impl LedgerConfig {
     /// Builder-style setter for [`LedgerConfig::pipeline`].
     pub fn with_pipeline(mut self, on: bool) -> Self {
         self.pipeline = on;
-        self
-    }
-
-    /// Builder-style setter for [`LedgerConfig::parallel_validate`].
-    pub fn with_parallel_validate(mut self, on: bool) -> Self {
-        self.parallel_validate = on;
-        self
-    }
-
-    /// Builder-style setter for [`LedgerConfig::validate_threads`]
-    /// (implies [`LedgerConfig::parallel_validate`] when `n > 0`).
-    pub fn with_validate_threads(mut self, n: usize) -> Self {
-        self.validate_threads = n;
-        if n > 0 {
-            self.parallel_validate = true;
-        }
         self
     }
 
@@ -161,19 +117,28 @@ mod tests {
 
     #[test]
     fn default_matches_fabric_v1_batch_size() {
-        let c = LedgerConfig::default();
-        assert_eq!(c.block_max_txs, 10);
-        assert_eq!(c.cache_blocks, 0, "cache must default to off");
-        assert_eq!(c.cache_shards, 0, "shard count must default to auto");
-        assert!(c.coalesce_history, "coalescing is on by default");
-        assert!(!c.pipeline, "serial commit is the paper's cost model");
-        assert!(
-            !c.parallel_validate,
-            "serial validation is the paper's cost model"
-        );
-        assert_eq!(c.validate_threads, 0, "thread count defaults to auto");
+        // Exhaustive on purpose (no `..`): adding a field fails to compile
+        // here until its default is stated.
+        let LedgerConfig {
+            block_max_txs,
+            block_max_bytes,
+            blockfile_max_bytes,
+            cache_blocks,
+            pipeline,
+            coalesce_history,
+            state_db,
+            index_db,
+            backend,
+        } = LedgerConfig::default();
+        assert_eq!(block_max_txs, 10);
+        assert_eq!(block_max_bytes, 512 << 10);
+        assert_eq!(blockfile_max_bytes, 64 << 20);
+        assert_eq!(cache_blocks, 0, "cache must default to off");
+        assert!(coalesce_history, "coalescing is on by default");
+        assert!(!pipeline, "serial commit is the paper's cost model");
+        assert!(!state_db.sync_wal && !index_db.sync_wal);
         assert_eq!(
-            c.backend,
+            backend,
             Backend::Auto,
             "backend must auto-detect so existing ledgers keep opening"
         );
@@ -184,25 +149,13 @@ mod tests {
         let c = LedgerConfig::default()
             .with_block_max_txs(50)
             .with_cache_blocks(16)
-            .with_cache_shards(4)
             .with_coalesce_history(false)
             .with_pipeline(true)
-            .with_validate_threads(4)
             .with_backend(Backend::Log);
         assert_eq!(c.block_max_txs, 50);
         assert_eq!(c.cache_blocks, 16);
-        assert_eq!(c.cache_shards, 4);
         assert!(!c.coalesce_history);
         assert!(c.pipeline);
-        assert!(c.parallel_validate, "validate threads imply parallel");
-        assert_eq!(c.validate_threads, 4);
         assert_eq!(c.backend, Backend::Log);
-    }
-
-    #[test]
-    fn parallel_validate_toggle_keeps_auto_threads() {
-        let c = LedgerConfig::default().with_parallel_validate(true);
-        assert!(c.parallel_validate);
-        assert_eq!(c.validate_threads, 0);
     }
 }

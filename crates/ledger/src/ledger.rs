@@ -18,10 +18,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use fabric_kvstore::{open_engine, Backend};
 use fabric_telemetry::{QueueProbe, SpanContext, SpanGuard, Telemetry};
@@ -70,15 +69,15 @@ pub struct Ledger {
     cutter: Mutex<BlockCutter>,
     /// Commit-event subscribers (see [`Ledger::subscribe`]). Shared with
     /// the pipeline workers, which fire the events on the pipelined path.
-    subscribers: Arc<Mutex<Vec<crossbeam::channel::Sender<CommitEvent>>>>,
-    /// Resolved validation-pool width: `0` or `1` means the serial scan
-    /// (see [`crate::config::LedgerConfig::parallel_validate`]).
-    validate_threads: usize,
+    subscribers: Subscribers,
     /// Worker threads of the pipelined commit path (see
     /// [`crate::config::LedgerConfig::pipeline`]); `None` on the serial
     /// path.
     pipeline: Option<CommitPipeline>,
 }
+
+/// Senders of the live [`Ledger::subscribe`] channels.
+type Subscribers = Arc<Mutex<Vec<mpsc::Sender<CommitEvent>>>>;
 
 /// Notification sent to [`Ledger::subscribe`]rs after each block commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,17 +135,17 @@ struct StateItem {
 struct PipelineShared {
     /// Blocks admitted by stage A but not yet fully applied (blockfile +
     /// index + state). Guarded by `in_flight`, signalled on `all_done`.
-    in_flight: StdMutex<u64>,
-    all_done: StdCondvar,
+    in_flight: Mutex<u64>,
+    all_done: Condvar,
     /// Per-block count of finished fan-out stages (index, state). The
     /// second finisher fires the commit event and releases the barrier.
-    completed: StdMutex<HashMap<BlockNum, u8>>,
+    completed: Mutex<HashMap<BlockNum, u8>>,
     /// First error any stage hit; poisons the whole pipeline.
-    error: StdMutex<Option<Error>>,
+    error: Mutex<Option<Error>>,
     /// Writes of in-flight blocks, visible to MVCC validation so stage A
     /// sees exactly the state the serial path would.
-    overlay: StdMutex<HashMap<Bytes, OverlayEntry>>,
-    subscribers: Arc<Mutex<Vec<crossbeam::channel::Sender<CommitEvent>>>>,
+    overlay: Mutex<HashMap<Bytes, OverlayEntry>>,
+    subscribers: Subscribers,
 }
 
 impl PipelineShared {
@@ -191,7 +190,7 @@ impl PipelineShared {
         }
         completed.remove(&event.block_num);
         if !self.poisoned() {
-            let mut subs = self.subscribers.lock();
+            let mut subs = self.subscribers.lock().unwrap_or_else(|e| e.into_inner());
             subs.retain(|tx| tx.send(event).is_ok());
         }
         let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
@@ -224,15 +223,15 @@ impl CommitPipeline {
         blockfiles: Arc<BlockFileManager>,
         index: LedgerIndex,
         state: StateDb,
-        subscribers: Arc<Mutex<Vec<crossbeam::channel::Sender<CommitEvent>>>>,
+        subscribers: Subscribers,
         tel: Telemetry,
     ) -> CommitPipeline {
         let shared = Arc::new(PipelineShared {
-            in_flight: StdMutex::new(0),
-            all_done: StdCondvar::new(),
-            completed: StdMutex::new(HashMap::new()),
-            error: StdMutex::new(None),
-            overlay: StdMutex::new(HashMap::new()),
+            in_flight: Mutex::new(0),
+            all_done: Condvar::new(),
+            completed: Mutex::new(HashMap::new()),
+            error: Mutex::new(None),
+            overlay: Mutex::new(HashMap::new()),
             subscribers,
         });
         let (append_tx, append_rx) = mpsc::sync_channel::<AppendItem>(Self::DEPTH);
@@ -490,29 +489,11 @@ impl Ledger {
         let state_db = open_engine(dir.join("state"), state_opts, tel.clone())?;
         let index = LedgerIndex::new(index_db);
         let state = StateDb::new(state_db);
-        let cache = if config.cache_blocks > 0 {
-            Some(if config.cache_shards > 0 {
-                BlockCache::with_shards(config.cache_blocks, config.cache_shards)
-            } else {
-                BlockCache::new(config.cache_blocks)
-            })
-        } else {
-            None
-        };
+        let cache = (config.cache_blocks > 0).then(|| BlockCache::new(config.cache_blocks));
         let tip = index.chain_tip()?.unwrap_or(ChainTip {
             height: 0,
             last_hash: Digest::ZERO,
         });
-        let validate_threads = if config.parallel_validate {
-            match config.validate_threads {
-                0 => std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                n => n,
-            }
-        } else {
-            0
-        };
         let mut ledger = Ledger {
             dir,
             stats,
@@ -528,7 +509,6 @@ impl Ledger {
                 config.block_max_bytes,
             )),
             subscribers: Arc::new(Mutex::new(Vec::new())),
-            validate_threads,
             pipeline: None,
         };
         // Recovery runs serially *before* the pipeline spins up, so the
@@ -549,7 +529,7 @@ impl Ledger {
     /// Re-index and re-apply any blocks that reached the block files but
     /// not the indexes (crash between steps 3 and 4/5 of the pipeline).
     fn recover(&self) -> Result<()> {
-        let indexed_height = self.chain.lock().height;
+        let indexed_height = self.chain.lock().unwrap_or_else(|e| e.into_inner()).height;
         // Start scanning at the last indexed block (a known frame boundary);
         // blocks before it are skipped by the height check below.
         let start = if indexed_height > 0 {
@@ -575,7 +555,7 @@ impl Ledger {
             Ok(())
         })?;
         if let Some(tip) = recovered_tip {
-            *self.chain.lock() = tip;
+            *self.chain.lock().unwrap_or_else(|e| e.into_inner()) = tip;
         }
         Ok(())
     }
@@ -620,7 +600,11 @@ impl Ledger {
     /// according to the batch-size rules; returns the numbers of any blocks
     /// committed as a result of this submission.
     pub fn submit(&self, tx: Transaction) -> Result<Vec<BlockNum>> {
-        let batches = self.cutter.lock().enqueue(tx);
+        let batches = self
+            .cutter
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .enqueue(tx);
         let mut committed = Vec::with_capacity(batches.len());
         for batch in batches {
             committed.push(self.commit_batch(batch)?);
@@ -631,7 +615,7 @@ impl Ledger {
     /// Force-cut the pending batch (the orderer's batch-timeout path).
     /// Returns the committed block number, or `None` if nothing was pending.
     pub fn cut_block(&self) -> Result<Option<BlockNum>> {
-        let batch = self.cutter.lock().cut();
+        let batch = self.cutter.lock().unwrap_or_else(|e| e.into_inner()).cut();
         match batch {
             Some(batch) => Ok(Some(self.commit_batch(batch)?)),
             None => Ok(None),
@@ -646,33 +630,21 @@ impl Ledger {
         }
     }
 
-    /// MVCC-validate one block's transactions, dispatching to the serial
-    /// scan or the dependency-wave pool per the resolved configuration,
-    /// and record the `commit.validate.*` counter family. Both validators
-    /// produce identical codes; see [`crate::validate`].
+    /// MVCC-validate one block's transactions (see [`crate::validate`])
+    /// and record the `commit.validate.*` counters.
     fn validate_block(
         &self,
         txs: &[Transaction],
         block_num: BlockNum,
-        base: impl Fn(&[u8]) -> Result<Option<Version>> + Sync,
+        base: impl FnMut(&[u8]) -> Result<Option<Version>>,
     ) -> Result<crate::validate::ValidationOutcome> {
         let mut span = self.tel.span("commit.mvcc_validate");
-        let outcome = if self.validate_threads > 1 {
-            crate::validate::validate_parallel(txs, block_num, self.validate_threads, base)?
-        } else {
-            crate::validate::validate_serial(txs, block_num, base)?
-        };
+        let outcome = crate::validate::validate_serial(txs, block_num, base)?;
         span.record("txs", txs.len() as u64);
         span.record("conflicts", outcome.conflicts);
         self.tel.count("commit.validate.txs", txs.len() as u64);
         self.tel
             .count("commit.validate.conflicts", outcome.conflicts);
-        if self.validate_threads > 1 {
-            span.record("chunks", outcome.chunks);
-            span.record("waves", outcome.waves);
-            self.tel.count("commit.validate.chunks", outcome.chunks);
-            self.tel.count("commit.validate.waves", outcome.waves);
-        }
         Ok(outcome)
     }
 
@@ -690,7 +662,7 @@ impl Ledger {
     /// on the caller thread, in order, before the call returns.
     fn commit_batch_serial(&self, txs: Vec<Transaction>) -> Result<BlockNum> {
         let mut commit_span = self.tel.span("ledger.commit");
-        let mut chain = self.chain.lock();
+        let mut chain = self.chain.lock().unwrap_or_else(|e| e.into_inner());
         let block_num = chain.height;
         // MVCC validation: a read set is valid when every observed version
         // still matches the committed state — including writes made by
@@ -752,7 +724,7 @@ impl Ledger {
             return Err(e);
         }
         let mut commit_span = self.tel.span("ledger.commit");
-        let mut chain = self.chain.lock();
+        let mut chain = self.chain.lock().unwrap_or_else(|e| e.into_inner());
         let block_num = chain.height;
         let validation = {
             let mut overlay = pipe
@@ -762,13 +734,10 @@ impl Ledger {
                 .unwrap_or_else(|e| e.into_inner());
             // Validation reads through the in-flight overlay, so each
             // transaction sees exactly the state it would serially.
-            let outcome = {
-                let overlay = &*overlay;
-                self.validate_block(&txs, block_num, |key| match overlay.get(key) {
-                    Some(entry) => Ok(entry.version),
-                    None => self.state.version(key),
-                })?
-            };
+            let outcome = self.validate_block(&txs, block_num, |key| match overlay.get(key) {
+                Some(entry) => Ok(entry.version),
+                None => self.state.version(key),
+            })?;
             // Publish this block's writes to the overlay before releasing
             // the chain lock: the next commit must validate against them.
             for (key, version) in &outcome.intra_block {
@@ -849,7 +818,7 @@ impl Ledger {
     }
 
     fn notify_commit(&self, event: CommitEvent) {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.lock().unwrap_or_else(|e| e.into_inner());
         // Drop subscribers whose receiver has gone away.
         subs.retain(|tx| tx.send(event).is_ok());
     }
@@ -858,25 +827,34 @@ impl Ledger {
     /// call produces one [`CommitEvent`] on the returned channel (unbounded;
     /// a slow consumer buffers, never blocks commits). Dropping the receiver
     /// unsubscribes.
-    pub fn subscribe(&self) -> crossbeam::channel::Receiver<CommitEvent> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.subscribers.lock().push(tx);
+    pub fn subscribe(&self) -> mpsc::Receiver<CommitEvent> {
+        let (tx, rx) = mpsc::channel();
+        self.subscribers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(tx);
         rx
     }
 
     /// Number of committed blocks.
     pub fn height(&self) -> u64 {
-        self.chain.lock().height
+        self.chain.lock().unwrap_or_else(|e| e.into_inner()).height
     }
 
     /// Hash of the latest block ([`Digest::ZERO`] pre-genesis).
     pub fn last_hash(&self) -> Digest {
-        self.chain.lock().last_hash
+        self.chain
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .last_hash
     }
 
     /// Transactions queued in the orderer but not yet in a block.
     pub fn pending_txs(&self) -> usize {
-        self.cutter.lock().pending_len()
+        self.cutter
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pending_len()
     }
 
     /// Fetch a committed block by number (cache-aware).
@@ -1538,7 +1516,12 @@ mod tests {
     #[test]
     fn mvcc_conflict_invalidates_tx() {
         let dir = TempDir::new("mvcc");
-        let ledger = open(&dir);
+        let ledger = Ledger::open_with_telemetry(
+            &dir.0,
+            LedgerConfig::small_for_tests(),
+            Telemetry::enabled(),
+        )
+        .unwrap();
         ledger.submit(put_tx(1, "k", "v0")).unwrap();
         ledger.cut_block().unwrap();
         let v0 = ledger.get_state(b"k").unwrap().unwrap().version;
@@ -1583,6 +1566,9 @@ mod tests {
             .collect_all()
             .unwrap();
         assert_eq!(history.len(), 2); // v0 + "first"
+        let snap = ledger.telemetry().snapshot();
+        assert_eq!(snap.counter("commit.validate.txs"), 3);
+        assert_eq!(snap.counter("commit.validate.conflicts"), 1);
     }
 
     #[test]
@@ -2008,9 +1994,7 @@ mod tests {
         .unwrap();
         let new = Ledger::open(
             &dir_new.0,
-            LedgerConfig::small_for_tests()
-                .with_cache_blocks(64)
-                .with_cache_shards(4),
+            LedgerConfig::small_for_tests().with_cache_blocks(64),
         )
         .unwrap();
         for ledger in [&seed, &new] {
@@ -2064,9 +2048,8 @@ mod tests {
     fn publish_gauges_exports_cache_shard_counters() {
         let dir = TempDir::new("gauges-shards");
         let tel = Telemetry::enabled();
-        let config = LedgerConfig::small_for_tests()
-            .with_cache_blocks(8)
-            .with_cache_shards(2);
+        // 32 blocks is the smallest capacity that derives two shards.
+        let config = LedgerConfig::small_for_tests().with_cache_blocks(32);
         let ledger = Ledger::open_with_telemetry(&dir.0, config, tel.clone()).unwrap();
         for i in 0..6 {
             ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
@@ -2246,191 +2229,5 @@ mod tests {
         let keys: Vec<&[u8]> = rows.iter().map(|(k, _)| &k[..]).collect();
         assert_eq!(keys, vec![b"s1", b"s2", b"s3"]);
         assert_eq!(ledger.stats().range_scan_calls, 1);
-    }
-
-    /// A conflict-heavy stream: read-modify-write chains over a tiny key
-    /// space with a mix of fresh, stale and absent claimed versions plus
-    /// delete tombstones, so most blocks carry intra-block dependencies.
-    fn contended_txs() -> Vec<Transaction> {
-        let keys = ["a", "b", "c"];
-        let mut txs = Vec::new();
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..60u64 {
-            let read_key = keys[(next() % 3) as usize];
-            let version = match next() % 3 {
-                0 => None,
-                1 => Some(Version {
-                    block_num: next() % 5,
-                    tx_num: (next() % 3) as TxNum,
-                }),
-                // Matches what an earlier same-block writer may produce.
-                _ => Some(Version {
-                    block_num: i / 3,
-                    tx_num: (next() % 3) as TxNum,
-                }),
-            };
-            let write_key = keys[(next() % 3) as usize];
-            txs.push(
-                Transaction::new(
-                    i,
-                    vec![KvRead {
-                        key: Bytes::copy_from_slice(read_key.as_bytes()),
-                        version,
-                    }],
-                    vec![KvWrite {
-                        key: Bytes::copy_from_slice(write_key.as_bytes()),
-                        value: (next() % 4 != 0)
-                            .then(|| Bytes::copy_from_slice(format!("v{i}").as_bytes())),
-                    }],
-                )
-                .unwrap(),
-            );
-        }
-        txs
-    }
-
-    #[test]
-    fn parallel_validation_is_byte_identical_to_serial() {
-        let dir_serial = TempDir::new("pv-eq-serial");
-        let dir_par = TempDir::new("pv-eq-par");
-        let serial = open(&dir_serial);
-        let parallel = Ledger::open(
-            &dir_par.0,
-            LedgerConfig::small_for_tests().with_validate_threads(4),
-        )
-        .unwrap();
-        for ledger in [&serial, &parallel] {
-            for tx in contended_txs() {
-                ledger.submit(tx).unwrap();
-            }
-            ledger.cut_block().unwrap();
-        }
-        assert_eq!(serial.height(), parallel.height());
-        assert_eq!(serial.last_hash(), parallel.last_hash());
-        assert_eq!(
-            blockfile_bytes(&dir_serial),
-            blockfile_bytes(&dir_par),
-            "blockfiles (including validation codes) must be byte-identical"
-        );
-        assert_eq!(
-            serial.get_state_by_range(None, None).unwrap(),
-            parallel.get_state_by_range(None, None).unwrap()
-        );
-        // Both conflict somewhere and validate somewhere, or the workload
-        // wouldn't exercise order sensitivity.
-        let mut valid = 0;
-        let mut conflicts = 0;
-        for num in 0..parallel.height() {
-            for code in &parallel.get_block(num).unwrap().validation {
-                match code {
-                    ValidationCode::Valid => valid += 1,
-                    ValidationCode::MvccConflict => conflicts += 1,
-                }
-            }
-        }
-        assert!(
-            valid > 0 && conflicts > 0,
-            "valid={valid} conflicts={conflicts}"
-        );
-        parallel.verify_chain().unwrap();
-    }
-
-    #[test]
-    fn parallel_validation_composes_with_pipeline_byte_identically() {
-        let dir_serial = TempDir::new("pv-pipe-serial");
-        let dir_par = TempDir::new("pv-pipe-par");
-        let serial = open(&dir_serial);
-        let parallel = Ledger::open(
-            &dir_par.0,
-            LedgerConfig::small_for_tests()
-                .with_pipeline(true)
-                .with_validate_threads(4),
-        )
-        .unwrap();
-        for ledger in [&serial, &parallel] {
-            for tx in contended_txs() {
-                ledger.submit(tx).unwrap();
-            }
-            ledger.cut_block().unwrap();
-            ledger.drain_commits().unwrap();
-        }
-        assert_eq!(serial.last_hash(), parallel.last_hash());
-        assert_eq!(blockfile_bytes(&dir_serial), blockfile_bytes(&dir_par));
-        assert_eq!(
-            serial.get_state_by_range(None, None).unwrap(),
-            parallel.get_state_by_range(None, None).unwrap()
-        );
-    }
-
-    #[test]
-    fn validation_counters_record_txs_conflicts_chunks_and_waves() {
-        let dir = TempDir::new("pv-counters");
-        let tel = Telemetry::enabled();
-        let ledger = Ledger::open_with_telemetry(
-            &dir.0,
-            LedgerConfig::small_for_tests().with_validate_threads(2),
-            tel,
-        )
-        .unwrap();
-        for tx in contended_txs() {
-            ledger.submit(tx).unwrap();
-        }
-        ledger.cut_block().unwrap();
-        let snap = ledger.telemetry().snapshot();
-        assert_eq!(snap.counter("commit.validate.txs"), 60);
-        assert!(snap.counter("commit.validate.conflicts") > 0);
-        assert!(snap.counter("commit.validate.chunks") > 0);
-        assert!(snap.counter("commit.validate.waves") > 0);
-    }
-
-    #[test]
-    fn validation_pool_panic_surfaces_as_error_and_pipeline_drains() {
-        let dir = TempDir::new("pv-panic");
-        let ledger = Ledger::open(
-            &dir.0,
-            LedgerConfig::small_for_tests()
-                .with_pipeline(true)
-                .with_validate_threads(2),
-        )
-        .unwrap();
-        ledger.submit(put_tx(1, "a", "v")).unwrap();
-        ledger.submit(put_tx(2, "b", "v")).unwrap();
-        crate::validate::PANIC_IN_WORKER.store(true, std::sync::atomic::Ordering::SeqCst);
-        // Third submit fills the batch (size 3) and triggers the commit,
-        // whose validation pool panics: the submit must surface an Error,
-        // not poison the process or wedge the pipeline. The tx carries a
-        // read so the block takes the wave path (an all-blind-write block
-        // would skip the pool on the no-reads fast path).
-        let rmw = Transaction::new(
-            3,
-            vec![KvRead {
-                key: Bytes::from_static(b"a"),
-                version: None,
-            }],
-            vec![KvWrite {
-                key: Bytes::from_static(b"c"),
-                value: Some(Bytes::from_static(b"v")),
-            }],
-        )
-        .unwrap();
-        let err = ledger.submit(rmw).unwrap_err();
-        crate::validate::PANIC_IN_WORKER.store(false, std::sync::atomic::Ordering::SeqCst);
-        assert!(err.to_string().contains("panicked"), "{err}");
-        // The failed batch was rejected before admission: nothing is in
-        // flight, the drain completes, and the pipeline still commits.
-        ledger.drain_commits().unwrap();
-        assert_eq!(ledger.height(), 0);
-        for i in 0..3u64 {
-            ledger.submit(put_tx(10 + i, "d", "v")).unwrap();
-        }
-        ledger.drain_commits().unwrap();
-        assert_eq!(ledger.height(), 1);
-        assert!(ledger.get_state(b"d").unwrap().is_some());
     }
 }

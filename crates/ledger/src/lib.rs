@@ -25,9 +25,8 @@
 //! * **Block cache** ([`cache`]): opt-in sharded clock-LRU cache of
 //!   deserialized blocks (off by default to match Fabric v1.0 and the
 //!   paper's cost model).
-//! * **Parallel validation** ([`validate`]): opt-in dependency-wave MVCC
-//!   validation that is bit-identical to the serial order-sensitive scan
-//!   (off by default; see [`LedgerConfig::parallel_validate`]).
+//! * **MVCC validation** ([`validate`]): Fabric's serial, order-sensitive
+//!   scan of each block's read sets.
 //! * **Key-range sharding** ([`sharded`]): opt-in [`ShardedLedger`] router
 //!   over N partitions — each a full [`Ledger`] — committing concurrently
 //!   with deterministic global block numbering.

@@ -1,36 +1,18 @@
-//! MVCC block validation: the serial in-order scan and a dependency-wave
-//! parallel validator that is bit-identical to it.
+//! MVCC block validation: Fabric's serial in-order scan.
 //!
 //! Fabric validates a block's transactions serially: each transaction's
 //! read set is checked against committed state *plus the writes of every
 //! earlier valid transaction in the same block*, so validity is
 //! order-sensitive — a transaction that reads a key an earlier valid
 //! transaction wrote must observe that write's version or be marked
-//! [`ValidationCode::MvccConflict`]. The parallel validator preserves
-//! those exact semantics by topologically layering the block:
-//!
-//! 1. Scan transactions in order, tracking for every key the deepest
-//!    *wave* of any earlier transaction that writes it. A transaction's
-//!    wave is one past the deepest wave among earlier writers of its read
-//!    keys (wave 0 if it reads only committed state).
-//! 2. Validate each wave on a scoped thread pool. By construction, every
-//!    earlier writer of any key a wave-`w` transaction reads sits in a
-//!    wave `< w`, so its validity is already decided; the worker resolves
-//!    a read to the latest earlier *valid* writer's version (or the base
-//!    lookup — state db plus in-flight overlay — when there is none).
-//! 3. Barrier between waves; codes land in block order.
-//!
-//! Transactions with no read-set intersection all land in wave 0, so a
-//! conflict-free block (the ingest workload: put-only transactions)
-//! validates in a single fully parallel wave. A worker panic is caught at
-//! `join` and surfaced as [`Error`] — it poisons the commit, never the
-//! process (the same contract as the pipeline workers).
+//! [`ValidationCode::MvccConflict`]. An invalid transaction's writes are
+//! never visible to later ones.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::tx::{BlockNum, Transaction, TxNum, ValidationCode, Version};
 
 /// What validation decided for one block, plus the write set the
@@ -45,27 +27,7 @@ pub struct ValidationOutcome {
     pub intra_block: HashMap<Bytes, Option<Version>>,
     /// Number of [`ValidationCode::MvccConflict`] codes.
     pub conflicts: u64,
-    /// Worker chunks spawned (0 on the serial scan).
-    pub chunks: u64,
-    /// Dependency waves executed (0 on the serial scan).
-    pub waves: u64,
 }
-
-/// Test-only failpoint: when set, the next parallel-validation worker
-/// panics, exercising the panic→[`Error`] path from the outside.
-#[cfg(test)]
-pub(crate) static PANIC_IN_WORKER: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-#[cfg(test)]
-fn maybe_injected_panic() {
-    if PANIC_IN_WORKER.swap(false, std::sync::atomic::Ordering::SeqCst) {
-        panic!("injected validation-pool panic");
-    }
-}
-
-#[cfg(not(test))]
-fn maybe_injected_panic() {}
 
 /// The serial in-order scan — the paper's cost model. `base` resolves a
 /// key's version outside the block (state db, or overlay-then-state on
@@ -114,225 +76,6 @@ pub fn validate_serial(
         codes,
         intra_block,
         conflicts,
-        chunks: 0,
-        waves: 0,
-    })
-}
-
-/// The version a valid transaction `tx_idx` leaves key `key` at: its
-/// *last* write of the key wins (mirroring the serial insert order), and
-/// a delete leaves `None`.
-fn effective_write(
-    tx: &Transaction,
-    tx_idx: usize,
-    key: &[u8],
-    block_num: BlockNum,
-) -> Option<Version> {
-    let mut out = None;
-    for w in &tx.writes {
-        if w.key.as_ref() == key {
-            out = if w.value.is_some() {
-                Some(Version {
-                    block_num,
-                    tx_num: tx_idx as TxNum,
-                })
-            } else {
-                None
-            };
-        }
-    }
-    out
-}
-
-/// Dependency-wave parallel validation. Bit-identical to
-/// [`validate_serial`] with the same `base` lookup; see the module docs
-/// for the algorithm and why order sensitivity is preserved.
-pub fn validate_parallel(
-    txs: &[Transaction],
-    block_num: BlockNum,
-    threads: usize,
-    base: impl Fn(&[u8]) -> Result<Option<Version>> + Sync,
-) -> Result<ValidationOutcome> {
-    if txs.is_empty() {
-        return Ok(ValidationOutcome {
-            codes: Vec::new(),
-            intra_block: HashMap::new(),
-            conflicts: 0,
-            chunks: 0,
-            waves: 0,
-        });
-    }
-
-    // Fast path: no transaction reads anything, so MVCC conflicts are
-    // impossible and every code is `Valid` regardless of order — the
-    // wave machinery (and its per-block thread spawns) would be pure
-    // overhead. Ingest workloads (SE/ME put-only transactions) take
-    // this path on every block.
-    if txs.iter().all(|tx| tx.reads.is_empty()) {
-        let mut intra_block: HashMap<Bytes, Option<Version>> = HashMap::new();
-        for (i, tx) in txs.iter().enumerate() {
-            for w in &tx.writes {
-                let ver = Version {
-                    block_num,
-                    tx_num: i as TxNum,
-                };
-                intra_block.insert(w.key.clone(), w.value.is_some().then_some(ver));
-            }
-        }
-        return Ok(ValidationOutcome {
-            codes: vec![ValidationCode::Valid; txs.len()],
-            intra_block,
-            conflicts: 0,
-            chunks: 1,
-            waves: 1,
-        });
-    }
-
-    // Pass 1 (serial, cheap): assign waves. `writer_wave[key]` is the
-    // deepest wave among transactions seen so far that write `key`;
-    // `writers_of[key]` lists them in block order for read resolution.
-    let mut writer_wave: HashMap<&[u8], u64> = HashMap::new();
-    let mut writers_of: HashMap<&[u8], Vec<usize>> = HashMap::new();
-    let mut wave_of: Vec<u64> = Vec::with_capacity(txs.len());
-    let mut max_wave = 0u64;
-    for (i, tx) in txs.iter().enumerate() {
-        let mut wave = 0u64;
-        for r in &tx.reads {
-            if let Some(w) = writer_wave.get(r.key.as_ref()) {
-                wave = wave.max(w + 1);
-            }
-        }
-        for w in &tx.writes {
-            let slot = writer_wave.entry(w.key.as_ref()).or_insert(0);
-            *slot = (*slot).max(wave);
-            writers_of.entry(w.key.as_ref()).or_default().push(i);
-        }
-        max_wave = max_wave.max(wave);
-        wave_of.push(wave);
-    }
-    let mut waves: Vec<Vec<usize>> = vec![Vec::new(); (max_wave + 1) as usize];
-    for (i, w) in wave_of.iter().enumerate() {
-        waves[*w as usize].push(i);
-    }
-
-    // Pass 2: validate wave by wave. Codes for waves `< w` are final when
-    // wave `w` runs, so a read of key `k` by transaction `i` resolves to
-    // the latest valid writer `j < i` of `k` — all such writers sit in
-    // earlier waves by construction.
-    let mut codes: Vec<ValidationCode> = vec![ValidationCode::MvccConflict; txs.len()];
-    let mut chunks = 0u64;
-    let threads = threads.max(1);
-    // `decided` is the codes of all *earlier waves* (later entries are
-    // placeholders a wave never inspects, since every earlier writer of a
-    // read key sits in an earlier wave).
-    let validate_one = |decided: &[ValidationCode], i: usize| -> Result<ValidationCode> {
-        let tx = &txs[i];
-        for r in &tx.reads {
-            let mut current: Option<Option<Version>> = None;
-            if let Some(writers) = writers_of.get(r.key.as_ref()) {
-                for &j in writers.iter().rev() {
-                    if j >= i {
-                        continue;
-                    }
-                    if decided[j] == ValidationCode::Valid {
-                        current = Some(effective_write(&txs[j], j, r.key.as_ref(), block_num));
-                        break;
-                    }
-                }
-            }
-            let current = match current {
-                Some(v) => v,
-                None => base(&r.key)?,
-            };
-            if current != r.version {
-                return Ok(ValidationCode::MvccConflict);
-            }
-        }
-        Ok(ValidationCode::Valid)
-    };
-    for wave in &waves {
-        let wave_results: Vec<(usize, ValidationCode)> = if threads == 1 || wave.len() == 1 {
-            chunks += 1;
-            let mut out = Vec::with_capacity(wave.len());
-            for &i in wave {
-                out.push((i, validate_one(&codes, i)?));
-            }
-            out
-        } else {
-            let chunk_len = wave.len().div_ceil(threads);
-            let decided: &[ValidationCode] = &codes;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in wave.chunks(chunk_len) {
-                    let validate_one = &validate_one;
-                    handles.push(scope.spawn(move || {
-                        maybe_injected_panic();
-                        chunk
-                            .iter()
-                            .map(|&i| validate_one(decided, i).map(|code| (i, code)))
-                            .collect::<Result<Vec<_>>>()
-                    }));
-                }
-                chunks += handles.len() as u64;
-                // Join explicitly and consume each result: a panicking
-                // worker must become an `Err` here, not re-panic out of
-                // the scope.
-                let mut out = Vec::with_capacity(wave.len());
-                let mut first_err: Option<Error> = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(mut results)) => out.append(&mut results),
-                        Ok(Err(e)) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                        Err(_) => {
-                            if first_err.is_none() {
-                                first_err = Some(Error::io(
-                                    "commit.validate".to_string(),
-                                    std::io::Error::other("validation worker panicked"),
-                                ));
-                            }
-                        }
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(out),
-                }
-            })?
-        };
-        for (i, code) in wave_results {
-            codes[i] = code;
-        }
-    }
-
-    // Final intra-block write set (what the serial scan's map ends at):
-    // per written key, the last valid writer's effective version.
-    let mut intra_block: HashMap<Bytes, Option<Version>> = HashMap::new();
-    for (key, writers) in &writers_of {
-        for &j in writers.iter().rev() {
-            if codes[j] == ValidationCode::Valid {
-                intra_block.insert(
-                    Bytes::copy_from_slice(key),
-                    effective_write(&txs[j], j, key, block_num),
-                );
-                break;
-            }
-        }
-    }
-
-    let conflicts = codes
-        .iter()
-        .filter(|c| **c == ValidationCode::MvccConflict)
-        .count() as u64;
-    Ok(ValidationOutcome {
-        codes,
-        intra_block,
-        conflicts,
-        chunks,
-        waves: waves.len() as u64,
     })
 }
 
@@ -340,6 +83,7 @@ pub fn validate_parallel(
 mod tests {
     use super::*;
     use crate::tx::{KvRead, KvWrite};
+    use ValidationCode::{MvccConflict, Valid};
 
     fn key(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -366,76 +110,35 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_equivalent(txs: &[Transaction], base: &HashMap<Bytes, Option<Version>>) {
-        let lookup = |k: &[u8]| Ok(base.get(k).copied().flatten());
-        let serial = validate_serial(txs, 7, lookup).unwrap();
-        for threads in [1, 2, 4] {
-            let parallel = validate_parallel(txs, 7, threads, lookup).unwrap();
-            assert_eq!(serial.codes, parallel.codes, "threads={threads}");
-            assert_eq!(
-                serial.intra_block, parallel.intra_block,
-                "threads={threads}"
-            );
-            assert_eq!(serial.conflicts, parallel.conflicts);
-        }
+    fn version(block_num: BlockNum, tx_num: TxNum) -> Option<Version> {
+        Some(Version { block_num, tx_num })
+    }
+
+    /// Validate `txs` as block 7 over a base state holding `base`.
+    fn validate(txs: &[Transaction], base: &[(&str, Option<Version>)]) -> ValidationOutcome {
+        validate_serial(txs, 7, |k| {
+            Ok(base
+                .iter()
+                .find(|(name, _)| name.as_bytes() == k)
+                .and_then(|(_, v)| *v))
+        })
+        .unwrap()
     }
 
     #[test]
-    fn blind_write_blocks_skip_the_worker_pool() {
-        let txs = vec![
-            tx(vec![], vec![("a", true)]),
-            tx(vec![], vec![("b", true)]),
-            tx(vec![], vec![("a", false)]),
-        ];
-        // The armed failpoint proves no worker thread ever runs.
-        PANIC_IN_WORKER.store(true, std::sync::atomic::Ordering::SeqCst);
-        let out = validate_parallel(&txs, 7, 4, |_| Ok(None)).unwrap();
-        PANIC_IN_WORKER.store(false, std::sync::atomic::Ordering::SeqCst);
-        assert_eq!(out.chunks, 1);
-        assert_eq!(out.waves, 1);
-        assert_eq!(out.codes, vec![ValidationCode::Valid; 3]);
-        // Last write of "a" is the delete.
-        assert_eq!(out.intra_block.get(key("a").as_ref()), Some(&None));
-        assert_equivalent(&txs, &HashMap::new());
-    }
-
-    #[test]
-    fn independent_txs_form_one_wave() {
-        let txs = vec![
-            tx(vec![("a", None)], vec![("a", true)]),
-            tx(vec![("b", None)], vec![("b", true)]),
-            tx(vec![("c", None)], vec![("c", true)]),
-        ];
-        let out = validate_parallel(&txs, 0, 2, |_| Ok(None)).unwrap();
-        assert_eq!(out.waves, 1);
-        assert_eq!(out.conflicts, 0);
-        assert_eq!(out.codes, vec![ValidationCode::Valid; 3]);
-    }
-
-    #[test]
-    fn read_after_write_conflicts_like_serial() {
+    fn read_after_write_sees_the_earlier_valid_write() {
         // tx0 writes k; tx1 read k@None → conflict (tx0's write intervenes);
         // tx2 reads k at tx0's version → valid.
-        let v0 = Version {
-            block_num: 7,
-            tx_num: 0,
-        };
         let txs = vec![
             tx(vec![], vec![("k", true)]),
             tx(vec![("k", None)], vec![("x", true)]),
-            tx(vec![("k", Some(v0))], vec![("y", true)]),
+            tx(vec![("k", version(7, 0))], vec![("y", true)]),
         ];
-        let out = validate_parallel(&txs, 7, 4, |_| Ok(None)).unwrap();
-        assert_eq!(
-            out.codes,
-            vec![
-                ValidationCode::Valid,
-                ValidationCode::MvccConflict,
-                ValidationCode::Valid
-            ]
-        );
-        assert!(out.waves >= 2, "dependent txs must layer into waves");
-        assert_equivalent(&txs, &HashMap::new());
+        let out = validate(&txs, &[]);
+        assert_eq!(out.codes, vec![Valid, MvccConflict, Valid]);
+        assert_eq!(out.conflicts, 1);
+        // The conflicting tx's write of x never reaches the write set.
+        assert!(!out.intra_block.contains_key(key("x").as_ref()));
     }
 
     #[test]
@@ -443,68 +146,40 @@ mod tests {
         // tx0 conflicts (stale read), so its write of k must NOT be
         // visible to tx1: tx1 reads k at the committed version and stays
         // valid.
-        let committed = Version {
-            block_num: 3,
-            tx_num: 1,
-        };
-        let mut base = HashMap::new();
-        base.insert(key("k"), Some(committed));
+        let committed = version(3, 1);
         let txs = vec![
             tx(vec![("k", None)], vec![("k", true)]),
-            tx(vec![("k", Some(committed))], vec![("z", true)]),
+            tx(vec![("k", committed)], vec![("z", true)]),
         ];
-        assert_equivalent(&txs, &base);
-        let out = validate_parallel(&txs, 7, 2, |k| Ok(base.get(k).copied().flatten())).unwrap();
-        assert_eq!(
-            out.codes,
-            vec![ValidationCode::MvccConflict, ValidationCode::Valid]
-        );
+        let out = validate(&txs, &[("k", committed)]);
+        assert_eq!(out.codes, vec![MvccConflict, Valid]);
     }
 
     #[test]
-    fn later_blind_writer_does_not_leak_backwards() {
-        // tx0 writes k (wave 0), tx1 reads k (wave 1), tx2 blind-writes k
-        // (no reads → wave 0). tx1 must observe tx0's version, not tx2's,
-        // even though tx2 validated in an earlier wave.
-        let v0 = Version {
-            block_num: 7,
-            tx_num: 0,
-        };
+    fn later_writer_does_not_leak_backwards() {
+        // tx1 must observe tx0's version of k, not tx2's later blind write;
+        // the final write set carries tx2's (the last valid writer).
         let txs = vec![
             tx(vec![], vec![("k", true)]),
-            tx(vec![("k", Some(v0))], vec![("a", true)]),
+            tx(vec![("k", version(7, 0))], vec![("a", true)]),
             tx(vec![], vec![("k", true)]),
         ];
-        let out = validate_parallel(&txs, 7, 4, |_| Ok(None)).unwrap();
-        assert_eq!(out.codes, vec![ValidationCode::Valid; 3]);
-        // And the final write set carries tx2's version (last valid writer).
-        assert_eq!(
-            out.intra_block.get(key("k").as_ref()).copied().flatten(),
-            Some(Version {
-                block_num: 7,
-                tx_num: 2
-            })
-        );
-        assert_equivalent(&txs, &HashMap::new());
+        let out = validate(&txs, &[]);
+        assert_eq!(out.codes, vec![Valid; 3]);
+        assert_eq!(out.intra_block.get(key("k").as_ref()), Some(&version(7, 2)));
     }
 
     #[test]
     fn tombstone_writes_validate_as_deletes() {
         // tx0 deletes k (M1-style null tombstone); tx1 reading k@None is
         // valid — the delete is what it observes.
-        let committed = Version {
-            block_num: 2,
-            tx_num: 0,
-        };
-        let mut base = HashMap::new();
-        base.insert(key("k"), Some(committed));
+        let committed = version(2, 0);
         let txs = vec![
-            tx(vec![("k", Some(committed))], vec![("k", false)]),
+            tx(vec![("k", committed)], vec![("k", false)]),
             tx(vec![("k", None)], vec![("w", true)]),
         ];
-        assert_equivalent(&txs, &base);
-        let out = validate_parallel(&txs, 7, 2, |k| Ok(base.get(k).copied().flatten())).unwrap();
-        assert_eq!(out.codes, vec![ValidationCode::Valid; 2]);
+        let out = validate(&txs, &[("k", committed)]);
+        assert_eq!(out.codes, vec![Valid; 2]);
         assert_eq!(out.intra_block.get(key("k").as_ref()), Some(&None));
     }
 
@@ -512,97 +187,9 @@ mod tests {
     fn repeated_writes_in_one_tx_last_wins() {
         // tx0 writes k then deletes it; tx1 must observe the delete.
         let txs = vec![
-            Transaction::new(
-                1,
-                vec![],
-                vec![
-                    KvWrite {
-                        key: key("k"),
-                        value: Some(Bytes::from_static(b"v")),
-                    },
-                    KvWrite {
-                        key: key("k"),
-                        value: None,
-                    },
-                ],
-            )
-            .unwrap(),
+            tx(vec![], vec![("k", true), ("k", false)]),
             tx(vec![("k", None)], vec![("w", true)]),
         ];
-        assert_equivalent(&txs, &HashMap::new());
-        let out = validate_parallel(&txs, 7, 2, |_| Ok(None)).unwrap();
-        assert_eq!(out.codes, vec![ValidationCode::Valid; 2]);
-    }
-
-    #[test]
-    fn randomized_contended_batches_match_serial() {
-        // Deterministic xorshift so the test is reproducible without a
-        // seed-logging harness; dense conflicts over a 4-key space.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let keys = ["a", "b", "c", "d"];
-        for _case in 0..200 {
-            let mut base: HashMap<Bytes, Option<Version>> = HashMap::new();
-            for k in keys {
-                if next() % 2 == 0 {
-                    base.insert(
-                        key(k),
-                        Some(Version {
-                            block_num: next() % 3,
-                            tx_num: (next() % 4) as TxNum,
-                        }),
-                    );
-                }
-            }
-            let n = 1 + (next() % 12) as usize;
-            let txs: Vec<Transaction> = (0..n)
-                .map(|_| {
-                    let reads = (0..(next() % 3))
-                        .map(|_| {
-                            let k = keys[(next() % 4) as usize];
-                            // Mix of matching and stale claimed versions.
-                            let version = match next() % 3 {
-                                0 => None,
-                                1 => base.get(&key(k)).copied().flatten(),
-                                _ => Some(Version {
-                                    block_num: 7,
-                                    tx_num: (next() % n as u64) as TxNum,
-                                }),
-                            };
-                            (k, version)
-                        })
-                        .collect();
-                    let writes = (0..(1 + next() % 2))
-                        .map(|_| (keys[(next() % 4) as usize], next() % 4 != 0))
-                        .collect();
-                    tx(reads, writes)
-                })
-                .collect();
-            assert_equivalent(&txs, &base);
-        }
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_error() {
-        // Read-bearing txs: a pure blind-write block would take the
-        // no-reads fast path and never reach the worker pool.
-        let txs = vec![
-            tx(vec![("a", None)], vec![("a", true)]),
-            tx(vec![("b", None)], vec![("b", true)]),
-            tx(vec![("c", None)], vec![("c", true)]),
-            tx(vec![("d", None)], vec![("d", true)]),
-        ];
-        PANIC_IN_WORKER.store(true, std::sync::atomic::Ordering::SeqCst);
-        let err = validate_parallel(&txs, 0, 2, |_| Ok(None)).unwrap_err();
-        PANIC_IN_WORKER.store(false, std::sync::atomic::Ordering::SeqCst);
-        assert!(
-            err.to_string().contains("panicked"),
-            "panic must surface as Error, got: {err}"
-        );
+        assert_eq!(validate(&txs, &[]).codes, vec![Valid; 2]);
     }
 }

@@ -10,7 +10,7 @@ use fabric_ledger::codec::Cursor;
 use fabric_ledger::{Block, Transaction};
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 512 })]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn transaction_decode_never_panics(data in prop::collection::vec(any::<u8>(), 0..256)) {
@@ -78,7 +78,7 @@ fn evset_and_batch_decoders_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     for _ in 0..2000 {
         let len = rng.gen_range(0..200);
-        let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
         let _ = fabric_kvstore::WriteBatch::decode(&data);
     }
 }

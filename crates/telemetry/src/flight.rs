@@ -10,15 +10,14 @@
 //! "what just happened?" — the `/flight` endpoint of `tfq serve` and the
 //! slow-query log both read from it.
 //!
-//! Recording takes one short `parking_lot` mutex critical section (a
+//! Recording takes one short mutex critical section (a
 //! `VecDeque` push plus at most one pop). The deques are preallocated at
 //! their capacity, so steady-state recording performs no ring allocation —
 //! the only per-record cost is cloning the span into the buffer.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::span::{build_tree, SpanNode, SpanRecord};
 
@@ -66,7 +65,7 @@ impl FlightRecorder {
     /// Append one completed span, evicting the oldest entry when full.
     pub fn record(&self, record: &SpanRecord) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.spans.len() >= inner.capacity {
             inner.spans.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -82,7 +81,7 @@ impl FlightRecorder {
 
     /// Resize the rings (existing excess entries are evicted oldest-first).
     pub fn set_capacity(&self, capacity: usize, root_capacity: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.capacity = capacity.max(1);
         inner.root_capacity = root_capacity.max(1);
         while inner.spans.len() > inner.capacity {
@@ -96,12 +95,24 @@ impl FlightRecorder {
 
     /// The retained spans, oldest first.
     pub fn recent(&self) -> Vec<SpanRecord> {
-        self.inner.lock().spans.iter().cloned().collect()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .spans
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// The retained root spans (no parent), oldest first.
     pub fn recent_roots(&self) -> Vec<SpanRecord> {
-        self.inner.lock().roots.iter().cloned().collect()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .roots
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Reassemble the subtree of `root` from the retained spans. Children
@@ -148,7 +159,11 @@ impl FlightRecorder {
 
     /// Number of spans currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().spans.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .spans
+            .len()
     }
 
     /// Whether nothing is retained.
@@ -168,7 +183,7 @@ impl FlightRecorder {
 
     /// Drop all retained spans (totals are kept).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.spans.clear();
         inner.roots.clear();
     }

@@ -12,10 +12,9 @@
 //! * **Global-free.** There is no process-wide registry; a [`Telemetry`]
 //!   handle is plumbed explicitly (the ledger owns one and shares it with
 //!   its stores) and is cheap to clone (`Arc` inside).
-//! * **Thread-safe recorders.** Finished spans go into a lock-free
-//!   [`crossbeam`] queue; counters and histogram buckets are relaxed
-//!   atomics; the name→instrument maps use short [`parking_lot`] critical
-//!   sections only on first registration.
+//! * **Thread-safe recorders.** Finished spans are pushed onto a mutex-held
+//!   vector; counters and histogram buckets are relaxed atomics; the
+//!   name→instrument maps take a short lock only on first registration.
 //!
 //! ## Span model
 //!
@@ -58,11 +57,8 @@ pub use slowlog::{SlowLog, SlowLogConfig};
 pub use span::{build_tree, render_tree, SpanContext, SpanGuard, SpanNode, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-
-use crossbeam::queue::SegQueue;
-use parking_lot::{Mutex, RwLock};
 
 /// One timestamped value of a named counter track (e.g. a queue depth
 /// sample), for the Chrome exporter's `ph:"C"` counter rows. Recorded
@@ -85,7 +81,7 @@ pub(crate) struct Inner {
     /// Reference instant for span timestamps (relative ns).
     epoch: Instant,
     next_span: AtomicU64,
-    spans: SegQueue<SpanRecord>,
+    spans: Mutex<Vec<SpanRecord>>,
     registry: Registry,
     flight: FlightRecorder,
     /// Fast-path check for the slow log; avoids the RwLock on every root
@@ -127,7 +123,7 @@ impl Telemetry {
                 enabled: AtomicBool::new(enabled),
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
-                spans: SegQueue::new(),
+                spans: Mutex::new(Vec::new()),
                 registry: Registry::new(),
                 flight: FlightRecorder::default(),
                 slow_installed: AtomicBool::new(false),
@@ -194,12 +190,22 @@ impl Telemetry {
         if record.parent.is_none() && self.inner.slow_installed.load(Ordering::Relaxed) {
             self.maybe_log_slow(&record);
         }
-        self.inner.spans.push(record);
+        self.inner
+            .spans
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(record);
     }
 
     /// Cold path: a root span finished while a slow log is installed.
     fn maybe_log_slow(&self, record: &SpanRecord) {
-        let Some(slow) = self.inner.slow.read().clone() else {
+        let Some(slow) = self
+            .inner
+            .slow
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+        else {
             return;
         };
         let threshold = if slow.config().p99_factor.is_some() {
@@ -222,19 +228,24 @@ impl Telemetry {
     /// Install (or replace) the slow-query log. Root spans finishing
     /// slower than the configured threshold are dumped as JSONL to `sink`.
     pub fn install_slow_log(&self, config: SlowLogConfig, sink: Box<dyn std::io::Write + Send>) {
-        *self.inner.slow.write() = Some(Arc::new(SlowLog::new(config, sink)));
+        *self.inner.slow.write().unwrap_or_else(|e| e.into_inner()) =
+            Some(Arc::new(SlowLog::new(config, sink)));
         self.inner.slow_installed.store(true, Ordering::Relaxed);
     }
 
     /// Remove the slow-query log, if any.
     pub fn remove_slow_log(&self) {
         self.inner.slow_installed.store(false, Ordering::Relaxed);
-        *self.inner.slow.write() = None;
+        *self.inner.slow.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// The installed slow-query log, if any.
     pub fn slow_log(&self) -> Option<Arc<SlowLog>> {
-        self.inner.slow.read().clone()
+        self.inner
+            .slow
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Open a span named `name`. Returns an inert guard when disabled.
@@ -287,10 +298,8 @@ impl Telemetry {
     /// Remove and return every finished span recorded so far, ordered by
     /// start time.
     pub fn drain_spans(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::new();
-        while let Some(r) = self.inner.spans.pop() {
-            out.push(r);
-        }
+        let mut out =
+            std::mem::take(&mut *self.inner.spans.lock().unwrap_or_else(|e| e.into_inner()));
         out.sort_by_key(|r| r.start_ns);
         out
     }
@@ -309,10 +318,18 @@ impl Telemetry {
     /// reset every counter/gauge/histogram. The enabled flag and any
     /// installed slow log are left unchanged.
     pub fn reset(&self) {
-        while self.inner.spans.pop().is_some() {}
+        self.inner
+            .spans
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
         self.inner.registry.reset();
         self.inner.flight.clear();
-        self.inner.track.lock().clear();
+        self.inner
+            .track
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 
     /// Turn counter-track sampling on or off (see [`TrackPoint`]). Off by
@@ -335,7 +352,7 @@ impl Telemetry {
             return;
         }
         let at_ns = self.now_ns();
-        let mut track = self.inner.track.lock();
+        let mut track = self.inner.track.lock().unwrap_or_else(|e| e.into_inner());
         if track.len() >= TRACK_POINTS_CAP {
             track.pop_front();
         }
@@ -349,7 +366,12 @@ impl Telemetry {
     /// Remove and return every buffered counter-track sample, in record
     /// order.
     pub fn drain_track_points(&self) -> Vec<TrackPoint> {
-        self.inner.track.lock().drain(..).collect()
+        self.inner
+            .track
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .drain(..)
+            .collect()
     }
 }
 
@@ -468,7 +490,7 @@ mod tests {
             let _g = tel.span("ghfk");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines.len(),
@@ -487,7 +509,7 @@ mod tests {
             let _q = tel.span("query.ferry");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 1, "removed log must stay silent");
     }
 
@@ -499,7 +521,7 @@ mod tests {
         for _ in 0..100 {
             let _q = tel.span("query.ferry");
         }
-        assert!(buffer.lock().is_empty());
+        assert!(buffer.lock().unwrap().is_empty());
         assert_eq!(tel.slow_log().unwrap().records_written(), 0);
     }
 

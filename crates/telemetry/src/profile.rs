@@ -32,10 +32,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::Duration;
-
-use parking_lot::{Mutex, RwLock};
 
 use crate::span::SpanRecord;
 use crate::Telemetry;
@@ -75,10 +73,15 @@ fn interner() -> &'static RwLock<Interner> {
 }
 
 fn intern(name: &'static str) -> u32 {
-    if let Some(&idx) = interner().read().index.get(name) {
+    if let Some(&idx) = interner()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .index
+        .get(name)
+    {
         return idx;
     }
-    let mut w = interner().write();
+    let mut w = interner().write().unwrap_or_else(|e| e.into_inner());
     if let Some(&idx) = w.index.get(name) {
         return idx;
     }
@@ -89,7 +92,12 @@ fn intern(name: &'static str) -> u32 {
 }
 
 fn resolve(idx: u32) -> Option<&'static str> {
-    interner().read().names.get(idx as usize).copied()
+    interner()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .names
+        .get(idx as usize)
+        .copied()
 }
 
 /// One thread's live span stack, readable from the sampler thread.
@@ -128,7 +136,10 @@ pub(crate) fn push_frame(name: &'static str) -> bool {
         .try_with(|cell| {
             let stack = cell.get_or_init(|| {
                 let stack = Arc::new(ShadowStack::new());
-                stack_registry().lock().push(Arc::downgrade(&stack));
+                stack_registry()
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(Arc::downgrade(&stack));
                 stack
             });
             let d = stack.depth.load(Ordering::Relaxed);
@@ -269,7 +280,7 @@ impl Profiler {
 fn sample_all(profile: &mut Profile) -> u64 {
     let mut taken = 0;
     let mut frames: Vec<&'static str> = Vec::with_capacity(MAX_DEPTH);
-    let mut registry = stack_registry().lock();
+    let mut registry = stack_registry().lock().unwrap_or_else(|e| e.into_inner());
     registry.retain(|weak| {
         let Some(stack) = weak.upgrade() else {
             return false;

@@ -2,14 +2,12 @@
 //!
 //! The registry is global-free — every [`crate::Telemetry`] owns one.
 //! Instrument handles are `Arc`s handed out on first use; the name→handle
-//! map takes a short `parking_lot` lock only on lookup/registration, and
+//! map takes a short lock only on lookup/registration, and
 //! callers on hot paths should cache the returned handle.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 
@@ -80,10 +78,19 @@ pub struct Registry {
 }
 
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<Name, Arc<T>>>, name: Name) -> Arc<T> {
-    if let Some(found) = map.read().get(name.as_ref()) {
+    if let Some(found) = map
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(name.as_ref())
+    {
         return Arc::clone(found);
     }
-    Arc::clone(map.write().entry(name).or_default())
+    Arc::clone(
+        map.write()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(name)
+            .or_default(),
+    )
 }
 
 impl Registry {
@@ -130,18 +137,21 @@ impl Registry {
             counters: self
                 .counters
                 .read()
+                .unwrap_or_else(|e| e.into_inner())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .read()
+                .unwrap_or_else(|e| e.into_inner())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .read()
+                .unwrap_or_else(|e| e.into_inner())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.snapshot()))
                 .collect(),
@@ -151,9 +161,18 @@ impl Registry {
     /// Remove every instrument (existing handles keep working but are no
     /// longer reachable by name and vanish from future snapshots).
     pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
+        self.counters
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        self.gauges
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        self.histograms
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 }
 

@@ -21,8 +21,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::export::json_escape;
 use crate::histogram::HistogramSnapshot;
@@ -113,7 +112,7 @@ impl SlowLog {
     pub fn log(&self, tree: &SpanNode, threshold_ns: u64) {
         let seq = self.records.fetch_add(1, Ordering::Relaxed);
         let line = render_slow_record(tree, threshold_ns, seq);
-        let mut sink = self.sink.lock();
+        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writeln!(sink, "{line}");
         let _ = sink.flush();
     }
@@ -248,7 +247,10 @@ pub fn memory_sink() -> (
     struct Shared(std::sync::Arc<Mutex<Vec<u8>>>);
     impl Write for Shared {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            self.0
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -390,7 +392,7 @@ mod tests {
         log.log(&tree, 1_000_000);
         log.log(&tree, 1_000_000);
         assert_eq!(log.records_written(), 2);
-        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text
             .lines()

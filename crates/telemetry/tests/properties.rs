@@ -1,6 +1,6 @@
 //! Property and concurrency tests for fabric-telemetry (ISSUE 1 satellite):
 //! histogram bucket soundness under proptest and lossless recording under
-//! crossbeam scoped threads.
+//! scoped threads.
 
 use fabric_telemetry::histogram::{bucket_bounds, bucket_index, BUCKETS};
 use fabric_telemetry::{Histogram, Telemetry};
@@ -71,17 +71,17 @@ proptest! {
 }
 
 /// Counters, histograms, and spans must not lose recordings when hammered
-/// from crossbeam scoped threads.
+/// from scoped threads.
 #[test]
 fn concurrent_recorders_lose_nothing() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 5_000;
 
     let tel = Telemetry::enabled();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let tel = tel.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     tel.count("ops", 1);
                     tel.observe("value", t as u64 * PER_THREAD + i);
@@ -90,8 +90,7 @@ fn concurrent_recorders_lose_nothing() {
                 }
             });
         }
-    })
-    .expect("scoped threads must not panic");
+    });
 
     let spans = tel.drain_spans();
     assert_eq!(spans.len(), THREADS * PER_THREAD as usize);
@@ -119,16 +118,15 @@ fn concurrent_recorders_lose_nothing() {
 #[test]
 fn spans_do_not_cross_threads() {
     let tel = Telemetry::enabled();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..4 {
             let tel = tel.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _outer = tel.span("outer");
                 let _inner = tel.span("inner");
             });
         }
-    })
-    .unwrap();
+    });
     let tree = tel.span_tree();
     assert_eq!(tree.len(), 4, "each thread contributes one root");
     for root in &tree {

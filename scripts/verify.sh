@@ -2,14 +2,18 @@
 # Full local verification: build, tests, lints, formatting.
 #
 # Usage: scripts/verify.sh [--offline]
-#   --offline   pass --offline to every cargo invocation (air-gapped builds)
+#   --offline   build with no registry access: every cargo call gets
+#               `--config offline/config.toml`, which patches the four
+#               registry crates (bytes, rand, proptest, criterion) to tracked
+#               stand-ins and sets net.offline. Without the flag nothing is
+#               patched and cargo resolves from crates.io.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OFFLINE=()
 if [[ "${1:-}" == "--offline" ]]; then
-    OFFLINE=(--offline)
+    OFFLINE=(--config offline/config.toml)
 fi
 
 echo "==> cargo build --workspace --release"

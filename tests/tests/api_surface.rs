@@ -33,6 +33,40 @@ impl Drop for TempDir {
 }
 
 #[test]
+fn config_surface_is_eighteen_knobs() {
+    // Both patterns are exhaustive on purpose (no `..`): a field added to
+    // either struct fails to compile here until it is listed and counted,
+    // so the knob count in CHANGES.md cannot drift unnoticed.
+    let LedgerConfig {
+        block_max_txs: _,
+        block_max_bytes: _,
+        blockfile_max_bytes: _,
+        cache_blocks,
+        pipeline,
+        coalesce_history,
+        state_db,
+        index_db: _,
+        backend: _,
+    } = LedgerConfig::default();
+    let fabric_kvstore::Options {
+        memtable_max_bytes: _,
+        sync_wal,
+        sparse_index_interval: _,
+        bloom_bits_per_key: _,
+        compaction_trigger: _,
+        group_commit,
+        backend: _,
+        log_file_max_bytes: _,
+        log_compaction_bytes: _,
+    } = state_db;
+    // The paper's cost model is the default: no cache, serial commit, one
+    // WAL append per write; only read coalescing (counter-neutral) is on.
+    assert_eq!(cache_blocks, 0);
+    assert!(!pipeline && !sync_wal && !group_commit);
+    assert!(coalesce_history);
+}
+
+#[test]
 fn queries_on_empty_ledger() {
     let dir = TempDir::new("empty");
     let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();

@@ -28,6 +28,7 @@ use fabric_workload::event::Event;
 use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
 use fabric_workload::EntityId;
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use temporal_core::interval::Interval;
 use temporal_core::m1::{M1Engine, M1Indexer};
 use temporal_core::partition::FixedLength;
@@ -462,14 +463,16 @@ fn prop_random_windows_agree_on_daemon_maintained_chain() {
     ];
     let m1 = M1Engine::default();
     let auto = AutoEngine::default();
-    proptest::run_cases(&strategy, |tau| {
-        for &key in &keys {
-            let tqf = TqfEngine.events_for_key(&ledger, key, tau).unwrap();
-            let live = m1.events_for_key(&ledger, key, tau).unwrap();
-            let planned = auto.events_for_key(&ledger, key, tau).unwrap();
-            prop_assert_eq!(&live, &tqf, "daemon-M1 vs TQF for {} over {}", key, tau);
-            prop_assert_eq!(&planned, &tqf, "auto vs TQF for {} over {}", key, tau);
-        }
-        Ok(())
-    });
+    TestRunner::default()
+        .run(&strategy, |tau| {
+            for &key in &keys {
+                let tqf = TqfEngine.events_for_key(&ledger, key, tau).unwrap();
+                let live = m1.events_for_key(&ledger, key, tau).unwrap();
+                let planned = auto.events_for_key(&ledger, key, tau).unwrap();
+                prop_assert_eq!(&live, &tqf, "daemon-M1 vs TQF for {} over {}", key, tau);
+                prop_assert_eq!(&planned, &tqf, "auto vs TQF for {} over {}", key, tau);
+            }
+            Ok(())
+        })
+        .unwrap();
 }

@@ -179,11 +179,7 @@ fn read_path_overhaul_keeps_engines_bit_identical() {
     let u = t_max / 25;
     let dir = TempDir::new("overhaul");
 
-    let overhaul_cfg = || {
-        LedgerConfig::default()
-            .with_cache_blocks(256)
-            .with_cache_shards(4)
-    };
+    let overhaul_cfg = || LedgerConfig::default().with_cache_blocks(256);
     let seed_cfg = || LedgerConfig::default().with_coalesce_history(false);
 
     let build_base = |sub: &str, config: LedgerConfig| -> Ledger {

@@ -226,7 +226,7 @@ fn slow_query_emits_jsonl_with_full_span_tree() {
     ferry_query(&TqfEngine, &ledger, Interval::new(0, 1_000)).unwrap();
     tel.remove_slow_log();
 
-    let logged = String::from_utf8(buffer.lock().clone()).unwrap();
+    let logged = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
     let record = logged
         .lines()
         .find(|l| l.contains("\"name\":\"query.ferry\""))

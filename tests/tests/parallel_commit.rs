@@ -1,23 +1,12 @@
-//! Parallel MVCC validation and key-sharded commit equivalence.
+//! Key-sharded commit equivalence.
 //!
-//! Two cross-crate invariants introduced by the commit-path overhaul:
-//!
-//! 1. (property) The dependency-wave parallel validator is *bit-identical*
-//!    to Fabric's serial in-order scan — same `ValidationCode`s, same
-//!    conflict count, same final intra-block write set — across random
-//!    conflict-dense batches including tombstone (delete) writes, and the
-//!    ledgers committed through either validator end on the same chain.
-//! 2. An N-shard [`ShardedLedger`] answers the paper's table-1-style
-//!    queries (per-key events, the ferry join, the planner's chosen
-//!    access path) bit-identically to a single ledger holding the same
-//!    event stream.
+//! An N-shard [`ShardedLedger`] answers the paper's table-1-style queries
+//! (per-key events, the ferry join, the planner's chosen access path)
+//! bit-identically to a single ledger holding the same event stream.
 
-use fabric_ledger::tx::{KvRead, KvWrite, Transaction, TxNum, Version};
-use fabric_ledger::validate::{validate_parallel, validate_serial};
 use fabric_ledger::{Ledger, LedgerConfig, ShardedLedger};
 use fabric_workload::dataset::{generate_scaled, DatasetId};
 use fabric_workload::ingest::{ingest, ingest_sharded, IdentityEncoder, IngestMode};
-use proptest::prelude::*;
 use temporal_core::interval::Interval;
 use temporal_core::join::ferry_query;
 use temporal_core::tqf::TqfEngine;
@@ -40,157 +29,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-const KEYS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
-
-fn bkey(s: &str) -> bytes::Bytes {
-    bytes::Bytes::copy_from_slice(s.as_bytes())
-}
-
-/// One generated transaction: reads as `(key index, version kind)`,
-/// writes as `(key index, live?)` — `live == false` is a tombstone.
-type GenTx = (Vec<(usize, u8)>, Vec<(usize, bool)>);
-
-/// Materialize a generated tx. Version kinds: 0 = `None` (claims the key
-/// is unborn), 1 = the committed base version (a fresh read), anything
-/// else = a bogus stale version (guaranteed conflict against any state).
-fn build_tx(spec: &GenTx, base: &[Option<Version>; 4]) -> Transaction {
-    let (reads, writes) = spec;
-    Transaction::new(
-        1,
-        reads
-            .iter()
-            .map(|&(k, kind)| KvRead {
-                key: bkey(KEYS[k % 4]),
-                version: match kind % 3 {
-                    0 => None,
-                    1 => base[k % 4],
-                    _ => Some(Version {
-                        block_num: 999,
-                        tx_num: (k % 4) as TxNum,
-                    }),
-                },
-            })
-            .collect(),
-        writes
-            .iter()
-            .map(|&(k, live)| KvWrite {
-                key: bkey(KEYS[k % 4]),
-                value: live.then(|| bytes::Bytes::from_static(b"v")),
-            })
-            .collect(),
-    )
-    .unwrap()
-}
-
-#[test]
-fn parallel_validation_codes_match_serial_on_random_batches() {
-    // Committed base state: two of the four keys exist.
-    let base: [Option<Version>; 4] = [
-        Some(Version {
-            block_num: 3,
-            tx_num: 0,
-        }),
-        None,
-        Some(Version {
-            block_num: 5,
-            tx_num: 2,
-        }),
-        None,
-    ];
-    let lookup = |k: &[u8]| {
-        Ok(KEYS
-            .iter()
-            .position(|key| key.as_bytes() == k)
-            .and_then(|i| base[i]))
-    };
-    // Dense contention: up to 12 txs over a 4-key space, reads claiming
-    // fresh/unborn/stale versions, writes including tombstones.
-    let tx_strategy = (
-        prop::collection::vec((0usize..4, 0u8..3), 0..3),
-        prop::collection::vec((0usize..4, any::<bool>()), 1..3),
-    );
-    let batch = prop::collection::vec(tx_strategy, 1..12);
-    proptest::run_cases(&batch, |specs| {
-        let txs: Vec<Transaction> = specs.iter().map(|s| build_tx(s, &base)).collect();
-        let serial = validate_serial(&txs, 7, lookup).unwrap();
-        for threads in [2, 4] {
-            let parallel = validate_parallel(&txs, 7, threads, lookup).unwrap();
-            prop_assert_eq!(&serial.codes, &parallel.codes, "threads={}", threads);
-            prop_assert_eq!(serial.conflicts, parallel.conflicts);
-            prop_assert_eq!(&serial.intra_block, &parallel.intra_block);
-        }
-        // Sanity: the generator must actually produce conflict-dense
-        // batches, not all-valid ones — checked in aggregate below.
-        Ok(())
-    });
-}
-
-#[test]
-fn ledgers_committed_by_either_validator_are_byte_identical() {
-    // Deterministic xorshift stream of contended read-modify-write
-    // batches, committed through a serial-validate ledger and a
-    // 4-thread parallel-validate ledger: both must end on the same
-    // chain tip with the same state, conflicts included.
-    let dir = TempDir::new("either-validator");
-    let serial = Ledger::open(
-        dir.0.join("serial"),
-        LedgerConfig::default().with_block_max_txs(16),
-    )
-    .unwrap();
-    let parallel = Ledger::open(
-        dir.0.join("parallel"),
-        LedgerConfig::default()
-            .with_block_max_txs(16)
-            .with_parallel_validate(true)
-            .with_validate_threads(4),
-    )
-    .unwrap();
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut conflicts_seen = false;
-    for _block in 0..8 {
-        let mut batch = Vec::new();
-        for _ in 0..16 {
-            let k = KEYS[(next() % 4) as usize];
-            let reads = if next() % 2 == 0 {
-                vec![KvRead {
-                    key: bkey(k),
-                    // Half claim "unborn": a conflict once the key exists.
-                    version: None,
-                }]
-            } else {
-                vec![]
-            };
-            let writes = vec![KvWrite {
-                key: bkey(k),
-                value: (next() % 4 != 0).then(|| bkey("value")),
-            }];
-            batch.push((next() % 1000, reads, writes));
-        }
-        for ledger in [&serial, &parallel] {
-            for (ts, reads, writes) in &batch {
-                ledger
-                    .submit(Transaction::new(*ts, reads.clone(), writes.clone()).unwrap())
-                    .unwrap();
-            }
-            ledger.cut_block().unwrap();
-        }
-        conflicts_seen = true;
-    }
-    assert!(conflicts_seen);
-    assert_eq!(serial.height(), parallel.height());
-    assert_eq!(serial.last_hash(), parallel.last_hash());
-    assert_eq!(
-        serial.get_state_by_range(None, None).unwrap(),
-        parallel.get_state_by_range(None, None).unwrap()
-    );
 }
 
 #[test]
@@ -266,46 +104,4 @@ fn sharded_ledger_answers_table1_queries_like_a_single_ledger() {
             "ferry join diverged over {tau}"
         );
     }
-}
-
-#[test]
-fn conflict_dense_generator_actually_conflicts() {
-    // Guards the property test's bite: across the same strategy space,
-    // a meaningful fraction of batches must contain at least one MVCC
-    // conflict (else the equivalence check would be vacuous).
-    let base: [Option<Version>; 4] = [
-        Some(Version {
-            block_num: 3,
-            tx_num: 0,
-        }),
-        None,
-        None,
-        None,
-    ];
-    let lookup = |k: &[u8]| {
-        Ok(KEYS
-            .iter()
-            .position(|key| key.as_bytes() == k)
-            .and_then(|i| base[i]))
-    };
-    let tx_strategy = (
-        prop::collection::vec((0usize..4, 0u8..3), 0..3),
-        prop::collection::vec((0usize..4, any::<bool>()), 1..3),
-    );
-    let batch = prop::collection::vec(tx_strategy, 1..12);
-    let mut with_conflicts = 0u32;
-    let mut total = 0u32;
-    proptest::run_cases(&batch, |specs| {
-        let txs: Vec<Transaction> = specs.iter().map(|s| build_tx(s, &base)).collect();
-        let out = validate_serial(&txs, 7, lookup).unwrap();
-        total += 1;
-        if out.conflicts > 0 {
-            with_conflicts += 1;
-        }
-        Ok(())
-    });
-    assert!(
-        with_conflicts * 4 > total,
-        "only {with_conflicts}/{total} batches conflicted — generator too tame"
-    );
 }

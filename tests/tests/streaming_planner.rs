@@ -18,6 +18,7 @@ use fabric_workload::generator::GeneratedWorkload;
 use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
 use fabric_workload::EntityId;
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use temporal_core::interval::Interval;
 use temporal_core::m1::{M1Engine, M1Indexer};
 use temporal_core::m2::{M2Encoder, M2Engine};
@@ -240,30 +241,32 @@ fn auto_matches_every_fixed_engine_on_random_windows() {
     let m1 = M1Engine::default();
     let m2 = M2Engine { u };
     let keys = fx.keys();
-    proptest::run_cases(&windows, |tau| {
-        for &key in &keys {
-            let auto = AutoEngine::default()
-                .events_for_key(&fx.base, key, tau)
-                .unwrap();
-            let tqf = TqfEngine.events_for_key(&fx.base, key, tau).unwrap();
-            let m1r = m1.events_for_key(&fx.base, key, tau).unwrap();
-            let m2r = m2.events_for_key(&fx.m2, key, tau).unwrap();
-            let auto_m2 = AutoEngine::default()
-                .events_for_key(&fx.m2, key, tau)
-                .unwrap();
-            prop_assert_eq!(&auto, &tqf, "auto vs TQF for {} over {}", key, tau);
-            prop_assert_eq!(&auto, &m1r, "auto vs M1 for {} over {}", key, tau);
-            prop_assert_eq!(&auto, &m2r, "auto vs M2 for {} over {}", key, tau);
-            prop_assert_eq!(
-                &auto,
-                &auto_m2,
-                "auto on base vs M2 ledger for {} over {}",
-                key,
-                tau
-            );
-        }
-        Ok(())
-    });
+    TestRunner::default()
+        .run(&windows, |tau| {
+            for &key in &keys {
+                let auto = AutoEngine::default()
+                    .events_for_key(&fx.base, key, tau)
+                    .unwrap();
+                let tqf = TqfEngine.events_for_key(&fx.base, key, tau).unwrap();
+                let m1r = m1.events_for_key(&fx.base, key, tau).unwrap();
+                let m2r = m2.events_for_key(&fx.m2, key, tau).unwrap();
+                let auto_m2 = AutoEngine::default()
+                    .events_for_key(&fx.m2, key, tau)
+                    .unwrap();
+                prop_assert_eq!(&auto, &tqf, "auto vs TQF for {} over {}", key, tau);
+                prop_assert_eq!(&auto, &m1r, "auto vs M1 for {} over {}", key, tau);
+                prop_assert_eq!(&auto, &m2r, "auto vs M2 for {} over {}", key, tau);
+                prop_assert_eq!(
+                    &auto,
+                    &auto_m2,
+                    "auto on base vs M2 ledger for {} over {}",
+                    key,
+                    tau
+                );
+            }
+            Ok(())
+        })
+        .unwrap();
 }
 
 #[test]
@@ -293,14 +296,16 @@ fn calibration_log_certified_bounds_dominate_actuals() {
             (0..2 * t, 1..t).prop_map(|(s, l)| Interval::new(s, s + l)),
             (0u64..50, 1u64..25).prop_map(move |(i, n)| Interval::new(i * u, (i + n) * u)),
         ];
-        proptest::run_cases(&windows, |tau| {
-            for &key in &keys {
-                let mut cursor = auto.events_cursor(&fx.base, key, tau).unwrap();
-                drain(cursor.as_mut()).unwrap();
-                drop(cursor); // Drop measures actuals and appends the record.
-            }
-            Ok(())
-        });
+        TestRunner::default()
+            .run(&windows, |tau| {
+                for &key in &keys {
+                    let mut cursor = auto.events_cursor(&fx.base, key, tau).unwrap();
+                    drain(cursor.as_mut()).unwrap();
+                    drop(cursor); // Drop measures actuals and appends the record.
+                }
+                Ok(())
+            })
+            .unwrap();
         // Random windows land on M1/hybrid almost surely; degenerate
         // leading windows force TQF certificates (at most the blocks
         // holding a state of the key in (0, te] — which for tiny te ties
