@@ -254,9 +254,14 @@ fn bench_parallel_query(c: &mut Criterion) {
     let id = DatasetId::Ds1;
     let t_max = ctx.t_max(id);
     let u = ctx.scale_time(id, 2000);
-    let ledger = ctx
+    // Build (or find) the cached fixture, then open it through the handle.
+    let dir = ctx
         .m1_ledger(id, IngestMode::MultiEvent, u)
-        .expect("m1 fixture");
+        .expect("m1 fixture")
+        .dir()
+        .to_path_buf();
+    let ledger = fabric_ledger::ShardedLedger::open(dir, LedgerConfig::default())
+        .expect("m1 fixture handle");
     let tau = Interval::new(t_max - t_max / 15, t_max);
 
     let mut g = c.benchmark_group("ablation/parallel_tqf_late");

@@ -15,14 +15,14 @@ use std::collections::BTreeMap;
 
 use fabric_ledger::{Error, Ledger, LedgerConfig, Result, ShardedLedger, TxSimulator};
 use fabric_workload::dataset::DatasetId;
-use fabric_workload::ingest::{ingest, ingest_sharded, IdentityEncoder, IngestMode, IngestReport};
+use fabric_workload::ingest::{ingest_sharded, IdentityEncoder, IngestMode, IngestReport};
 
 use crate::harness::{fmt_secs, Ctx, TableOut};
 use crate::regress::MetricKind;
 
 /// Repetitions per cell; samples reduce to medians in the bench file.
 const REPS: usize = 3;
-/// Shard counts in the grid (1 = a plain single ledger).
+/// Shard counts in the grid.
 const SHARD_GRID: [usize; 3] = [1, 2, 4];
 /// Distinct contended keys in the synthetic-conflict section.
 const CONTENTION_KEYS: usize = 8;
@@ -63,17 +63,11 @@ fn run_cell(
     events: &[fabric_workload::Event],
 ) -> Result<CellOut> {
     let dir = scratch(ctx, name)?;
-    let (report, snap) = if shards == 1 {
-        let ledger = Ledger::open(&dir, cell_config())?;
-        ledger.telemetry().enable();
-        let report = ingest(&ledger, events, IngestMode::SingleEvent, &IdentityEncoder)?;
-        (report, ledger.telemetry().snapshot())
-    } else {
-        let ledger = ShardedLedger::open(&dir, cell_config(), shards)?;
-        ledger.telemetry().enable();
-        let report = ingest_sharded(&ledger, events, IngestMode::SingleEvent, &IdentityEncoder)?;
-        (report, ledger.telemetry().snapshot())
-    };
+    let ledger = ShardedLedger::create(&dir, cell_config(), shards)?;
+    ledger.telemetry().enable();
+    let report = ingest_sharded(&ledger, events, IngestMode::SingleEvent, &IdentityEncoder)?;
+    let snap = ledger.telemetry().snapshot();
+    drop(ledger);
     let _ = std::fs::remove_dir_all(&dir);
     Ok(CellOut {
         report,

@@ -1,35 +1,44 @@
 //! Command implementations for `tfq`.
 
 use fabric_kvstore::Backend;
-use fabric_ledger::{Ledger, LedgerConfig, ShardedLedger};
+use fabric_ledger::{LedgerConfig, ShardedLedger};
 use fabric_workload::dataset::{self, DatasetId};
-use fabric_workload::ingest::{ingest, ingest_sharded, IdentityEncoder, IngestMode};
+use fabric_workload::ingest::{ingest_sharded, IdentityEncoder, IngestMode};
 use fabric_workload::{EntityId, Event};
 use temporal_core::interval::Interval;
-use temporal_core::join::ferry_query;
 use temporal_core::m1::{read_meta, M1Engine, M1Indexer};
 use temporal_core::m2::{M2Encoder, M2Engine};
 use temporal_core::partition::FixedLength;
 use temporal_core::tqf::TqfEngine;
-use temporal_core::{explain_analyze, AutoEngine, TemporalEngine};
+use temporal_core::{explain_analyze, ferry_query_parallel, AutoEngine, TemporalEngine};
+
+use std::io::Write;
 
 use crate::args::Args;
 
 type CliResult = Result<(), String>;
 
+/// `println!` into the writer a command was handed. It panics on a closed
+/// pipe as `println!` does, which `main` turns into a quiet exit 0.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).expect("failed printing to stdout")
+    };
+}
+
 const USAGE: &str = "usage: tfq <command> ...
   demo    <dir> [ds1|ds2|ds3] [--scale N] [--mode se|me] [--m2-u U] [--shards N]
           [--index-lag N [--u U | --adaptive EVENTS]]
-  info    <dir> [--shards N]
-  verify  <dir> [--shards N]
+  info    <dir>
+  verify  <dir>
   block   <dir> <number>
-  history <dir> <key> [--shards N]
+  history <dir> <key>
   tx      <dir> <txid-hex>
-  events  <dir> <key> <t1> <t2> [--engine tqf|m1|m2|auto] [--u U] [--shards N]
-  join    <dir> <t1> <t2>       [--engine tqf|m1|m2|auto] [--u U] [--shards N]
+  events  <dir> <key> <t1> <t2> [--engine tqf|m1|m2|auto] [--u U]
+  join    <dir> <t1> <t2>       [--engine tqf|m1|m2|auto] [--u U]
   explain <dir> <key> <t1> <t2> [--engine tqf|m1|m2|auto] [--u U]
   analyze <dir> <key> <t1> <t2> [--engine tqf|m1|m2|auto] [--u U]
-  plan    <dir> <key> <t1> <t2> [--shards N]
+  plan    <dir> <key> <t1> <t2>
   stats   <dir> <t1> <t2>       [--engine tqf|m1|m2|auto] [--u U] [--format table|json|csv]
   trace   <dir> <t1> <t2>       [--key K] [--engine tqf|m1|m2|auto] [--u U]
                                 [--export chrome] [--out PATH] [--workers N]
@@ -44,16 +53,18 @@ const USAGE: &str = "usage: tfq <command> ...
                                 [--limit N]
   planner-report <log.jsonl>
   index   <dir> --u U [--from T1] [--to T2]
+          batch M1 build over a single-partition ledger (index-daemon
+          covers sharded ones)
   index-daemon <dir> [--index-lag N] [--u U | --adaptive EVENTS]
-               [--min-u U] [--max-u U] [--shards N]
+               [--min-u U] [--max-u U]
           one-shot online M1 maintenance: consume committed blocks from the
           persisted watermark, append EV-set deltas, persist progress + the
           per-key adaptive θ map, and exit with the horizon on the tip
-  backup  <dir> <dest-dir> [--shards N]
+  backup  <dir> <dest-dir>
   export-trace <out.csv> [ds1|ds2|ds3] [--scale N]
   replay  <dir> <trace.csv> [--mode se|me] [--m2-u U]
   serve   <dir> [--addr H:P] [--slow-ms N] [--slow-factor F] [--slow-log PATH]
-                [--shards N] [--index-lag N [--u U | --adaptive EVENTS]]
+                [--index-lag N [--u U | --adaptive EVENTS]]
   bench-diff <baseline.json> <current.json> [--time-tol F] [--counter-tol F]
              [--counter-tol-for PAT=F]...
 read-path flags (any command taking <dir>):
@@ -69,10 +80,10 @@ write-path flags (any command taking <dir>):
                              paper's cost model; byte-identical either way)
   --wal-group-commit on|off  coalesce concurrent kvstore writers into one
                              WAL append+fsync (default off)
-  --shards N                 key-range-sharded ledger with N partitions
-                             (demo/info/events/join/plan/serve/history/
-                             verify/index-daemon/backup; the count is
-                             persisted and checked on reopen)
+  --shards N                 demo only: create the ledger as N key-range
+                             partitions. The count is persisted in
+                             <dir>/SHARDS and every other command reads
+                             the layout from there
   --index-lag N              demo/serve/index-daemon: run the M1 indexer
                              daemon, cutting an epoch whenever more than N
                              data blocks are unindexed (default 0)
@@ -165,65 +176,45 @@ fn config_from(args: &Args) -> Result<LedgerConfig, String> {
     Ok(config)
 }
 
-/// The `--shards N` partition count, when given. `0` is rejected; `1` is
-/// a legal single-partition sharded layout (useful for equivalence runs).
-fn shards_from(args: &Args) -> Result<Option<usize>, String> {
-    match args.opt_u64("shards")? {
-        None => Ok(None),
-        Some(0) => Err("--shards must be at least 1".to_string()),
-        Some(n) => Ok(Some(n as usize)),
-    }
-}
-
-fn open_sharded(args: &Args, dir: &str, shards: usize) -> Result<ShardedLedger, String> {
-    ShardedLedger::open(dir, config_from(args)?, shards).map_err(led)
-}
-
-fn open_with(args: &Args, dir: &str) -> Result<Ledger, String> {
-    Ledger::open(dir, config_from(args)?).map_err(led)
+/// Open `<dir>` through the one ledger handle: the layout (a plain
+/// ledger, or N partitions) is read from the directory.
+fn open(args: &Args, dir: &str) -> Result<ShardedLedger, String> {
+    ShardedLedger::open(dir, config_from(args)?).map_err(led)
 }
 
 /// Route `argv` to a command.
 pub fn dispatch(argv: &[String]) -> CliResult {
+    dispatch_to(argv, &mut std::io::stdout())
+}
+
+/// [`dispatch`] with the answers of `verify`, `history`, `events`, `join`
+/// and `plan` (the commands whose output the tests compare) written to
+/// `out`.
+fn dispatch_to(argv: &[String], out: &mut dyn Write) -> CliResult {
     let args = Args::parse(argv)?;
     if let Some(name) = args.unknown_option(OPTIONS) {
         return Err(format!("unknown option '--{name}'\n{USAGE}"));
     }
-    // `--shards` changes the on-disk layout; commands that would silently
-    // open the root directory as a plain ledger must reject it instead.
-    if args.opt("shards").is_some() {
-        let cmd = args.pos_opt(0).unwrap_or("");
-        if !matches!(
-            cmd,
-            "demo"
-                | "info"
-                | "events"
-                | "join"
-                | "plan"
-                | "serve"
-                | "history"
-                | "verify"
-                | "index-daemon"
-                | "backup"
-        ) {
-            return Err(format!(
-                "--shards is not supported by '{cmd}' \
-                 (demo/info/events/join/plan/serve/history/verify/index-daemon/backup only)"
-            ));
-        }
+    // The layout belongs to the directory: `demo` may create one, every
+    // other command reads it back.
+    if args.opt("shards").is_some() && args.pos_opt(0) != Some("demo") {
+        return Err(format!(
+            "--shards is accepted by 'demo' only: the shard count is read from {}/SHARDS",
+            args.pos_opt(1).unwrap_or("<dir>")
+        ));
     }
     match args.pos_opt(0) {
         Some("demo") => demo(&args),
         Some("info") => info(&args),
-        Some("verify") => verify(&args),
+        Some("verify") => verify(&args, out),
         Some("block") => block(&args),
-        Some("history") => history(&args),
+        Some("history") => history(&args, out),
         Some("tx") => tx_lookup(&args),
-        Some("events") => events(&args),
-        Some("join") => join(&args),
+        Some("events") => events(&args, out),
+        Some("join") => join(&args, out),
         Some("explain") => explain(&args),
         Some("analyze") => analyze(&args),
-        Some("plan") => plan(&args),
+        Some("plan") => plan(&args, out),
         Some("stats") => stats(&args),
         Some("trace") => trace(&args),
         Some("profile") => profile(&args),
@@ -260,56 +251,34 @@ fn demo(args: &Args) -> CliResult {
     } else {
         dataset::generate_scaled(id, scale)
     };
-    // With --index-lag the M1 indexer daemon chases the ingest live: it
-    // is spawned before the first block commits and stopped (with a final
+    let config = config_from(args)?;
+    let ledger = std::sync::Arc::new(
+        match args.opt_u64("shards")? {
+            Some(n) => ShardedLedger::create(dir, config, n as usize),
+            None => ShardedLedger::open(dir, config),
+        }
+        .map_err(led)?,
+    );
+    // With --index-lag the M1 indexer daemons chase the ingest live: they
+    // are spawned before the first block commits and stopped (with a final
     // flush) after the last, so the demo ends fully indexed.
-    let daemon_cfg = match args.opt("index-lag") {
-        Some(_) => Some(daemon_config_from(args)?),
+    let daemon = match args.opt("index-lag") {
+        Some(_) => Some(
+            temporal_core::ShardedDaemon::spawn(&ledger, daemon_config_from(args)?).map_err(led)?,
+        ),
         None => None,
     };
-    let report = match shards_from(args)? {
-        Some(n) => {
-            let ledger = std::sync::Arc::new(open_sharded(args, dir, n)?);
-            let daemon = match daemon_cfg {
-                Some(cfg) => Some(temporal_core::ShardedDaemon::spawn(&ledger, cfg).map_err(led)?),
-                None => None,
-            };
-            let report = match args.opt_u64("m2-u")? {
-                Some(u) => ingest_sharded(&ledger, &workload.events, mode, &M2Encoder { u })
-                    .map_err(led)?,
-                None => ingest_sharded(&ledger, &workload.events, mode, &IdentityEncoder)
-                    .map_err(led)?,
-            };
-            if let Some(daemon) = daemon {
-                for (i, r) in daemon.stop().map_err(led)?.iter().enumerate() {
-                    print_daemon_report(&format!("shard {i:>2} daemon: "), r);
-                }
-            }
-            println!("shard heights: {:?}", ledger.heights());
-            report
+    let report = match args.opt_u64("m2-u")? {
+        Some(u) => ingest_sharded(&ledger, &workload.events, mode, &M2Encoder { u }),
+        None => ingest_sharded(&ledger, &workload.events, mode, &IdentityEncoder),
+    }
+    .map_err(led)?;
+    if let Some(daemon) = daemon {
+        for (i, r) in daemon.stop().map_err(led)?.iter().enumerate() {
+            print_daemon_report(&format!("shard {i:>2} daemon: "), r);
         }
-        None => {
-            let ledger = std::sync::Arc::new(open_with(args, dir)?);
-            let daemon = match daemon_cfg {
-                Some(cfg) => Some(
-                    temporal_core::IndexerDaemon::new(ledger.clone(), cfg)
-                        .map_err(led)?
-                        .spawn(),
-                ),
-                None => None,
-            };
-            let report = match args.opt_u64("m2-u")? {
-                Some(u) => {
-                    ingest(&ledger, &workload.events, mode, &M2Encoder { u }).map_err(led)?
-                }
-                None => ingest(&ledger, &workload.events, mode, &IdentityEncoder).map_err(led)?,
-            };
-            if let Some(daemon) = daemon {
-                print_daemon_report("daemon: ", &daemon.stop().map_err(led)?);
-            }
-            report
-        }
-    };
+    }
+    println!("shard heights: {:?}", ledger.heights());
     println!(
         "ingested {id} (scale 1/{scale}, {mode}): {} events, {} txs, {} blocks in {:?}",
         report.events, report.txs, report.blocks, report.wall
@@ -319,84 +288,58 @@ fn demo(args: &Args) -> CliResult {
 }
 
 fn info(args: &Args) -> CliResult {
-    if let Some(n) = shards_from(args)? {
-        let ledger = open_sharded(args, args.pos(1, "dir")?, n)?;
-        let stats = ledger.stats();
-        println!("shards:      {}", ledger.shard_count());
-        println!("height:      {} (global)", ledger.height());
-        for (i, h) in ledger.heights().iter().enumerate() {
-            println!("  shard {i:>2}:  {h} block(s)");
-        }
-        for i in 0..ledger.shard_count() {
-            if let Some(f) = temporal_core::index_freshness(ledger.shard(i)).map_err(led)? {
-                println!("  shard {i:>2} M1: {}", f.render());
-            }
-        }
-        println!("I/O since open (all shards):");
-        for line in stats.to_string().lines() {
-            println!("  {line}");
-        }
-        return Ok(());
-    }
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let stats = ledger.stats();
-    println!("height:      {}", ledger.height());
-    println!("tip hash:    {}", ledger.last_hash());
-    println!(
-        "state keys:  {}",
-        ledger.state_db().key_count().map_err(led)?
-    );
-    println!("pending txs: {}", ledger.pending_txs());
-    if let Some(meta) = read_meta(&ledger).map_err(led)? {
+    println!("shards:      {}", ledger.shard_count());
+    println!("height:      {} (global)", ledger.height());
+    for (i, shard) in ledger.shards().iter().enumerate() {
         println!(
-            "M1 indexes:  u={}, {} epoch(s), indexed through t={}",
-            meta.u,
-            meta.epochs.len(),
-            meta.indexed_to()
+            "shard {i:>2}:    {} block(s), tip {}, {} state key(s), {} pending tx(s)",
+            shard.height(),
+            shard.last_hash(),
+            shard.state_db().key_count().map_err(led)?,
+            shard.pending_txs()
         );
-    } else {
-        println!("M1 indexes:  none");
+        match read_meta(shard).map_err(led)? {
+            Some(meta) => println!(
+                "  M1 indexes: u={}, {} epoch(s), indexed through t={}",
+                meta.u,
+                meta.epochs.len(),
+                meta.indexed_to()
+            ),
+            None => println!("  M1 indexes: none"),
+        }
+        if let Some(f) = temporal_core::index_freshness(shard).map_err(led)? {
+            println!("  M1 horizon: {}", f.render());
+        }
     }
-    if let Some(f) = temporal_core::index_freshness(&ledger).map_err(led)? {
-        println!("M1 horizon:  {}", f.render());
-    }
-    println!("I/O since open:");
+    println!("I/O since open (all shards):");
     for line in stats.to_string().lines() {
         println!("  {line}");
     }
     Ok(())
 }
 
-fn verify(args: &Args) -> CliResult {
+fn verify(args: &Args, out: &mut dyn Write) -> CliResult {
     let started = std::time::Instant::now();
-    if let Some(n) = shards_from(args)? {
-        let ledger = open_sharded(args, args.pos(1, "dir")?, n)?;
-        let tips = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
-        println!(
-            "ok: {} blocks across {} shard(s), every hash chain link, data hash \
-             and tx id verified in {:?}",
-            ledger.height(),
-            ledger.shard_count(),
-            started.elapsed()
-        );
-        for (i, tip) in tips.iter().enumerate() {
-            println!("shard {i:>2} tip: {tip}");
-        }
-        return Ok(());
-    }
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
-    let tip = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
-    println!(
-        "ok: {} blocks, every hash chain link, data hash and tx id verified in {:?}",
+    let ledger = open(args, args.pos(1, "dir")?)?;
+    let tips = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
+    outln!(
+        out,
+        "ok: {} blocks across {} shard(s), every hash chain link, data hash \
+         and tx id verified in {:?}",
         ledger.height(),
+        ledger.shard_count(),
         started.elapsed()
     );
-    println!("tip: {tip}");
+    for (i, tip) in tips.iter().enumerate() {
+        outln!(out, "shard {i:>2} tip: {tip}");
+    }
     Ok(())
 }
 
 fn block(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let num: u64 = args
         .pos(2, "number")?
         .parse()
@@ -427,22 +370,11 @@ fn block(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn history(args: &Args) -> CliResult {
+fn history(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = args.pos(2, "key")?;
-    // A key's entire history lives on its owning shard, so the sharded
-    // route is a plain redirect — the listing below is identical.
-    let sharded;
-    let single;
-    let mut iter = match shards_from(args)? {
-        Some(n) => {
-            sharded = open_sharded(args, args.pos(1, "dir")?, n)?;
-            sharded.get_history_for_key(key.as_bytes()).map_err(led)?
-        }
-        None => {
-            single = open_with(args, args.pos(1, "dir")?)?;
-            single.get_history_for_key(key.as_bytes()).map_err(led)?
-        }
-    };
+    // A key's entire history lives on its owning shard.
+    let ledger = open(args, args.pos(1, "dir")?)?;
+    let mut iter = ledger.get_history_for_key(key.as_bytes()).map_err(led)?;
     let mut n = 0;
     while let Some(state) = iter.next().map_err(led)? {
         n += 1;
@@ -455,34 +387,27 @@ fn history(args: &Args) -> CliResult {
             },
             None => "delete".to_string(),
         };
-        println!(
+        outln!(
+            out,
             "block {:>6} tx {:>3} ts {:>8}: {rendered}",
-            state.block_num, state.tx_num, state.timestamp
+            state.block_num,
+            state.tx_num,
+            state.timestamp
         );
     }
-    println!("{n} state(s)");
+    outln!(out, "{n} state(s)");
     Ok(())
 }
 
 fn backup(args: &Args) -> CliResult {
     let dest = args.pos(2, "dest-dir")?;
     let started = std::time::Instant::now();
-    if let Some(n) = shards_from(args)? {
-        let ledger = open_sharded(args, args.pos(1, "dir")?, n)?;
-        ledger.backup(dest).map_err(led)?;
-        println!(
-            "backed up {} block(s) across {} shard(s) to {dest} in {:?}",
-            ledger.height(),
-            ledger.shard_count(),
-            started.elapsed()
-        );
-        return Ok(());
-    }
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     ledger.backup(dest).map_err(led)?;
     println!(
-        "backed up {} block(s) to {dest} in {:?}",
+        "backed up {} block(s) across {} shard(s) to {dest} in {:?}",
         ledger.height(),
+        ledger.shard_count(),
         started.elapsed()
     );
     Ok(())
@@ -517,11 +442,12 @@ fn replay(args: &Args) -> CliResult {
     };
     let mut events = fabric_workload::trace::load_trace(trace_path).map_err(|e| e.to_string())?;
     events.sort_by_key(|e| (e.time, e.subject));
-    let ledger = open_with(args, dir)?;
+    let ledger = open(args, dir)?;
     let report = match args.opt_u64("m2-u")? {
-        Some(u) => ingest(&ledger, &events, mode, &M2Encoder { u }).map_err(led)?,
-        None => ingest(&ledger, &events, mode, &IdentityEncoder).map_err(led)?,
-    };
+        Some(u) => ingest_sharded(&ledger, &events, mode, &M2Encoder { u }),
+        None => ingest_sharded(&ledger, &events, mode, &IdentityEncoder),
+    }
+    .map_err(led)?;
     println!(
         "replayed {} events as {} txs / {} blocks in {:?}",
         report.events, report.txs, report.blocks, report.wall
@@ -530,29 +456,31 @@ fn replay(args: &Args) -> CliResult {
 }
 
 fn tx_lookup(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let id_hex = args.pos(2, "txid-hex")?;
     let digest = fabric_ledger::Digest::from_hex(id_hex)
         .ok_or_else(|| "txid must be 64 hex chars".to_string())?;
-    match ledger
-        .get_transaction(&fabric_ledger::TxId(digest))
-        .map_err(led)?
-    {
-        Some((tx, block_num, tx_num, code)) => {
-            println!("found in block {block_num}, position {tx_num} [{code:?}]");
-            println!("  timestamp: {}", tx.timestamp);
-            println!("  reads:     {}", tx.reads.len());
-            for w in &tx.writes {
-                let desc = match &w.value {
-                    Some(v) => format!("{} bytes", v.len()),
-                    None => "delete".to_string(),
-                };
-                println!("  write {} = {desc}", String::from_utf8_lossy(&w.key));
-            }
-            Ok(())
+    let id = fabric_ledger::TxId(digest);
+    for (i, shard) in ledger.shards().iter().enumerate() {
+        let Some((tx, block_num, tx_num, code)) = shard.get_transaction(&id).map_err(led)? else {
+            continue;
+        };
+        println!(
+            "found in block {}, position {tx_num} [{code:?}]",
+            ledger.global_block_num(i, block_num)
+        );
+        println!("  timestamp: {}", tx.timestamp);
+        println!("  reads:     {}", tx.reads.len());
+        for w in &tx.writes {
+            let desc = match &w.value {
+                Some(v) => format!("{} bytes", v.len()),
+                None => "delete".to_string(),
+            };
+            println!("  write {} = {desc}", String::from_utf8_lossy(&w.key));
         }
-        None => Err("transaction not found".to_string()),
+        return Ok(());
     }
+    Err("transaction not found".to_string())
 }
 
 fn pick_engine(args: &Args) -> Result<Box<dyn TemporalEngine + Sync>, String> {
@@ -585,34 +513,25 @@ fn parse_tau(args: &Args, first_pos: usize) -> Result<Interval, String> {
     Ok(Interval::new(t1, t2))
 }
 
-fn events(args: &Args) -> CliResult {
+fn events(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
     let engine = pick_engine(args)?;
-    // On a sharded ledger the key's events live wholly on its owning
-    // shard, so the query runs unchanged against that one partition.
-    let sharded;
-    let single;
-    let ledger: &Ledger = match shards_from(args)? {
-        Some(n) => {
-            sharded = open_sharded(args, args.pos(1, "dir")?, n)?;
-            sharded.shard_for_key(&key.key())
-        }
-        None => {
-            single = open_with(args, args.pos(1, "dir")?)?;
-            &single
-        }
-    };
+    // A key's events live wholly on its owning shard, so the query runs
+    // against that one partition.
+    let handle = open(args, args.pos(1, "dir")?)?;
+    let ledger = handle.shard_for_key(&key.key());
     let before = ledger.stats();
     let started = std::time::Instant::now();
     let events = engine.events_for_key(ledger, key, tau).map_err(led)?;
     let wall = started.elapsed();
     for ev in &events {
-        println!("t={:>8} {:?} {}", ev.time, ev.kind, ev.target);
+        outln!(out, "t={:>8} {:?} {}", ev.time, ev.kind, ev.target);
     }
     let d = ledger.stats().delta(&before);
-    println!(
+    outln!(
+        out,
         "{} event(s) via {} in {wall:?} — {} GHFK call(s), {} block(s) deserialized",
         events.len(),
         engine.name(),
@@ -622,29 +541,25 @@ fn events(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn join(args: &Args) -> CliResult {
+fn join(args: &Args, out: &mut dyn Write) -> CliResult {
     let tau = parse_tau(args, 2)?;
     let engine = pick_engine(args)?;
-    let outcome = match shards_from(args)? {
-        Some(n) => {
-            let ledger = open_sharded(args, args.pos(1, "dir")?, n)?;
-            temporal_core::ferry_query_sharded(engine.as_ref(), &ledger, tau, 1).map_err(led)?
-        }
-        None => {
-            let ledger = open_with(args, args.pos(1, "dir")?)?;
-            ferry_query(engine.as_ref(), &ledger, tau).map_err(led)?
-        }
-    };
+    let ledger = open(args, args.pos(1, "dir")?)?;
+    let outcome = ferry_query_parallel(engine.as_ref(), &ledger, tau, 1).map_err(led)?;
     for r in outcome.records.iter().take(20) {
-        println!(
+        outln!(
+            out,
             "shipment {} on truck {} during {}",
-            r.shipment, r.truck, r.span
+            r.shipment,
+            r.truck,
+            r.span
         );
     }
     if outcome.records.len() > 20 {
-        println!("... and {} more", outcome.records.len() - 20);
+        outln!(out, "... and {} more", outcome.records.len() - 20);
     }
-    println!(
+    outln!(
+        out,
         "{} record(s) via {} in {:?} — {} GHFK call(s), {} block(s) deserialized",
         outcome.records.len(),
         engine.name(),
@@ -657,20 +572,21 @@ fn join(args: &Args) -> CliResult {
 
 fn explain(args: &Args) -> CliResult {
     use temporal_core::explain::ExplainQuery;
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let handle = open(args, args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
+    let ledger = handle.shard_for_key(&key.key());
     let tau = parse_tau(args, 3)?;
     let plan = match args.opt("engine").unwrap_or("tqf") {
-        "tqf" => TqfEngine.explain(&ledger, key, tau),
-        "m1" => M1Engine::default().explain(&ledger, key, tau),
+        "tqf" => TqfEngine.explain(ledger, key, tau),
+        "m1" => M1Engine::default().explain(ledger, key, tau),
         "m2" => {
             let u = args
                 .opt_u64("u")?
                 .ok_or_else(|| "--engine m2 requires --u".to_string())?;
-            M2Engine { u }.explain(&ledger, key, tau)
+            M2Engine { u }.explain(ledger, key, tau)
         }
-        "auto" => AutoEngine::default().explain(&ledger, key, tau),
+        "auto" => AutoEngine::default().explain(ledger, key, tau),
         other => return Err(format!("unknown engine '{other}' (tqf|m1|m2|auto)")),
     }
     .map_err(led)?;
@@ -684,20 +600,21 @@ fn explain(args: &Args) -> CliResult {
 }
 
 fn analyze(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let handle = open(args, args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
+    let ledger = handle.shard_for_key(&key.key());
     let tau = parse_tau(args, 3)?;
     let analyzed = match args.opt("engine").unwrap_or("tqf") {
-        "tqf" => explain_analyze(&TqfEngine, &ledger, key, tau),
-        "m1" => explain_analyze(&M1Engine::default(), &ledger, key, tau),
+        "tqf" => explain_analyze(&TqfEngine, ledger, key, tau),
+        "m1" => explain_analyze(&M1Engine::default(), ledger, key, tau),
         "m2" => {
             let u = args
                 .opt_u64("u")?
                 .ok_or_else(|| "--engine m2 requires --u".to_string())?;
-            explain_analyze(&M2Engine { u }, &ledger, key, tau)
+            explain_analyze(&M2Engine { u }, ledger, key, tau)
         }
-        "auto" => explain_analyze(&AutoEngine::default(), &ledger, key, tau),
+        "auto" => explain_analyze(&AutoEngine::default(), ledger, key, tau),
         other => return Err(format!("unknown engine '{other}' (tqf|m1|m2|auto)")),
     }
     .map_err(led)?;
@@ -708,46 +625,31 @@ fn analyze(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn plan(args: &Args) -> CliResult {
+fn plan(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
-    let (choice, freshness) = match shards_from(args)? {
-        Some(n) => {
-            let ledger = open_sharded(args, args.pos(1, "dir")?, n)?;
-            let shard = ledger.shard_for_key(&key.key());
-            (
-                AutoEngine::default()
-                    .choose_sharded(&ledger, key, tau)
-                    .map_err(led)?,
-                temporal_core::index_freshness(shard).map_err(led)?,
-            )
-        }
-        None => {
-            let ledger = open_with(args, args.pos(1, "dir")?)?;
-            (
-                AutoEngine::default()
-                    .choose(&ledger, key, tau)
-                    .map_err(led)?,
-                temporal_core::index_freshness(&ledger).map_err(led)?,
-            )
-        }
-    };
-    print!("{}", choice.render());
+    let handle = open(args, args.pos(1, "dir")?)?;
+    let ledger = handle.shard_for_key(&key.key());
+    let choice = AutoEngine::default()
+        .choose(ledger, key, tau)
+        .map_err(led)?;
+    let freshness = temporal_core::index_freshness(ledger).map_err(led)?;
+    outln!(out, "{}", choice.render().trim_end());
     if let Some(f) = freshness {
-        println!("{}", f.render());
+        outln!(out, "{}", f.render());
     }
     Ok(())
 }
 
 fn stats(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let tau = parse_tau(args, 2)?;
     let engine = pick_engine(args)?;
     let tel = ledger.telemetry();
     tel.enable();
     tel.reset();
-    let outcome = ferry_query(engine.as_ref(), &ledger, tau).map_err(led)?;
+    let outcome = ferry_query_parallel(engine.as_ref(), &ledger, tau, 1).map_err(led)?;
     let report = fabric_telemetry::export::Report::new(tel.snapshot())
         .with("engine", engine.name())
         .with("tau", tau.to_string())
@@ -783,7 +685,8 @@ struct Recorded {
 
 /// The one-process workload driver shared by `trace`, `profile` and
 /// `top`: optional in-process ingest (`--ingest ds --scale N`) followed
-/// by one query (`--key`, `--workers`, `--engine`), all under span
+/// by one query (`--key`, or the join on `--workers` threads per shard;
+/// `--engine`), all under span
 /// recording with queue-depth track points on.
 ///
 /// With `--pipeline on` the commit-stage worker spans (commit.append/
@@ -794,7 +697,7 @@ struct Recorded {
 /// window" and requires `--ingest`.
 fn record_workload(
     args: &Args,
-    ledger: &Ledger,
+    ledger: &ShardedLedger,
     tau: Option<Interval>,
 ) -> Result<Recorded, String> {
     let engine = pick_engine(args)?;
@@ -805,7 +708,7 @@ fn record_workload(
         ),
         None => None,
     };
-    let workers = args.opt_u64("workers")?.unwrap_or(0) as usize;
+    let workers = args.opt_u64("workers")?.unwrap_or(1).max(1) as usize;
 
     let tel = ledger.telemetry();
     let was_enabled = tel.is_enabled();
@@ -830,7 +733,7 @@ fn record_workload(
         } else {
             dataset::generate_scaled(id, scale)
         };
-        let report = ingest(
+        let report = ingest_sharded(
             ledger,
             &workload.events,
             IngestMode::MultiEvent,
@@ -847,38 +750,22 @@ fn record_workload(
     }
     let tau = tau.ok_or_else(|| "need <dir> <t1> <t2> or --ingest ds1|ds2|ds3".to_string())?;
 
-    let query_summary = match (key, workers) {
-        (Some(k), 0) => {
-            let events = engine.events_for_key(ledger, k, tau).map_err(led)?;
+    let query_summary = match key {
+        Some(k) => {
+            let events = engine
+                .events_for_key(ledger.shard_for_key(&k.key()), k, tau)
+                .map_err(led)?;
             format!(
                 "{} event(s) for {k} via {} over {tau}",
                 events.len(),
                 engine.name()
             )
         }
-        (Some(k), w) => {
-            let per_key =
-                temporal_core::events_for_keys_parallel(engine.as_ref(), ledger, &[k], tau, w)
-                    .map_err(led)?;
+        None => {
+            let outcome =
+                ferry_query_parallel(engine.as_ref(), ledger, tau, workers).map_err(led)?;
             format!(
-                "{} event(s) for {k} via {} over {tau} ({w} worker(s))",
-                per_key[0].len(),
-                engine.name()
-            )
-        }
-        (None, 0) => {
-            let outcome = ferry_query(engine.as_ref(), ledger, tau).map_err(led)?;
-            format!(
-                "{} record(s) via {} over {tau}",
-                outcome.records.len(),
-                engine.name()
-            )
-        }
-        (None, w) => {
-            let outcome = temporal_core::ferry_query_parallel(engine.as_ref(), ledger, tau, w)
-                .map_err(led)?;
-            format!(
-                "{} record(s) via {} over {tau} ({w} worker(s))",
+                "{} record(s) via {} over {tau} ({workers} worker(s))",
                 outcome.records.len(),
                 engine.name()
             )
@@ -900,7 +787,7 @@ fn record_workload(
 }
 
 fn trace(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let tau = parse_tau(args, 2)?;
     let export = match args.opt("export") {
         None => None,
@@ -950,9 +837,11 @@ impl Drop for ScratchDir {
 /// like `trace`, or — with `--ingest` and no positional dir — a scratch
 /// ledger living only for this invocation, queried over the dataset's
 /// full window.
-fn open_session(args: &Args) -> Result<(Ledger, Option<Interval>, Option<ScratchDir>), String> {
+fn open_session(
+    args: &Args,
+) -> Result<(ShardedLedger, Option<Interval>, Option<ScratchDir>), String> {
     match args.pos_opt(1) {
-        Some(dir) => Ok((open_with(args, dir)?, Some(parse_tau(args, 2)?), None)),
+        Some(dir) => Ok((open(args, dir)?, Some(parse_tau(args, 2)?), None)),
         None => {
             if args.opt("ingest").is_none() {
                 return Err("need <dir> <t1> <t2> or --ingest ds1|ds2|ds3".to_string());
@@ -963,7 +852,7 @@ fn open_session(args: &Args) -> Result<(Ledger, Option<Interval>, Option<Scratch
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let ledger = open_with(args, dir.to_str().ok_or("temp dir is not utf-8")?)?;
+            let ledger = open(args, dir.to_str().ok_or("temp dir is not utf-8")?)?;
             Ok((ledger, None, Some(ScratchDir(dir))))
         }
     }
@@ -1056,45 +945,6 @@ fn planner_report(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Run one query with telemetry enabled and return a summary line plus the
-/// collected span forest. With a key, only that key's events are traced;
-/// without, the whole ferry join runs under the trace.
-#[cfg(test)]
-fn trace_query(
-    ledger: &Ledger,
-    engine: &dyn TemporalEngine,
-    tau: Interval,
-    key: Option<EntityId>,
-) -> Result<(String, Vec<fabric_telemetry::SpanNode>), fabric_ledger::Error> {
-    let tel = ledger.telemetry();
-    let was_enabled = tel.is_enabled();
-    tel.enable();
-    let _ = tel.drain_spans();
-    let summary = match key {
-        Some(k) => {
-            let events = engine.events_for_key(ledger, k, tau)?;
-            format!(
-                "{} event(s) for {k} via {} over {tau}",
-                events.len(),
-                engine.name()
-            )
-        }
-        None => {
-            let outcome = ferry_query(engine, ledger, tau)?;
-            format!(
-                "{} record(s) via {} over {tau}",
-                outcome.records.len(),
-                engine.name()
-            )
-        }
-    };
-    let tree = tel.span_tree();
-    if !was_enabled {
-        tel.disable();
-    }
-    Ok((summary, tree))
-}
-
 /// The indexer-daemon configuration shared by `index-daemon`, `demo
 /// --index-lag` and `serve --index-lag`: `--index-lag N` bounds how many
 /// data blocks may pile up unindexed; θ comes from `--adaptive EVENTS`
@@ -1140,36 +990,26 @@ fn print_daemon_report(prefix: &str, r: &temporal_core::DaemonReport) {
 fn index_daemon(args: &Args) -> CliResult {
     let dir = args.pos(1, "dir")?;
     let cfg = daemon_config_from(args)?;
-    match shards_from(args)? {
-        Some(n) => {
-            let ledger = std::sync::Arc::new(open_sharded(args, dir, n)?);
-            for i in 0..ledger.shard_count() {
-                let mut daemon =
-                    temporal_core::IndexerDaemon::for_shard(ledger.clone(), i, cfg).map_err(led)?;
-                daemon.catch_up().map_err(led)?;
-                daemon.flush().map_err(led)?;
-                print_daemon_report(&format!("shard {i:>2}: "), &daemon.report());
-            }
-        }
-        None => {
-            let ledger = std::sync::Arc::new(open_with(args, dir)?);
-            let mut daemon = temporal_core::IndexerDaemon::new(ledger, cfg).map_err(led)?;
-            daemon.catch_up().map_err(led)?;
-            daemon.flush().map_err(led)?;
-            print_daemon_report("", &daemon.report());
-        }
+    let ledger = std::sync::Arc::new(open(args, dir)?);
+    for i in 0..ledger.shard_count() {
+        let mut daemon =
+            temporal_core::IndexerDaemon::for_shard(ledger.clone(), i, cfg).map_err(led)?;
+        daemon.catch_up().map_err(led)?;
+        daemon.flush().map_err(led)?;
+        print_daemon_report(&format!("shard {i:>2}: "), &daemon.report());
     }
     Ok(())
 }
 
 fn index(args: &Args) -> CliResult {
-    let ledger = open_with(args, args.pos(1, "dir")?)?;
+    let handle = open(args, args.pos(1, "dir")?)?;
+    let ledger = handle.sole().map_err(led)?;
     let u = args
         .opt_u64("u")?
         .ok_or_else(|| "index requires --u".to_string())?;
     let from = match args.opt_u64("from")? {
         Some(t) => t,
-        None => read_meta(&ledger)
+        None => read_meta(ledger)
             .map_err(led)?
             .map_or(0, |m| m.indexed_to()),
     };
@@ -1200,7 +1040,7 @@ fn index(args: &Args) -> CliResult {
         .collect();
     let strategy = FixedLength { u };
     let report = M1Indexer::fixed(&strategy)
-        .run_epoch(&ledger, &keys, Interval::new(from, to))
+        .run_epoch(ledger, &keys, Interval::new(from, to))
         .map_err(led)?;
     println!(
         "indexed ({from}, {to}] for {} key(s): {} index pair(s), {} tx(s), {} block(s) read, {:?}",
@@ -1218,8 +1058,19 @@ mod tests {
     use super::*;
 
     fn run(args: &[&str]) -> CliResult {
+        printed(args).map(drop)
+    }
+
+    /// Dispatch `args`, returning what the command wrote to its writer.
+    fn printed(args: &[&str]) -> Result<String, String> {
         let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        dispatch(&argv)
+        let mut out = Vec::new();
+        dispatch_to(&argv, &mut out)?;
+        Ok(String::from_utf8(out).unwrap())
+    }
+
+    fn open_default(dir: &TempDir) -> ShardedLedger {
+        ShardedLedger::open(dir.s(), LedgerConfig::default()).unwrap()
     }
 
     struct TempDir(std::path::PathBuf);
@@ -1235,6 +1086,15 @@ mod tests {
         }
         fn s(&self) -> &str {
             self.0.to_str().unwrap()
+        }
+        /// Sorted names directly under the directory (`ls`).
+        fn ls(&self) -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
         }
     }
     impl Drop for TempDir {
@@ -1299,12 +1159,15 @@ mod tests {
     fn trace_tree_nests_at_least_three_levels() {
         let dir = TempDir::new("depth");
         run(&["demo", dir.s(), "ds3", "--scale", "300"]).unwrap();
-        let ledger = Ledger::open(dir.s(), LedgerConfig::default()).unwrap();
-        let (_, tree) = trace_query(&ledger, &TqfEngine, Interval::new(0, 5000), None).unwrap();
+        let args = Args::parse(&[]).unwrap();
+        let rec =
+            record_workload(&args, &open_default(&dir), Some(Interval::new(0, 5000))).unwrap();
+        let tree = fabric_telemetry::build_tree(rec.records);
         let depth = tree.iter().map(|n| n.depth()).max().unwrap_or(0);
         assert!(depth >= 3, "span tree depth {depth} < 3");
         let rendered = fabric_telemetry::render_tree(&tree);
-        assert!(rendered.contains("query.ferry"), "{rendered}");
+        assert!(rendered.contains("query.ferry.parallel"), "{rendered}");
+        assert!(rendered.contains("ferry.shipments"), "{rendered}");
         assert!(rendered.contains("ghfk"), "{rendered}");
         assert!(rendered.contains("block.deserialize"), "{rendered}");
     }
@@ -1353,14 +1216,15 @@ mod tests {
         let log_path = std::env::temp_dir().join(format!("tfq-plog-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&log_path);
         {
-            let ledger = Ledger::open(dir.s(), LedgerConfig::default()).unwrap();
+            let handle = open_default(&dir);
+            let ledger = handle.sole().unwrap();
             let log = temporal_core::PlannerLog::open(&log_path).unwrap();
             log.set_dataset("ds3");
             let auto = temporal_core::AutoEngine::with_log(log);
             for t2 in [2000u64, 5000] {
                 let key = EntityId::from_key(b"S00000").unwrap();
                 let mut cur = auto
-                    .events_cursor(&ledger, key, Interval::new(0, t2))
+                    .events_cursor(ledger, key, Interval::new(0, t2))
                     .unwrap();
                 while cur.next_event().unwrap().is_some() {}
             }
@@ -1533,19 +1397,19 @@ mod tests {
     fn sharded_lifecycle_through_dispatch() {
         let dir = TempDir::new("sharded");
         run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
-        run(&["info", dir.s(), "--shards", "2"]).unwrap();
-        run(&["events", dir.s(), "S00001", "0", "5000", "--shards", "2"]).unwrap();
-        run(&["join", dir.s(), "0", "5000", "--shards", "2"]).unwrap();
-        run(&["plan", dir.s(), "S00001", "0", "5000", "--shards", "2"]).unwrap();
+        run(&["info", dir.s()]).unwrap();
+        run(&["events", dir.s(), "S00001", "0", "5000"]).unwrap();
+        run(&["join", dir.s(), "0", "5000"]).unwrap();
+        run(&["plan", dir.s(), "S00001", "0", "5000"]).unwrap();
         // Every dir-taking read command accepts the sharded layout.
-        run(&["history", dir.s(), "S00001", "--shards", "2"]).unwrap();
-        run(&["verify", dir.s(), "--shards", "2"]).unwrap();
+        run(&["history", dir.s(), "S00001"]).unwrap();
+        run(&["verify", dir.s()]).unwrap();
         // Reopening with a different partition count is rejected.
-        assert!(run(&["info", dir.s(), "--shards", "3"]).is_err());
+        assert!(run(&["demo", dir.s(), "ds3", "--shards", "3"]).is_err());
         assert!(run(&["demo", dir.s(), "ds3", "--shards", "0"]).is_err());
-        // Commands that would misread the sharded layout reject the flag.
+        // The layout is the directory's: read commands refuse the flag.
         let err = run(&["block", dir.s(), "0", "--shards", "2"]).unwrap_err();
-        assert!(err.contains("not supported"), "{err}");
+        assert!(err.contains("/SHARDS"), "{err}");
     }
 
     #[test]
@@ -1553,12 +1417,12 @@ mod tests {
         let dir = TempDir::new("shbk-src");
         let dst = TempDir::new("shbk-dst");
         run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "4"]).unwrap();
-        run(&["backup", dir.s(), dst.s(), "--shards", "4"]).unwrap();
+        run(&["backup", dir.s(), dst.s()]).unwrap();
         // The backup is a full sharded ledger: verifiable and queryable.
-        run(&["verify", dst.s(), "--shards", "4"]).unwrap();
-        run(&["events", dst.s(), "S00001", "0", "5000", "--shards", "4"]).unwrap();
+        run(&["verify", dst.s()]).unwrap();
+        run(&["events", dst.s(), "S00001", "0", "5000"]).unwrap();
         // Wrong count against the backup's SHARDS meta is rejected.
-        assert!(run(&["info", dst.s(), "--shards", "2"]).is_err());
+        assert!(run(&["demo", dst.s(), "ds3", "--shards", "2"]).is_err());
     }
 
     #[test]
@@ -1585,10 +1449,10 @@ mod tests {
     fn index_daemon_sharded_and_adaptive_through_dispatch() {
         let dir = TempDir::new("idxd-sh");
         run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
-        run(&["index-daemon", dir.s(), "--shards", "2", "--adaptive", "8"]).unwrap();
-        run(&["info", dir.s(), "--shards", "2"]).unwrap();
-        run(&["events", dir.s(), "S00001", "0", "5000", "--shards", "2"]).unwrap();
-        run(&["plan", dir.s(), "S00001", "0", "5000", "--shards", "2"]).unwrap();
+        run(&["index-daemon", dir.s(), "--adaptive", "8"]).unwrap();
+        run(&["info", dir.s()]).unwrap();
+        run(&["events", dir.s(), "S00001", "0", "5000"]).unwrap();
+        run(&["plan", dir.s(), "S00001", "0", "5000"]).unwrap();
     }
 
     #[test]
@@ -1613,24 +1477,138 @@ mod tests {
         run(&["verify", dir.s()]).unwrap();
     }
 
+    /// Every `<dir>` command against a plain and a 2-shard directory, with
+    /// no layout flag: it answers what the library computes for that
+    /// directory, or refuses the multi-shard one by name.
+    #[test]
+    fn every_command_reads_the_layout_from_the_directory() {
+        let plain = TempDir::new("table-plain");
+        let sharded = TempDir::new("table-sharded");
+        run(&["demo", plain.s(), "ds3", "--scale", "4"]).unwrap();
+        run(&["demo", sharded.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
+        assert_eq!(plain.ls(), ["blocks", "index", "state"]);
+        assert_eq!(sharded.ls(), ["SHARDS", "shard-00", "shard-01"]);
+        let csv = std::env::temp_dir().join(format!("tfq-table-{}.csv", std::process::id()));
+        let csv = csv.to_str().unwrap();
+        run(&["export-trace", csv, "ds3", "--scale", "300"]).unwrap();
+
+        for (dir, shards) in [(&plain, 1usize), (&sharded, 2)] {
+            let ls = dir.ls();
+            let tau = Interval::new(0, 5000);
+            let key = EntityId::from_key(b"S00001").unwrap();
+            // What the compared commands must print, from the library.
+            let ledger = open_default(dir);
+            let shard = ledger.shard_for_key(&key.key());
+            let join = ferry_query_parallel(&TqfEngine, &ledger, tau, 1).unwrap();
+            assert!(!join.records.is_empty());
+            let before = shard.stats();
+            let events = TqfEngine.events_for_key(shard, key, tau).unwrap().len();
+            let cost = shard.stats().delta(&before);
+            let history = shard.get_history_for_key(&key.key()).unwrap();
+            let history = history.collect_all().unwrap().len();
+            let choice = AutoEngine::default().choose(shard, key, tau).unwrap();
+            let tips = ledger.verify_chain().unwrap();
+            let tips = tips.iter().enumerate();
+            let txid = ledger.get_block(1).unwrap().txs[0].id.0.to_string();
+            drop(ledger);
+
+            // (arguments after `<dir>`, text the output must hold; `{}`
+            // stands for a wall time, the one part that varies).
+            let compared = [
+                (
+                    "verify",
+                    tips.map(|(i, tip)| format!("shard {i:>2} tip: {tip}\n"))
+                        .collect(),
+                ),
+                ("history S00001", format!("{history} state(s)")),
+                (
+                    "events S00001 0 5000",
+                    format!(
+                        "{events} event(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
+                        cost.ghfk_calls, cost.blocks_deserialized
+                    ),
+                ),
+                (
+                    "join 0 5000",
+                    format!(
+                        "{} record(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
+                        join.records.len(),
+                        join.stats.ghfk_calls(),
+                        join.stats.blocks_deserialized()
+                    ),
+                ),
+                ("plan S00001 0 5000", choice.render()),
+            ];
+            let tx = format!("tx {txid}");
+            let ran = ["info", "block 1", &tx, "explain S00001 0 5000"];
+            let ran = ran.into_iter().chain([
+                "analyze S00001 0 5000",
+                "stats 0 5000",
+                "trace 0 5000",
+                "profile 0 5000",
+                "top 0 5000",
+            ]);
+            let lines = compared.iter().map(|(line, want)| (*line, want.as_str()));
+            for (line, want) in lines.chain(ran.map(|line| (line, ""))) {
+                let mut argv: Vec<&str> = line.split(' ').collect();
+                argv.insert(1, dir.s());
+                let out = printed(&argv).unwrap_or_else(|e| panic!("{line}: {e}"));
+                let mut rest = out.as_str();
+                for piece in want.split("{}") {
+                    let at = rest.find(piece).unwrap_or_else(|| {
+                        panic!("{line} on {shards} shard(s): no {want:?} in:\n{out}")
+                    });
+                    rest = &rest[at + piece.len()..];
+                }
+                assert_eq!(dir.ls(), ls, "{line} is read-only");
+                // The layout is never a flag outside `demo`.
+                argv.extend(["--shards", "2"]);
+                let err = run(&argv).unwrap_err();
+                assert!(err.contains("/SHARDS"), "{line} --shards: {err}");
+            }
+
+            // Commands that write: whole-ledger ones run per shard, the
+            // single-partition one refuses a sharded directory by name.
+            match run(&["index", dir.s(), "--u", "2000"]) {
+                Ok(()) => assert_eq!(shards, 1),
+                Err(e) => assert!(shards == 2 && e.contains("has 2 shards"), "{e}"),
+            }
+            run(&["index-daemon", dir.s(), "--u", "2000"]).unwrap();
+            let dest = TempDir::new(&format!("table-backup-{shards}"));
+            run(&["backup", dir.s(), dest.s()]).unwrap();
+            assert_eq!(dest.ls(), ls, "a backup keeps the layout");
+            run(&["verify", dest.s()]).unwrap();
+            run(&["replay", dir.s(), csv]).unwrap();
+            run(&["demo", dir.s(), "ds3", "--scale", "300"]).unwrap();
+            run(&["verify", dir.s()]).unwrap();
+            assert_eq!(dir.ls(), ls, "no command changes the layout");
+        }
+        // `demo --shards` creates a layout; it cannot convert a plain one
+        // or change the count of a sharded one.
+        let err = run(&["demo", plain.s(), "ds3", "--shards", "2"]).unwrap_err();
+        assert!(err.contains("plain ledger"), "{err}");
+        assert_eq!(plain.ls(), ["blocks", "index", "state"]);
+        assert!(run(&["demo", sharded.s(), "ds3", "--shards", "3"]).is_err());
+        let _ = std::fs::remove_file(csv);
+    }
+
     #[test]
     fn sharded_join_matches_single_shard() {
         let plain = TempDir::new("parity-plain");
         let sharded = TempDir::new("parity-sharded");
         run(&["demo", plain.s(), "ds3", "--scale", "4"]).unwrap();
         run(&["demo", sharded.s(), "ds3", "--scale", "4", "--shards", "4"]).unwrap();
-        let q = |dir: &str, extra: &[&str]| {
-            let ledger_args: Vec<&str> = ["join", dir, "0", "5000"]
-                .iter()
-                .chain(extra)
-                .copied()
-                .collect();
-            run(&ledger_args).unwrap()
+        // The same command line on either layout prints the same records.
+        let records = |dir: &str| {
+            let out = printed(&["join", dir, "0", "5000"]).unwrap();
+            out.split_once(" in ").unwrap().0.to_string()
         };
-        // Both succeed; record-level parity is asserted in the core and
-        // integration tests — here we exercise the full dispatch path.
-        q(plain.s(), &[]);
-        q(sharded.s(), &["--shards", "4"]);
+        let plain_records = records(plain.s());
+        assert!(
+            plain_records.ends_with("record(s) via TQF"),
+            "{plain_records}"
+        );
+        assert_eq!(records(sharded.s()), plain_records);
     }
 
     #[test]

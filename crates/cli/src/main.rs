@@ -1,7 +1,7 @@
 //! `tfq` — build, inspect and query temporal-fabric ledgers from the shell.
 //!
 //! ```text
-//! tfq demo    <dir> [ds1|ds2|ds3] [--scale N] [--mode se|me] [--m2-u U]
+//! tfq demo    <dir> [ds1|ds2|ds3] [--scale N] [--mode se|me] [--m2-u U] [--shards N]
 //! tfq info    <dir>
 //! tfq verify  <dir>
 //! tfq block   <dir> <number>

@@ -4,15 +4,15 @@
 //! The server wires three always-on observability pieces together:
 //!
 //! * every scrape of `/metrics` refreshes the ledger's occupancy gauges
-//!   ([`fabric_ledger::Ledger::publish_gauges`]) and renders the registry
-//!   in Prometheus text format;
+//!   ([`fabric_ledger::ShardedLedger::publish_gauges`]) and renders the
+//!   registry in Prometheus text format;
 //! * `/flight` dumps the flight recorder (recently completed spans);
 //! * `--slow-ms` / `--slow-factor` install a slow-query log whose JSONL
 //!   records go to `--slow-log <path>` or stderr.
 
 use std::sync::Arc;
 
-use fabric_ledger::{Ledger, LedgerConfig, ShardedLedger};
+use fabric_ledger::{LedgerConfig, ShardedLedger};
 use fabric_telemetry::{MetricsServer, SlowLogConfig, Telemetry};
 use temporal_bench::regress::{diff, BenchFile, DiffConfig};
 
@@ -28,26 +28,9 @@ type CliResult = Result<(), String>;
 pub fn serve(args: &Args) -> CliResult {
     let dir = args.pos(1, "dir")?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:9464");
-    // With `--shards N` the scrape hook publishes per-shard gauges
-    // (`ledger.shard.<i>.blocks` / `.events`) alongside the totals.
-    enum Opened {
-        Single(Arc<Ledger>),
-        Sharded(Arc<ShardedLedger>),
-    }
-    let opened = match args.opt_u64("shards")? {
-        Some(0) => return Err("--shards must be at least 1".to_string()),
-        Some(n) => Opened::Sharded(Arc::new(
-            ShardedLedger::open(dir, LedgerConfig::default(), n as usize)
-                .map_err(|e| e.to_string())?,
-        )),
-        None => Opened::Single(Arc::new(
-            Ledger::open(dir, LedgerConfig::default()).map_err(|e| e.to_string())?,
-        )),
-    };
-    let tel: Telemetry = match &opened {
-        Opened::Single(l) => l.telemetry().clone(),
-        Opened::Sharded(l) => l.telemetry().clone(),
-    };
+    let ledger =
+        Arc::new(ShardedLedger::open(dir, LedgerConfig::default()).map_err(|e| e.to_string())?);
+    let tel: Telemetry = ledger.telemetry().clone();
     tel.enable();
 
     let slow_ms = args.opt_u64("slow-ms")?;
@@ -74,49 +57,24 @@ pub fn serve(args: &Args) -> CliResult {
         tel.install_slow_log(config, sink);
     }
 
-    // With --index-lag an M1 indexer daemon chases the chain tip for the
-    // server's lifetime (one per shard on a sharded ledger), stopped with
-    // a final flush when the server exits.
-    enum Daemon {
-        None,
-        Single(temporal_core::DaemonHandle),
-        Sharded(temporal_core::ShardedDaemon),
-    }
+    // With --index-lag one M1 indexer daemon per shard chases the chain
+    // tip for the server's lifetime, stopped with a final flush when the
+    // server exits.
     let daemon = if args.opt("index-lag").is_some() {
         let cfg = crate::commands::daemon_config_from(args)?;
-        match &opened {
-            Opened::Single(l) => Daemon::Single(
-                temporal_core::IndexerDaemon::new(l.clone(), cfg)
-                    .map_err(|e| e.to_string())?
-                    .spawn(),
-            ),
-            Opened::Sharded(l) => Daemon::Sharded(
-                temporal_core::ShardedDaemon::spawn(l, cfg).map_err(|e| e.to_string())?,
-            ),
-        }
+        Some(temporal_core::ShardedDaemon::spawn(&ledger, cfg).map_err(|e| e.to_string())?)
     } else {
-        Daemon::None
+        None
     };
 
-    // Every scrape refreshes the occupancy gauges and the M1 freshness
-    // gauges (`m1.indexed_horizon` / `m1.lag_blocks` /
-    // `m1.theta_generations`) from the on-chain watermark records.
-    let collect: Box<dyn Fn(&Telemetry) + Send + Sync> = match &opened {
-        Opened::Single(l) => {
-            let l = l.clone();
-            Box::new(move |_tel| {
-                l.publish_gauges();
-                let _ = temporal_core::publish_m1_gauges(&l);
-            })
-        }
-        Opened::Sharded(l) => {
-            let l = l.clone();
-            Box::new(move |_tel| {
-                l.publish_gauges();
-                let _ = temporal_core::publish_m1_gauges_sharded(&l);
-            })
-        }
-    };
+    // Every scrape refreshes the occupancy gauges (totals plus per-shard
+    // `ledger.shard.<i>.blocks` / `.events`) and the M1 freshness gauges
+    // (`m1.indexed_horizon` / `m1.lag_blocks` / `m1.theta_generations`)
+    // from the on-chain watermark records.
+    let collect: Box<dyn Fn(&Telemetry) + Send + Sync> = Box::new(move |_tel| {
+        ledger.publish_gauges();
+        let _ = temporal_core::publish_m1_gauges_sharded(&ledger);
+    });
     let mut server = MetricsServer::bind(addr, tel, Some(collect))
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     if let Some(n) = args.opt_u64("requests")? {
@@ -130,14 +88,8 @@ pub fn serve(args: &Args) -> CliResult {
     }
     println!("serving http://{bound}/metrics  /healthz  /flight  (ledger: {dir})");
     let outcome = server.run().map_err(|e| e.to_string());
-    match daemon {
-        Daemon::None => {}
-        Daemon::Single(handle) => {
-            handle.stop().map_err(|e| e.to_string())?;
-        }
-        Daemon::Sharded(daemons) => {
-            daemons.stop().map_err(|e| e.to_string())?;
-        }
+    if let Some(daemon) = daemon {
+        daemon.stop().map_err(|e| e.to_string())?;
     }
     outcome
 }
@@ -229,6 +181,24 @@ mod tests {
         }
     }
 
+    /// The address a `serve --addr-file` thread bound, once it has
+    /// written it.
+    fn bound_addr(addr_file: &std::path::Path) -> std::net::SocketAddr {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            if let Ok(text) = std::fs::read_to_string(addr_file) {
+                if let Ok(addr) = text.trim().parse() {
+                    return addr;
+                }
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "addr file never appeared"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+
     fn bench_json(dir: &TempDir, name: &str, join_s: f64, blocks: f64) -> String {
         let mut f = BenchFile::new("table1", MachineInfo::capture(100));
         f.insert("ds3/se/tqf/join_s", join_s, MetricKind::Time);
@@ -315,8 +285,6 @@ mod tests {
         let argv: Vec<String> = [
             "serve",
             ledger_dir.to_str().unwrap(),
-            "--shards",
-            "2",
             "--addr",
             "127.0.0.1:0",
             "--addr-file",
@@ -328,21 +296,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let server = std::thread::spawn(move || dispatch(&argv));
-        let addr = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            loop {
-                if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                    if let Ok(addr) = text.trim().parse::<std::net::SocketAddr>() {
-                        break addr;
-                    }
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "addr file never appeared"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
+        let addr = bound_addr(&addr_file);
         let (code, metrics) = fabric_telemetry::http_get(addr, "/metrics").unwrap();
         assert_eq!(code, 200);
         for g in [
@@ -356,18 +310,9 @@ mod tests {
             assert!(metrics.contains(g), "missing {g}: {metrics}");
         }
         server.join().unwrap().unwrap();
-        // Mismatched shard count cannot serve.
-        assert!(run(&[
-            "serve",
-            ledger_dir.to_str().unwrap(),
-            "--shards",
-            "3",
-            "--addr",
-            "127.0.0.1:0",
-            "--requests",
-            "1",
-        ])
-        .is_err());
+        // The layout comes from the directory, never from a flag.
+        let err = run(&["serve", ledger_dir.to_str().unwrap(), "--shards", "2"]).unwrap_err();
+        assert!(err.contains("/SHARDS"), "{err}");
     }
 
     #[test]
@@ -405,21 +350,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let server = std::thread::spawn(move || dispatch(&argv));
-        let addr = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            loop {
-                if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                    if let Ok(addr) = text.trim().parse::<std::net::SocketAddr>() {
-                        break addr;
-                    }
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "addr file never appeared"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
+        let addr = bound_addr(&addr_file);
         let (code, metrics) = fabric_telemetry::http_get(addr, "/metrics").unwrap();
         assert_eq!(code, 200);
         server.join().unwrap().unwrap();
@@ -464,21 +395,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let server = std::thread::spawn(move || dispatch(&argv));
-        let addr = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            loop {
-                if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                    if let Ok(addr) = text.trim().parse::<std::net::SocketAddr>() {
-                        break addr;
-                    }
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "addr file never appeared"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
+        let addr = bound_addr(&addr_file);
         let (code, health) = fabric_telemetry::http_get(addr, "/healthz").unwrap();
         assert_eq!((code, health.as_str()), (200, "ok\n"));
         let (code, _) = fabric_telemetry::http_get(addr, "/nope").unwrap();

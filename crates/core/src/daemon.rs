@@ -749,23 +749,11 @@ pub fn index_freshness(ledger: &Ledger) -> Result<Option<IndexFreshness>> {
     }))
 }
 
-/// Publish the `m1.indexed_horizon` / `m1.lag_blocks` /
-/// `m1.theta_generations` gauges from the on-chain records (scrape-time
-/// refresh for `/metrics`; works whether or not a daemon is running).
-pub fn publish_m1_gauges(ledger: &Ledger) -> Result<()> {
-    let Some(f) = index_freshness(ledger)? else {
-        return Ok(());
-    };
-    let reg = ledger.telemetry().registry();
-    reg.gauge("m1.indexed_horizon").set(f.indexed_to as i64);
-    reg.gauge("m1.lag_blocks").set(f.lag_blocks as i64);
-    reg.gauge("m1.theta_generations").set(f.generation as i64);
-    Ok(())
-}
-
-/// Sharded variant of [`publish_m1_gauges`]: per-shard gauges plus
-/// conservative aggregates (worst horizon, worst lag, highest
-/// generation) under the plain names.
+/// Publish the M1 freshness gauges from the on-chain records (scrape-time
+/// refresh for `/metrics`; works whether or not a daemon is running):
+/// `m1.shard.<i>.{indexed_horizon,lag_blocks,theta_generations}` per
+/// shard, plus conservative aggregates (worst horizon, worst lag, highest
+/// generation) under the plain `m1.*` names.
 pub fn publish_m1_gauges_sharded(ledger: &ShardedLedger) -> Result<()> {
     let reg = ledger.telemetry().registry();
     let mut worst_horizon = u64::MAX;

@@ -76,8 +76,8 @@ pub use base_api::M2BaseApi;
 pub use calibrate::{CalibratedCursor, CalibrationGroup, PlannerLog, PlannerRecord};
 pub use cursor::{drain, EventCursor};
 pub use daemon::{
-    index_freshness, publish_m1_gauges, publish_m1_gauges_sharded, DaemonConfig, DaemonHandle,
-    DaemonMeta, DaemonReport, IndexFreshness, IndexerDaemon, ShardedDaemon, ThetaPolicy,
+    index_freshness, publish_m1_gauges_sharded, DaemonConfig, DaemonHandle, DaemonMeta,
+    DaemonReport, IndexFreshness, IndexerDaemon, ShardedDaemon, ThetaPolicy,
 };
 pub use engine::{list_keys_sharded, TemporalEngine};
 pub use evset::{EvSet, TemporalEvent};
@@ -86,9 +86,7 @@ pub use interval::Interval;
 pub use join::{build_stays, ferry_query, FerryRecord, JoinOutcome, Span, Stay, StayBuilder};
 pub use m1::{M1Engine, M1Indexer, M1Maintenance};
 pub use m2::{M2Encoder, M2Engine};
-pub use parallel::{
-    events_for_keys_parallel, events_for_keys_sharded, ferry_query_parallel, ferry_query_sharded,
-};
+pub use parallel::{events_for_keys_parallel, ferry_query_parallel};
 pub use partition::{EventCountBalanced, FixedLength, PartitionStrategy};
 pub use planner::{AccessPath, AutoEngine, PlanChoice};
 pub use stats::{measure, QueryStats, SimCostModel};

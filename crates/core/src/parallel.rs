@@ -25,8 +25,8 @@ use fabric_workload::{EntityId, EntityKind, Event};
 
 use crate::engine::TemporalEngine;
 use crate::interval::Interval;
-use crate::join::{temporal_join, JoinOutcome, StayBuilder};
-use crate::stats::measure;
+use crate::join::{temporal_join, JoinOutcome, Stay, StayBuilder};
+use crate::stats::QueryStats;
 
 /// Bounded per-slot buffer: the most events a worker may run ahead of the
 /// consumer on any single key.
@@ -190,146 +190,35 @@ where
     Ok(peak.load(Ordering::Relaxed))
 }
 
-/// Retrieve events for every key in `keys` using `workers` threads.
-/// Results come back in `keys` order regardless of scheduling.
-pub fn events_for_keys_parallel(
-    engine: &(dyn TemporalEngine + Sync),
-    ledger: &Ledger,
-    keys: &[EntityId],
-    tau: Interval,
-    workers: usize,
-) -> Result<Vec<Vec<Event>>> {
-    let mut out: Vec<Vec<Event>> = Vec::new();
-    out.resize_with(keys.len(), Vec::new);
-    stream_events_parallel(engine, ledger, keys, tau, workers, |i, ev| {
-        out[i].push(ev);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// Parallel version of [`crate::join::ferry_query`]: identical output,
-/// per-key retrieval fanned out over `workers` threads with bounded
-/// buffering — stays are folded incrementally as events stream out of the
-/// slot channels, never materializing per-key event vectors.
-pub fn ferry_query_parallel(
-    engine: &(dyn TemporalEngine + Sync),
-    ledger: &Ledger,
-    tau: Interval,
-    workers: usize,
-) -> Result<JoinOutcome> {
-    let mut query_span = ledger
-        .telemetry()
-        .span("query.ferry.parallel")
-        .with_label(format!(
-            "{} tau=({},{}] workers={workers}",
-            engine.name(),
-            tau.start,
-            tau.end
-        ));
-    let mut events_scanned = 0usize;
-    let mut retrieval_wall = std::time::Duration::ZERO;
-    let mut peak_buffered_events = 0usize;
-    let (records, stats) = measure(ledger, || -> Result<_> {
-        let shipments = engine.list_keys(ledger, EntityKind::Shipment)?;
-        let containers = engine.list_keys(ledger, EntityKind::Container)?;
-        let t0 = std::time::Instant::now();
-        let mut fold = |keys: &[EntityId]| -> Result<HashMap<EntityId, Vec<crate::join::Stay>>> {
-            let mut builders: Vec<StayBuilder> =
-                keys.iter().map(|_| StayBuilder::new(tau)).collect();
-            let peak = stream_events_parallel(engine, ledger, keys, tau, workers, |i, ev| {
-                events_scanned += 1;
-                builders[i].push(&ev);
-                Ok(())
-            })?;
-            peak_buffered_events = peak_buffered_events.max(peak);
-            Ok(keys
-                .iter()
-                .copied()
-                .zip(builders.into_iter().map(StayBuilder::finish))
-                .collect())
-        };
-        let shipment_stays = fold(&shipments)?;
-        let container_stays = fold(&containers)?;
-        retrieval_wall = t0.elapsed();
-        Ok(temporal_join(&shipment_stays, &container_stays))
-    })?;
-    query_span.record("records", records.len() as u64);
-    query_span.record("events_scanned", events_scanned as u64);
-    query_span.record("blocks", stats.blocks_deserialized());
-    query_span.record("workers", workers as u64);
-    query_span.record("peak_buffered", peak_buffered_events as u64);
-    Ok(JoinOutcome {
-        records,
-        events_scanned,
-        stats,
-        retrieval_wall,
-        peak_buffered_events,
-    })
-}
-
-/// Span name for per-shard query fan-out work; like
-/// [`fabric_ledger::sharded::SHARD_COMMIT_SPAN`], the `shard.` prefix plus
-/// a `shard <i>` label routes these spans to per-shard lanes in the chrome
-/// exporter.
+/// Span name for per-shard query fan-out work (see
+/// [`ShardedLedger::for_each_shard`]).
 pub const SHARD_QUERY_SPAN: &str = "shard.query";
 
-fn shard_worker_panic() -> Error {
-    Error::Io {
-        context: SHARD_QUERY_SPAN.to_string(),
-        source: std::io::Error::other("shard query worker panicked"),
-    }
-}
-
-/// Retrieve events for every key in `keys` from a [`ShardedLedger`]:
-/// keys group by owning shard, each shard's group fans out over `workers`
-/// threads via [`events_for_keys_parallel`] on its own scoped thread, and
-/// per-key results scatter back into `keys` order. Output is identical to
-/// querying a single-shard ledger holding the same data.
-pub fn events_for_keys_sharded(
+/// Retrieve events for every key in `keys`: keys group by owning shard,
+/// each shard streams its group on `workers` threads, and per-key results
+/// scatter back into `keys` order regardless of scheduling or shard count.
+pub fn events_for_keys_parallel(
     engine: &(dyn TemporalEngine + Sync),
     ledger: &ShardedLedger,
     keys: &[EntityId],
     tau: Interval,
     workers: usize,
 ) -> Result<Vec<Vec<Event>>> {
-    let n = ledger.shard_count();
-    let mut groups: Vec<(Vec<usize>, Vec<EntityId>)> =
-        (0..n).map(|_| (Vec::new(), Vec::new())).collect();
-    for (i, &key) in keys.iter().enumerate() {
-        let s = ledger.shard_index_for_key(&key.key());
-        groups[s].0.push(i);
-        groups[s].1.push(key);
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ledger.shard_count()];
+    for (i, key) in keys.iter().enumerate() {
+        groups[ledger.shard_index_for_key(&key.key())].push(i);
     }
-    let tel = ledger.telemetry();
-    let ctx = tel.current_context();
-    let mut out: Vec<Vec<Event>> = Vec::new();
-    out.resize_with(keys.len(), Vec::new);
-    let gathered = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (s, (indices, shard_keys)) in groups.iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let shard = ledger.shard(s);
-            let handle = scope.spawn(move || {
-                let _g = tel
-                    .span_in(SHARD_QUERY_SPAN, ctx)
-                    .with_label(format!("shard {s}"));
-                events_for_keys_parallel(engine, shard, shard_keys, tau, workers)
-            });
-            handles.push((indices, handle));
-        }
-        handles
-            .into_iter()
-            .map(|(indices, h)| match h.join() {
-                Ok(r) => r.map(|events| (indices, events)),
-                Err(_) => Err(shard_worker_panic()),
-            })
-            .collect::<Vec<_>>()
-    });
-    for entry in gathered {
-        let (indices, events) = entry?;
+    let gathered = ledger.for_each_shard(SHARD_QUERY_SPAN, |s, shard| {
+        let shard_keys: Vec<EntityId> = groups[s].iter().map(|&i| keys[i]).collect();
+        let mut events = vec![Vec::new(); shard_keys.len()];
+        stream_events_parallel(engine, shard, &shard_keys, tau, workers, |i, ev| {
+            events[i].push(ev);
+            Ok(())
+        })?;
+        Ok(events)
+    })?;
+    let mut out = vec![Vec::new(); keys.len()];
+    for (indices, events) in groups.iter().zip(gathered) {
         for (&i, evs) in indices.iter().zip(events) {
             out[i] = evs;
         }
@@ -337,98 +226,94 @@ pub fn events_for_keys_sharded(
     Ok(out)
 }
 
-/// Sharded version of [`crate::join::ferry_query`]: every shard folds its
-/// own keys' stays concurrently (each internally fanned out over
-/// `workers` threads with the same bounded-slot streaming as
-/// [`ferry_query_parallel`]), then one global temporal join runs over the
-/// merged stay maps. Because the router keeps each entity wholly on one
-/// shard, the merged maps — and so the join records — are identical to a
-/// single-shard ledger's.
-pub fn ferry_query_sharded(
+/// Stream the cursors of `keys` on `workers` threads into one stay list
+/// per key, never materializing a key's event vector. Adds the events
+/// seen to `scanned` and raises `peak` to the most buffered at once.
+fn fold_stays(
+    engine: &(dyn TemporalEngine + Sync),
+    ledger: &Ledger,
+    keys: &[EntityId],
+    tau: Interval,
+    workers: usize,
+    (scanned, peak): (&mut usize, &mut usize),
+) -> Result<HashMap<EntityId, Vec<Stay>>> {
+    let mut builders: Vec<StayBuilder> = keys.iter().map(|_| StayBuilder::new(tau)).collect();
+    let buffered = stream_events_parallel(engine, ledger, keys, tau, workers, |i, ev| {
+        *scanned += 1;
+        builders[i].push(&ev);
+        Ok(())
+    })?;
+    *peak = (*peak).max(buffered);
+    Ok(keys
+        .iter()
+        .copied()
+        .zip(builders.into_iter().map(StayBuilder::finish))
+        .collect())
+}
+
+/// Parallel version of [`crate::join::ferry_query`] over the ledger handle:
+/// every shard folds its own keys' stays (concurrently when there are
+/// several, each fanned out over `workers` threads with bounded
+/// buffering), then one global temporal join runs over the merged stay
+/// maps. The router keeps each entity wholly on one shard, so the merged
+/// maps, and so the join records, are those of a plain ledger holding the
+/// same data.
+pub fn ferry_query_parallel(
     engine: &(dyn TemporalEngine + Sync),
     ledger: &ShardedLedger,
     tau: Interval,
     workers: usize,
 ) -> Result<JoinOutcome> {
-    struct ShardStays {
-        shipments: HashMap<EntityId, Vec<crate::join::Stay>>,
-        containers: HashMap<EntityId, Vec<crate::join::Stay>>,
-        events_scanned: usize,
-        peak: usize,
-    }
     let tel = ledger.telemetry();
-    let mut query_span = tel.span("query.ferry.sharded").with_label(format!(
+    let mut query_span = tel.span("query.ferry.parallel").with_label(format!(
         "{} tau=({},{}] shards={} workers={workers}",
         engine.name(),
         tau.start,
         tau.end,
         ledger.shard_count()
     ));
-    let ctx = tel.current_context();
     let before = ledger.stats();
     let start = Instant::now();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            ledger
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(s, shard)| {
-                    scope.spawn(move || -> Result<ShardStays> {
-                        let _g = tel
-                            .span_in(SHARD_QUERY_SPAN, ctx)
-                            .with_label(format!("shard {s}"));
-                        let shipments = engine.list_keys(shard, EntityKind::Shipment)?;
-                        let containers = engine.list_keys(shard, EntityKind::Container)?;
-                        let mut events_scanned = 0usize;
-                        let mut peak = 0usize;
-                        let mut fold =
-                        |keys: &[EntityId]| -> Result<HashMap<EntityId, Vec<crate::join::Stay>>> {
-                            let mut builders: Vec<StayBuilder> =
-                                keys.iter().map(|_| StayBuilder::new(tau)).collect();
-                            let p =
-                                stream_events_parallel(engine, shard, keys, tau, workers, |i, ev| {
-                                    events_scanned += 1;
-                                    builders[i].push(&ev);
-                                    Ok(())
-                                })?;
-                            peak = peak.max(p);
-                            Ok(keys
-                                .iter()
-                                .copied()
-                                .zip(builders.into_iter().map(StayBuilder::finish))
-                                .collect())
-                        };
-                        let shipments = fold(&shipments)?;
-                        let containers = fold(&containers)?;
-                        Ok(ShardStays {
-                            shipments,
-                            containers,
-                            events_scanned,
-                            peak,
-                        })
-                    })
-                })
-                .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err(shard_worker_panic())))
-            .collect::<Vec<_>>()
-    });
+    // The stage spans are those of the serial `ferry_query`; with several
+    // shards each set nests under its shard's `shard.query` span.
+    let folded = ledger.for_each_shard(SHARD_QUERY_SPAN, |_, shard| {
+        let (shipments, containers) = {
+            let _s = tel.span("ferry.list_keys");
+            (
+                engine.list_keys(shard, EntityKind::Shipment)?,
+                engine.list_keys(shard, EntityKind::Container)?,
+            )
+        };
+        let retrieval = Instant::now();
+        let (mut scanned, mut peak) = (0usize, 0usize);
+        let mut fold = |phase: &'static str, keys: &[EntityId]| {
+            let _s = tel.span(phase);
+            fold_stays(engine, shard, keys, tau, workers, (&mut scanned, &mut peak))
+        };
+        let stays = (
+            fold("ferry.shipments", &shipments)?,
+            fold("ferry.containers", &containers)?,
+        );
+        Ok((stays, scanned, peak, retrieval.elapsed()))
+    })?;
     let mut shipment_stays = HashMap::new();
     let mut container_stays = HashMap::new();
     let mut events_scanned = 0usize;
     let mut peak_buffered_events = 0usize;
-    for r in results {
-        let s = r?;
-        shipment_stays.extend(s.shipments);
-        container_stays.extend(s.containers);
-        events_scanned += s.events_scanned;
-        peak_buffered_events = peak_buffered_events.max(s.peak);
+    // Shards retrieve concurrently, so the slowest one is the wall time.
+    let mut retrieval_wall = std::time::Duration::ZERO;
+    for ((shipments, containers), scanned, peak, retrieval) in folded {
+        shipment_stays.extend(shipments);
+        container_stays.extend(containers);
+        events_scanned += scanned;
+        peak_buffered_events = peak_buffered_events.max(peak);
+        retrieval_wall = retrieval_wall.max(retrieval);
     }
-    let retrieval_wall = start.elapsed();
-    let records = temporal_join(&shipment_stays, &container_stays);
-    let stats = crate::stats::QueryStats {
+    let records = {
+        let _s = tel.span("ferry.join");
+        temporal_join(&shipment_stays, &container_stays)
+    };
+    let stats = QueryStats {
         wall: start.elapsed(),
         io: ledger.stats().delta(&before),
     };
@@ -437,6 +322,7 @@ pub fn ferry_query_sharded(
     query_span.record("blocks", stats.blocks_deserialized());
     query_span.record("shards", ledger.shard_count() as u64);
     query_span.record("workers", workers as u64);
+    query_span.record("peak_buffered", peak_buffered_events as u64);
     Ok(JoinOutcome {
         records,
         events_scanned,
@@ -479,18 +365,19 @@ mod tests {
     fn parallel_tqf_matches_sequential() {
         let dir = TempDir::new("tqf");
         let workload = generate_scaled(DatasetId::Ds3, 60);
-        let ledger = fabric_ledger::Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let ledger = handle.sole().unwrap();
         ingest(
-            &ledger,
+            ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &IdentityEncoder,
         )
         .unwrap();
         let tau = Interval::new(0, workload.params.t_max / 2);
-        let seq = ferry_query(&TqfEngine, &ledger, tau).unwrap();
+        let seq = ferry_query(&TqfEngine, ledger, tau).unwrap();
         for workers in [1, 2, 4, 8] {
-            let par = ferry_query_parallel(&TqfEngine, &ledger, tau, workers).unwrap();
+            let par = ferry_query_parallel(&TqfEngine, &handle, tau, workers).unwrap();
             assert_eq!(par.records, seq.records, "workers={workers}");
             assert_eq!(par.events_scanned, seq.events_scanned);
         }
@@ -501,9 +388,10 @@ mod tests {
         let dir = TempDir::new("m2");
         let workload = generate_scaled(DatasetId::Ds3, 60);
         let u = workload.params.t_max / 10;
-        let ledger = fabric_ledger::Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let ledger = handle.sole().unwrap();
         ingest(
-            &ledger,
+            ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &M2Encoder { u },
@@ -511,8 +399,8 @@ mod tests {
         .unwrap();
         let tau = Interval::new(workload.params.t_max / 4, workload.params.t_max / 2);
         let engine = M2Engine { u };
-        let seq = ferry_query(&engine, &ledger, tau).unwrap();
-        let par = ferry_query_parallel(&engine, &ledger, tau, 4).unwrap();
+        let seq = ferry_query(&engine, ledger, tau).unwrap();
+        let par = ferry_query_parallel(&engine, &handle, tau, 4).unwrap();
         assert_eq!(par.records, seq.records);
     }
 
@@ -520,9 +408,10 @@ mod tests {
     fn worker_count_edge_cases() {
         let dir = TempDir::new("edges");
         let workload = generate_scaled(DatasetId::Ds3, 100);
-        let ledger = fabric_ledger::Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let ledger = handle.sole().unwrap();
         ingest(
-            &ledger,
+            ledger,
             &workload.events,
             IngestMode::SingleEvent,
             &IdentityEncoder,
@@ -531,11 +420,11 @@ mod tests {
         let keys = workload.keys();
         let tau = Interval::new(0, workload.params.t_max);
         // workers = 0 clamps to 1; workers > keys clamps down.
-        let a = events_for_keys_parallel(&TqfEngine, &ledger, &keys, tau, 0).unwrap();
-        let b = events_for_keys_parallel(&TqfEngine, &ledger, &keys, tau, 1000).unwrap();
+        let a = events_for_keys_parallel(&TqfEngine, &handle, &keys, tau, 0).unwrap();
+        let b = events_for_keys_parallel(&TqfEngine, &handle, &keys, tau, 1000).unwrap();
         assert_eq!(a, b);
         // Empty key list.
-        let none = events_for_keys_parallel(&TqfEngine, &ledger, &[], tau, 4).unwrap();
+        let none = events_for_keys_parallel(&TqfEngine, &handle, &[], tau, 4).unwrap();
         assert!(none.is_empty());
     }
 
@@ -546,68 +435,83 @@ mod tests {
         let sharded_dir = TempDir::new("sharded-4");
         // Factor 4 keeps enough distinct entities to populate 4 shards.
         let workload = generate_scaled(DatasetId::Ds3, 4);
-        let plain = fabric_ledger::Ledger::open(&plain_dir.0, LedgerConfig::default()).unwrap();
-        ingest(
-            &plain,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        let sharded = ShardedLedger::open(&sharded_dir.0, LedgerConfig::default(), 4).unwrap();
-        ingest_sharded(
-            &sharded,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
+        let plain = ShardedLedger::open(&plain_dir.0, LedgerConfig::default()).unwrap();
+        let sharded = ShardedLedger::create(&sharded_dir.0, LedgerConfig::default(), 4).unwrap();
+        for ledger in [&plain, &sharded] {
+            ingest_sharded(
+                ledger,
+                &workload.events,
+                IngestMode::MultiEvent,
+                &IdentityEncoder,
+            )
+            .unwrap();
+        }
         let tau = Interval::new(0, workload.params.t_max / 2);
-        let seq = ferry_query(&TqfEngine, &plain, tau).unwrap();
-        let shd = ferry_query_sharded(&TqfEngine, &sharded, tau, 2).unwrap();
+        let seq = ferry_query(&TqfEngine, plain.sole().unwrap(), tau).unwrap();
+        let shd = ferry_query_parallel(&TqfEngine, &sharded, tau, 2).unwrap();
         assert_eq!(shd.records, seq.records);
         assert_eq!(shd.events_scanned, seq.events_scanned);
         // Key listing merges shards back to the single-ledger list.
-        let kinds = crate::engine::list_keys_sharded(
-            &TqfEngine,
-            &sharded,
-            fabric_workload::EntityKind::Shipment,
-        )
-        .unwrap();
+        let shipments = fabric_workload::EntityKind::Shipment;
         assert_eq!(
-            kinds,
+            crate::engine::list_keys_sharded(&TqfEngine, &sharded, shipments).unwrap(),
             TqfEngine
-                .list_keys(&plain, fabric_workload::EntityKind::Shipment)
+                .list_keys(plain.sole().unwrap(), shipments)
                 .unwrap()
         );
         // Per-key retrieval scatters back into input order.
         let keys = workload.keys();
         let a = events_for_keys_parallel(&TqfEngine, &plain, &keys, tau, 2).unwrap();
-        let b = events_for_keys_sharded(&TqfEngine, &sharded, &keys, tau, 2).unwrap();
+        let b = events_for_keys_parallel(&TqfEngine, &sharded, &keys, tau, 2).unwrap();
         assert_eq!(a, b);
+        // Either layout records the serial query's stage spans: one set per
+        // partition (under its `shard.query` when there are several) and
+        // the one global join.
+        for ledger in [&plain, &sharded] {
+            let tel = ledger.telemetry();
+            tel.enable();
+            let _ = tel.drain_spans();
+            let out = ferry_query_parallel(&TqfEngine, ledger, tau, 1).unwrap();
+            assert!(out.retrieval_wall <= out.stats.wall);
+            let tree = tel.span_tree();
+            assert_eq!(tree.len(), 1, "one root: query.ferry.parallel");
+            let rendered = fabric_telemetry::render_tree(&tree);
+            let n = ledger.shard_count();
+            for (span, count) in [
+                ("query.ferry.parallel", 1),
+                (SHARD_QUERY_SPAN, if n == 1 { 0 } else { n }),
+                ("ferry.list_keys", n),
+                ("ferry.shipments", n),
+                ("ferry.containers", n),
+                ("ferry.join", 1),
+            ] {
+                assert_eq!(rendered.matches(span).count(), count, "{span}:\n{rendered}");
+            }
+        }
     }
 
     #[test]
     fn parallel_streaming_keeps_buffering_bounded() {
         let dir = TempDir::new("bounded");
         let workload = generate_scaled(DatasetId::Ds3, 60);
-        let ledger = fabric_ledger::Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
+        let ledger = handle.sole().unwrap();
         ingest(
-            &ledger,
+            ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &IdentityEncoder,
         )
         .unwrap();
         let tau = Interval::new(0, workload.params.t_max);
-        let par = ferry_query_parallel(&TqfEngine, &ledger, tau, 4).unwrap();
+        let par = ferry_query_parallel(&TqfEngine, &handle, tau, 4).unwrap();
         let keys = workload.keys().len();
         assert!(
             par.peak_buffered_events <= SLOT_CAPACITY * keys,
             "peak {} exceeds hard bound",
             par.peak_buffered_events
         );
-        let seq = ferry_query(&TqfEngine, &ledger, tau).unwrap();
+        let seq = ferry_query(&TqfEngine, ledger, tau).unwrap();
         assert_eq!(seq.peak_buffered_events, 0, "serial path never buffers");
         assert_eq!(par.records, seq.records);
     }

@@ -173,13 +173,13 @@ fn distinct_blocks(profile: &[HistoryEntryMeta], entries: usize) -> u64 {
 /// or the daemon's watermark bump — changes at least one component.
 type ProbeStamp = (u64, u64, u64);
 
-/// Cached `(key, θ)` occupancy probes for one shard. A θ cell's
+/// Cached `(key, θ)` occupancy probes. A θ cell's
 /// occupancy is immutable once its epoch commits (the indexer only ever
 /// appends new cells past the horizon), so entries never go stale within
 /// a stamp; the stamp mismatch on indexer progress clears the map, which
 /// also bounds its memory to one index generation's working set.
 #[derive(Debug, Default)]
-struct ShardProbes {
+struct Probes {
     stamp: ProbeStamp,
     map: HashMap<bytes::Bytes, bool>,
 }
@@ -201,10 +201,9 @@ struct ShardProbes {
 pub struct AutoEngine {
     /// Optional calibration sink shared across queries.
     pub log: Option<std::sync::Arc<crate::calibrate::PlannerLog>>,
-    /// Occupancy-probe cache, keyed by shard index (0 on a plain
-    /// ledger). Shared across clones so every worker thread planning on
-    /// the same engine reuses — and invalidates — one cache.
-    probes: Arc<Mutex<HashMap<u64, ShardProbes>>>,
+    /// Occupancy-probe cache. Shared across clones so every worker thread
+    /// planning on the same engine reuses — and invalidates — one cache.
+    probes: Arc<Mutex<Probes>>,
 }
 
 impl AutoEngine {
@@ -229,12 +228,10 @@ impl AutoEngine {
         ledger: &Ledger,
         key: EntityId,
         thetas: &[Interval],
-        shard: u64,
         stamp: ProbeStamp,
     ) -> Result<u64> {
         let tel = ledger.telemetry();
-        let mut probes = self.probes.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = probes.entry(shard).or_default();
+        let mut entry = self.probes.lock().unwrap_or_else(|e| e.into_inner());
         if entry.stamp != stamp {
             entry.map.clear();
             entry.stamp = stamp;
@@ -264,43 +261,14 @@ impl AutoEngine {
     /// Plan `(key, tau)` without executing: derive block bounds for the
     /// candidate paths and pick one. Cheap — metadata and index reads
     /// only, no block is deserialized.
-    /// Plan `(key, tau)` against a [`fabric_ledger::ShardedLedger`]: route
-    /// to the shard owning `key` and plan there. The per-shard ledger's
-    /// block geometry is exactly what a cursor will traverse, so the
-    /// bounds are as tight as on a single-shard ledger.
-    pub fn choose_sharded(
-        &self,
-        ledger: &fabric_ledger::ShardedLedger,
-        key: EntityId,
-        tau: Interval,
-    ) -> Result<PlanChoice> {
-        let shard = ledger.shard_index_for_key(&key.key()) as u64;
-        self.choose_in(ledger.shard(shard as usize), key, tau, shard)
-    }
-
-    /// Plan `(key, tau)` without executing: derive block bounds for the
-    /// candidate paths and pick one. Cheap — metadata and index reads
-    /// only, no block is deserialized.
     pub fn choose(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<PlanChoice> {
-        self.choose_in(ledger, key, tau, 0)
-    }
-
-    /// [`AutoEngine::choose`] with an explicit shard index for the probe
-    /// cache — the shard's cache slot must match the ledger handed in.
-    fn choose_in(
-        &self,
-        ledger: &Ledger,
-        key: EntityId,
-        tau: Interval,
-        shard: u64,
-    ) -> Result<PlanChoice> {
         let meta = m1::read_meta(ledger)?;
         let profile = ledger.history_profile(&key.key())?;
         let (path, reason, tqf_blocks, m1_blocks) = if let Some(meta) = &meta {
             let tqf_blocks = scan_block_bounds(&profile, tau.end);
             let thetas = m1::overlapping_thetas(ledger, key, tau, meta)?;
             let stamp = (meta.u, meta.indexed_to(), meta.epochs.len() as u64);
-            let occupied = self.occupied_theta_blocks(ledger, key, &thetas, shard, stamp)?;
+            let occupied = self.occupied_theta_blocks(ledger, key, &thetas, stamp)?;
             let (mut m1_lo, mut m1_hi) = (occupied, occupied);
             let residual = m1::residual_window(tau, meta.indexed_to());
             if let Some(window) = residual {

@@ -65,5 +65,5 @@ pub use error::{Error, Result};
 pub use memtable::Slot;
 pub use metrics::MetricsSnapshot;
 pub use options::{Backend, Options};
-pub use store::{prefix_end, KvStore, RangeIter, StorageStats};
+pub use store::{fsync_dir, prefix_end, KvStore, RangeIter, StorageStats};
 pub use vlog::{LogRangeIter, LogStore};

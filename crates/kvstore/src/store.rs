@@ -114,7 +114,7 @@ impl std::fmt::Debug for KvStore {
 
 /// Make `dir`'s entry list (names created, renamed or unlinked in it)
 /// durable. A file's own `sync_all` covers its bytes, not its name.
-pub(crate) fn fsync_dir(dir: &Path) -> Result<()> {
+pub fn fsync_dir(dir: &Path) -> Result<()> {
     File::open(dir)
         .and_then(|d| d.sync_all())
         .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), e))

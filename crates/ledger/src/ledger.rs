@@ -34,6 +34,7 @@ use crate::hash::Digest;
 use crate::index::{BlockIndexEntry, ChainTip, HistoryLocation, LedgerIndex};
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::orderer::BlockCutter;
+use crate::sharded::{holds_sharded_layout, SHARDS_META};
 use crate::statedb::{StateDb, VersionedValue};
 use crate::tx::{BlockNum, Timestamp, Transaction, TxNum, ValidationCode, Version};
 
@@ -468,6 +469,15 @@ impl Ledger {
         tel: Telemetry,
     ) -> Result<Self> {
         let dir = dir.into();
+        // Opening the root of a sharded layout would create an empty
+        // ledger beside the partitions that hold the data.
+        if holds_sharded_layout(&dir) {
+            return Err(Error::InvalidArgument(format!(
+                "{} holds a sharded ledger ({SHARDS_META} or shard-00): \
+                 open it with ShardedLedger::open",
+                dir.display()
+            )));
+        }
         let stats = IoStats::new_shared();
         let blockfiles = Arc::new(BlockFileManager::open_with_telemetry(
             dir.join("blocks"),

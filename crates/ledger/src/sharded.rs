@@ -18,9 +18,18 @@
 //! land on the same shard index deterministically, and any contiguous
 //! block of entity ordinals (the shape every generator here produces)
 //! spreads evenly over the partitions. Any other key falls back to a
-//! first-byte stripe. Both rules are pure functions of the key bytes:
-//! re-opening with the same shard count routes identically (the count is
-//! persisted in a `SHARDS` meta file and verified on reopen).
+//! first-byte stripe. Both rules are pure functions of the key bytes and
+//! the shard count, so the count is fixed when the ledger is created.
+//!
+//! ## Layout
+//!
+//! [`ShardedLedger::create`] records the count in a `SHARDS` meta file
+//! beside the `shard-NN` partition directories. [`ShardedLedger::open`]
+//! reads the layout back from the directory: with a `SHARDS` file, that
+//! many partitions; without one, a single partition rooted at the
+//! directory itself, which is exactly what [`Ledger::open`] writes. A plain
+//! ledger is therefore this type's one-shard case and nothing moves on
+//! disk to make it so.
 //!
 //! ## Deterministic global block numbering
 //!
@@ -29,7 +38,9 @@
 //! route the same transactions produce the same global numbering
 //! regardless of thread scheduling.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use bytes::Bytes;
 
@@ -43,9 +54,20 @@ use crate::ledger::{HistoryIterator, Ledger};
 use crate::statedb::VersionedValue;
 use crate::tx::{BlockNum, Timestamp, Transaction};
 
-/// Span name used for per-shard commit work; the chrome exporter groups
-/// spans with this prefix (labelled `shard <i>`) into per-shard lanes.
+/// Span name used for per-shard commit work (see
+/// [`ShardedLedger::for_each_shard`]).
 pub const SHARD_COMMIT_SPAN: &str = "shard.commit";
+
+/// Meta file, directly under the root, holding a sharded layout's
+/// partition count. A ledger directory without it is a plain ledger.
+pub(crate) const SHARDS_META: &str = "SHARDS";
+
+/// Whether `dir` is the root of a sharded layout: its `SHARDS` file, or a
+/// first partition whose `SHARDS` is missing (a backup torn before its last
+/// step). Such a root is never a plain ledger.
+pub(crate) fn holds_sharded_layout(dir: &Path) -> bool {
+    dir.join(SHARDS_META).exists() || dir.join("shard-00").exists()
+}
 
 /// Number of ordinals in the structured-key space (`00000..=99999`).
 const ORDINAL_SPACE: usize = 100_000;
@@ -105,7 +127,8 @@ impl ShardRouter {
     }
 }
 
-/// A ledger split into N key-range partitions committing concurrently.
+/// The ledger handle: N key-range partitions committing concurrently,
+/// where a plain ledger directory is the `N = 1` case.
 ///
 /// Query APIs mirror [`Ledger`]'s: point lookups route to the owning
 /// shard, range scans merge across shards, and [`ShardedLedger::shards`]
@@ -133,10 +156,12 @@ impl ShardedLedger {
     /// above any sensible fan-out on one machine).
     pub const MAX_SHARDS: usize = 64;
 
-    /// Open (or create) a sharded ledger rooted at `dir` with `shards`
-    /// partitions, each under `dir/shard-NN`. Telemetry starts disabled.
-    pub fn open(dir: impl Into<PathBuf>, config: LedgerConfig, shards: usize) -> Result<Self> {
-        Self::open_with_telemetry(dir, config, shards, Telemetry::disabled())
+    /// Open the ledger at `dir` in the layout the directory holds: a
+    /// `SHARDS` file means that many `shard-NN` partitions, none means one
+    /// partition rooted at `dir` itself (created when `dir` is new), the
+    /// layout [`Ledger::open`] writes. Telemetry starts disabled.
+    pub fn open(dir: impl Into<PathBuf>, config: LedgerConfig) -> Result<Self> {
+        Self::open_with_telemetry(dir, config, Telemetry::disabled())
     }
 
     /// [`ShardedLedger::open`] sharing one `tel` handle across every
@@ -145,9 +170,19 @@ impl ShardedLedger {
     pub fn open_with_telemetry(
         dir: impl Into<PathBuf>,
         config: LedgerConfig,
-        shards: usize,
         tel: Telemetry,
     ) -> Result<Self> {
+        let dir = dir.into();
+        let shards = Self::read_meta(&dir)?;
+        Self::open_partitions(dir, config, shards, tel)
+    }
+
+    /// Create a ledger of `shards` partitions under `dir/shard-NN`, or
+    /// reopen one created with the same count. The router is a pure
+    /// function of the count, so a different count is refused (it would
+    /// orphan existing keys on their old shards), and so is a directory
+    /// that already holds a plain ledger.
+    pub fn create(dir: impl Into<PathBuf>, config: LedgerConfig, shards: usize) -> Result<Self> {
         let dir = dir.into();
         if shards == 0 || shards > Self::MAX_SHARDS {
             return Err(Error::InvalidArgument(format!(
@@ -155,49 +190,89 @@ impl ShardedLedger {
                 Self::MAX_SHARDS
             )));
         }
-        Self::check_meta(&dir, shards)?;
-        let mut parts = Vec::with_capacity(shards);
-        for i in 0..shards {
-            parts.push(Ledger::open_with_telemetry(
-                dir.join(format!("shard-{i:02}")),
-                config.clone(),
-                tel.clone(),
-            )?);
+        match Self::read_meta(&dir)? {
+            Some(stored) if stored != shards => {
+                return Err(Error::InvalidArgument(format!(
+                    "ledger at {} has {stored} shards, asked to create {shards}",
+                    dir.display()
+                )));
+            }
+            Some(_) => {}
+            None if dir.join("blocks").exists() => {
+                return Err(Error::InvalidArgument(format!(
+                    "{} holds a plain ledger (no {SHARDS_META} file); \
+                     it cannot be re-created with {shards} shards",
+                    dir.display()
+                )));
+            }
+            None => {
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| Error::io("creating sharded ledger dir".to_string(), e))?;
+                Self::install_meta(&dir, shards)?;
+            }
         }
+        Self::open_partitions(dir, config, Some(shards), Telemetry::disabled())
+    }
+
+    fn open_partitions(
+        dir: PathBuf,
+        config: LedgerConfig,
+        shards: Option<usize>,
+        tel: Telemetry,
+    ) -> Result<Self> {
+        let open = |part: PathBuf| Ledger::open_with_telemetry(part, config.clone(), tel.clone());
+        let parts = match shards {
+            None => vec![open(dir.clone())?],
+            Some(n) => (0..n)
+                .map(|i| open(dir.join(format!("shard-{i:02}"))))
+                .collect::<Result<Vec<_>>>()?,
+        };
         Ok(ShardedLedger {
             dir,
-            router: ShardRouter::new(shards),
+            router: ShardRouter::new(parts.len()),
             shards: parts,
             tel,
         })
     }
 
-    /// Persist the shard count on first open; reject a mismatching reopen
-    /// (the router is a pure function of the count, so changing it would
-    /// silently orphan existing keys on their old shards).
-    fn check_meta(dir: &Path, shards: usize) -> Result<()> {
-        let meta = dir.join("SHARDS");
+    /// The partition count recorded in `dir/SHARDS`; `None` when there is
+    /// no such file (a plain ledger, or nothing yet).
+    fn read_meta(dir: &Path) -> Result<Option<usize>> {
+        let meta = dir.join(SHARDS_META);
         match std::fs::read_to_string(&meta) {
-            Ok(text) => {
-                let stored: usize = text.trim().parse().map_err(|_| {
-                    Error::corruption(&meta, format!("unparseable shard count {text:?}"))
-                })?;
-                if stored != shards {
-                    return Err(Error::InvalidArgument(format!(
-                        "ledger at {} has {stored} shards, asked to open with {shards}",
-                        dir.display()
-                    )));
-                }
-                Ok(())
-            }
+            Ok(text) => match text.trim().parse() {
+                Ok(n) if (1..=Self::MAX_SHARDS).contains(&n) => Ok(Some(n)),
+                _ => Err(Error::corruption(
+                    &meta,
+                    format!("unparseable shard count {text:?}"),
+                )),
+            },
+            // Partitions without the count are a backup torn before its
+            // last step; opening the root as a plain ledger would hide them.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| Error::io("creating sharded ledger dir".to_string(), e))?;
-                std::fs::write(&meta, format!("{shards}\n"))
-                    .map_err(|e| Error::io("writing SHARDS meta".to_string(), e))
+                if holds_sharded_layout(dir) {
+                    Err(Error::corruption(&meta, "missing beside shard-00"))
+                } else {
+                    Ok(None)
+                }
             }
             Err(e) => Err(Error::io("reading SHARDS meta".to_string(), e)),
         }
+    }
+
+    /// Durably publish `dir/SHARDS`. A crash leaves the whole file or none:
+    /// a torn count would make every partition under `dir` unreachable.
+    fn install_meta(dir: &Path, shards: usize) -> Result<()> {
+        let tmp = dir.join("SHARDS.tmp");
+        std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(format!("{shards}\n").as_bytes())?;
+                f.sync_all()
+            })
+            .map_err(|e| Error::io(format!("writing {}", tmp.display()), e))?;
+        std::fs::rename(&tmp, dir.join(SHARDS_META))
+            .map_err(|e| Error::io(format!("installing {SHARDS_META} in {}", dir.display()), e))?;
+        Ok(fabric_kvstore::fsync_dir(dir)?)
     }
 
     /// Number of partitions.
@@ -216,6 +291,20 @@ impl ShardedLedger {
         &self.shards[i]
     }
 
+    /// The ledger itself, for whole-ledger logic with no multi-partition
+    /// form; an error naming the count when there is more than one.
+    pub fn sole(&self) -> Result<&Ledger> {
+        match self.shards.as_slice() {
+            [only] => Ok(only),
+            many => Err(Error::InvalidArgument(format!(
+                "ledger at {} has {} shards; this operation needs a \
+                 single-partition ledger",
+                self.dir.display(),
+                many.len()
+            ))),
+        }
+    }
+
     /// The key→shard router.
     pub fn router(&self) -> &ShardRouter {
         &self.router
@@ -229,6 +318,46 @@ impl ShardedLedger {
     /// The shard owning `key`.
     pub fn shard_for_key(&self, key: &[u8]) -> &Ledger {
         &self.shards[self.router.route(key)]
+    }
+
+    /// Run `work(shard index, partition)` on every partition and return the
+    /// results in shard order. One partition runs inline; several run on a
+    /// scoped thread each, under a `span` span labelled `shard <i>` (the
+    /// chrome exporter groups `shard.`-prefixed spans into per-shard lanes).
+    pub fn for_each_shard<T: Send>(
+        &self,
+        span: &'static str,
+        work: impl Fn(usize, &Ledger) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        if let [only] = self.shards.as_slice() {
+            return Ok(vec![work(0, only)?]);
+        }
+        let ctx = self.tel.current_context();
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    scope.spawn(move || {
+                        let _s = self.tel.span_in(span, ctx).with_label(format!("shard {i}"));
+                        work(i, shard)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(Error::io(
+                            span.to_string(),
+                            std::io::Error::other("shard worker panicked"),
+                        ))
+                    })
+                })
+                .collect()
+        })
     }
 
     /// Global block number of shard `i`'s local block `b`.
@@ -248,55 +377,31 @@ impl ShardedLedger {
     }
 
     /// Route a batch by key range and commit the per-shard slices
-    /// concurrently (one scoped thread per non-empty shard). Returns the
+    /// concurrently (see [`ShardedLedger::for_each_shard`]). Returns the
     /// global numbers of every block cut, sorted.
     pub fn commit_split(&self, txs: Vec<Transaction>) -> Result<Vec<BlockNum>> {
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<Transaction>> = vec![Vec::new(); n];
+        let mut per_shard: Vec<Vec<Transaction>> = vec![Vec::new(); self.shards.len()];
         for tx in txs {
             per_shard[self.router.route_tx(&tx)].push(tx);
         }
-        let ctx = self.tel.current_context();
-        let mut blocks = Vec::new();
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (i, slice) in per_shard.into_iter().enumerate() {
-                if slice.is_empty() {
-                    continue;
-                }
-                let shard = &self.shards[i];
-                let tel = &self.tel;
-                handles.push(scope.spawn(move || -> Result<Vec<BlockNum>> {
-                    let _s = tel
-                        .span_in(SHARD_COMMIT_SPAN, ctx)
-                        .with_label(format!("shard {i}"));
-                    let mut locals = Vec::new();
-                    for tx in slice {
-                        locals.extend(shard.submit(tx)?);
-                    }
-                    if let Some(b) = shard.cut_block()? {
-                        locals.push(b);
-                    }
-                    Ok(locals
-                        .into_iter()
-                        .map(|b| self.global_block_num(i, b))
-                        .collect())
-                }));
+        // Each worker takes its own slice out of the shared list.
+        let slices: Vec<Mutex<Vec<Transaction>>> = per_shard.into_iter().map(Mutex::new).collect();
+        let cut = self.for_each_shard(SHARD_COMMIT_SPAN, |i, shard| {
+            let slice = std::mem::take(&mut *slices[i].lock().unwrap_or_else(|e| e.into_inner()));
+            let mut locals = Vec::new();
+            if slice.is_empty() {
+                return Ok(locals);
             }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(Error::io(
-                        "shard.commit".to_string(),
-                        std::io::Error::other("shard commit worker panicked"),
-                    )),
-                })
-                .collect::<Vec<_>>()
-        });
-        for r in results {
-            blocks.extend(r?);
-        }
+            for tx in slice {
+                locals.extend(shard.submit(tx)?);
+            }
+            locals.extend(shard.cut_block()?);
+            for b in &mut locals {
+                *b = self.global_block_num(i, *b);
+            }
+            Ok(locals)
+        })?;
+        let mut blocks: Vec<BlockNum> = cut.into_iter().flatten().collect();
         blocks.sort_unstable();
         Ok(blocks)
     }
@@ -403,47 +508,34 @@ impl ShardedLedger {
     /// partition, run concurrently — each shard is an independent chain).
     /// Returns the per-shard tip digests, in shard order.
     pub fn verify_chain(&self) -> Result<Vec<crate::hash::Digest>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.verify_chain()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(Error::io(
-                        "shard.verify".to_string(),
-                        std::io::Error::other("shard verify worker panicked"),
-                    )),
-                })
-                .collect()
-        })
+        self.for_each_shard("shard.verify", |_, shard| shard.verify_chain())
     }
 
-    /// Write a consistent, openable backup of every partition into
-    /// `dest`: the `SHARDS` meta file plus one [`Ledger::backup`] per
-    /// shard under `dest/shard-NN`. Reopening the backup with the same
-    /// shard count routes identically, so it is a drop-in replica.
+    /// Write a consistent, openable backup into `dest` in this ledger's own
+    /// layout: a plain [`Ledger::backup`] when the one partition is rooted
+    /// at the directory itself, otherwise one per shard under
+    /// `dest/shard-NN` plus the `SHARDS` meta file, so the backup routes
+    /// identically and is a drop-in replica.
     pub fn backup(&self, dest: impl Into<PathBuf>) -> Result<()> {
         self.drain_commits()?;
         let dest = dest.into();
-        if dest.join("SHARDS").exists() {
+        if holds_sharded_layout(&dest) || dest.join("blocks").exists() {
             return Err(Error::InvalidArgument(format!(
-                "backup destination {} already holds a sharded ledger",
+                "backup destination {} already holds a ledger",
                 dest.display()
             )));
+        }
+        if self.shards[0].dir() == self.dir {
+            return self.shards[0].backup(dest);
         }
         std::fs::create_dir_all(&dest)
             .map_err(|e| Error::io("creating sharded backup dir".to_string(), e))?;
         for (i, shard) in self.shards.iter().enumerate() {
             shard.backup(dest.join(format!("shard-{i:02}")))?;
         }
-        // Write the meta file last: a complete backup always reopens,
-        // a torn one is refused as an unknown shard count.
-        std::fs::write(dest.join("SHARDS"), format!("{}\n", self.shards.len()))
-            .map_err(|e| Error::io("writing backup SHARDS meta".to_string(), e))
+        // The meta file goes last: a complete backup always reopens, a
+        // torn one is refused for its missing `SHARDS`.
+        Self::install_meta(&dest, self.shards.len())
     }
 
     /// The telemetry handle shared by every shard.
@@ -451,7 +543,8 @@ impl ShardedLedger {
         &self.tel
     }
 
-    /// Root directory (shards live in `shard-NN` subdirectories).
+    /// Root directory: the ledger itself in the plain layout, the parent of
+    /// the `shard-NN` subdirectories otherwise.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -462,7 +555,6 @@ impl ShardedLedger {
     /// the `/metrics` endpoint.
     pub fn publish_gauges(&self) {
         let reg = self.tel.registry();
-        reg.gauge("ledger.height").set(self.height() as i64);
         reg.gauge("ledger.shards").set(self.shards.len() as i64);
         for (i, shard) in self.shards.iter().enumerate() {
             reg.gauge_owned(format!("ledger.shard.{i}.blocks"))
@@ -470,6 +562,13 @@ impl ShardedLedger {
             reg.gauge_owned(format!("ledger.shard.{i}.events"))
                 .set(shard.stats().events_committed as i64);
         }
+        // One partition publishes the totals itself, with its store-shape
+        // gauges (`statedb.*`, `indexdb.*`, `ledger.cache.*`); those carry
+        // no partition in their names, so several partitions publish none.
+        if let [only] = self.shards.as_slice() {
+            return only.publish_gauges();
+        }
+        reg.gauge("ledger.height").set(self.height() as i64);
         fabric_telemetry::alloc::publish_memory_gauges(&self.tel);
     }
 }
@@ -478,6 +577,7 @@ impl ShardedLedger {
 mod tests {
     use super::*;
     use crate::shim::TxSimulator;
+    use crate::tx::Timestamp;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -535,7 +635,7 @@ mod tests {
     #[test]
     fn point_queries_route_and_range_scans_merge() {
         let dir = tmp("queries");
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
+        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
         for (i, key) in ["S00004", "S00013", "S00022", "S00031"].iter().enumerate() {
             put(&ledger, key, &format!("v{i}"), 10 + i as u64);
         }
@@ -567,7 +667,7 @@ mod tests {
     #[test]
     fn global_block_numbers_are_injective_and_resolvable() {
         let dir = tmp("numbering");
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
+        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
         put(&ledger, "S00002", "a", 1); // shard 0
         put(&ledger, "S00003", "b", 2); // shard 1
         put(&ledger, "S00004", "c", 3); // shard 0
@@ -584,7 +684,7 @@ mod tests {
     #[test]
     fn commit_split_routes_batches_concurrently() {
         let dir = tmp("split");
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
+        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
         let mut txs = Vec::new();
         for i in 0..40 {
             let key = format!("S{i:05}");
@@ -611,26 +711,30 @@ mod tests {
     fn reopen_with_wrong_shard_count_is_rejected() {
         let dir = tmp("meta");
         {
-            let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
+            let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
             put(&ledger, "S00001", "a", 1);
             ledger.cut_blocks().unwrap();
         }
-        let err = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 4).unwrap_err();
+        let err = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 4).unwrap_err();
         assert!(err.to_string().contains("2 shards"), "{err}");
         // Same count reopens fine and sees the data.
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
+        ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap();
+        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests()).unwrap();
+        assert_eq!(ledger.shard_count(), 2, "the count is read from SHARDS");
         assert_eq!(
             ledger.get_state(b"S00001").unwrap().unwrap().value.as_ref(),
             b"a"
         );
-        assert!(ShardedLedger::open(tmp("meta-zero"), LedgerConfig::small_for_tests(), 0).is_err());
+        assert!(
+            ShardedLedger::create(tmp("meta-zero"), LedgerConfig::small_for_tests(), 0).is_err()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn verify_chain_audits_every_shard() {
         let dir = tmp("verify");
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 3).unwrap();
+        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 3).unwrap();
         for i in 0..9u64 {
             put(&ledger, &format!("S{i:05}"), "v", i + 1);
         }
@@ -649,7 +753,7 @@ mod tests {
     fn backup_round_trips_across_four_shards() {
         let dir = tmp("backup-src");
         let dest = tmp("backup-dst");
-        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
+        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
         for i in 0..16u64 {
             put(&ledger, &format!("S{i:05}"), &format!("v{i}"), i + 1);
         }
@@ -659,10 +763,10 @@ mod tests {
         // A second backup into the same destination is refused.
         let err = ledger.backup(&dest).unwrap_err();
         assert!(err.to_string().contains("already holds"), "{err}");
-        // The backup opens with the same shard count and answers every
+        // The backup opens with the source's shard count and answers every
         // query the source does; a wrong count is rejected by the meta.
-        assert!(ShardedLedger::open(&dest, LedgerConfig::small_for_tests(), 2).is_err());
-        let restored = ShardedLedger::open(&dest, LedgerConfig::small_for_tests(), 4).unwrap();
+        assert!(ShardedLedger::create(&dest, LedgerConfig::small_for_tests(), 2).is_err());
+        let restored = ShardedLedger::open(&dest, LedgerConfig::small_for_tests()).unwrap();
         assert_eq!(restored.height(), ledger.height());
         assert_eq!(restored.heights(), ledger.heights());
         for i in 0..16u64 {
@@ -681,13 +785,107 @@ mod tests {
         std::fs::remove_dir_all(&dest).ok();
     }
 
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn open_reads_the_layout_from_the_directory() {
+        let config = LedgerConfig::small_for_tests;
+        // No SHARDS file: one partition rooted at the directory itself.
+        let dir = tmp("layout-root");
+        let dest = tmp("layout-root-bk");
+        {
+            let ledger = ShardedLedger::open(&dir, config()).unwrap();
+            assert_eq!(ledger.sole().unwrap().dir(), dir);
+            put(&ledger, "S00001", "a", 1);
+            assert_eq!(ledger.cut_blocks().unwrap(), vec![0]);
+            assert_eq!(ledger.global_block_num(0, 7), 7);
+            ledger.backup(&dest).unwrap();
+        }
+        assert_eq!(listing(&dir), ["blocks", "index", "state"]);
+        assert_eq!(listing(&dest), ["blocks", "index", "state"], "plain backup");
+        // It is a plain ledger to `Ledger::open` too.
+        let ledger = Ledger::open(&dest, config()).unwrap();
+        assert_eq!(
+            ledger.get_state(b"S00001").unwrap().unwrap().value.as_ref(),
+            b"a"
+        );
+        drop(ledger);
+        // A SHARDS file: that many partitions, and no sole ledger.
+        let sharded = tmp("layout-sharded");
+        drop(ShardedLedger::create(&sharded, config(), 2).unwrap());
+        let ledger = ShardedLedger::open(&sharded, config()).unwrap();
+        assert_eq!(ledger.shard_count(), 2);
+        let err = ledger.sole().unwrap_err();
+        assert!(err.to_string().contains("has 2 shards"), "{err}");
+        for d in [dir, dest, sharded] {
+            std::fs::remove_dir_all(d).ok();
+        }
+    }
+
+    #[test]
+    fn layout_mixups_are_refused_and_touch_nothing() {
+        let config = LedgerConfig::small_for_tests;
+        let sharded = tmp("mix-sharded");
+        drop(ShardedLedger::create(&sharded, config(), 2).unwrap());
+        let before = listing(&sharded);
+        assert_eq!(before, ["SHARDS", "shard-00", "shard-01"], "no SHARDS.tmp");
+        let err = Ledger::open(&sharded, config()).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert!(err.to_string().contains("sharded ledger"), "{err}");
+        assert_eq!(listing(&sharded), before);
+
+        let plain = tmp("mix-plain");
+        drop(Ledger::open(&plain, config()).unwrap());
+        let before = listing(&plain);
+        let err = ShardedLedger::create(&plain, config(), 2).unwrap_err();
+        assert!(err.to_string().contains("plain ledger"), "{err}");
+        assert_eq!(listing(&plain), before);
+        std::fs::remove_dir_all(&sharded).ok();
+        std::fs::remove_dir_all(&plain).ok();
+    }
+
+    #[test]
+    fn torn_shards_meta_is_corruption_naming_the_file() {
+        let dir = tmp("torn-meta");
+        drop(ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap());
+        // What a crash inside a bare `fs::write` used to leave behind, then
+        // what a crash before a backup's last step leaves.
+        std::fs::write(dir.join("SHARDS"), "").unwrap();
+        let empty = ShardedLedger::open(&dir, LedgerConfig::small_for_tests()).unwrap_err();
+        std::fs::remove_file(dir.join("SHARDS")).unwrap();
+        let before = listing(&dir);
+        for err in [
+            empty,
+            ShardedLedger::open(&dir, LedgerConfig::small_for_tests()).unwrap_err(),
+            ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap_err(),
+        ] {
+            match err {
+                Error::Corruption { file, .. } => assert_eq!(file, dir.join("SHARDS")),
+                other => panic!("expected corruption, got {other}"),
+            }
+        }
+        // Nor does the plain open plant `blocks/ index/ state/` beside the
+        // partitions of the torn layout.
+        let err = Ledger::open(&dir, LedgerConfig::small_for_tests()).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert_eq!(listing(&dir), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn per_shard_gauges_publish() {
         let dir = tmp("gauges");
+        drop(ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap());
         let tel = Telemetry::enabled();
         let ledger =
-            ShardedLedger::open_with_telemetry(&dir, LedgerConfig::small_for_tests(), 2, tel)
-                .unwrap();
+            ShardedLedger::open_with_telemetry(&dir, LedgerConfig::small_for_tests(), tel).unwrap();
         put(&ledger, "S00001", "a", 1);
         put(&ledger, "S00002", "b", 2);
         ledger.cut_blocks().unwrap();

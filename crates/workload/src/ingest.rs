@@ -16,7 +16,7 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use fabric_ledger::sharded::SHARD_COMMIT_SPAN;
-use fabric_ledger::{Error, Ledger, Result, ShardedLedger, TxSimulator};
+use fabric_ledger::{Ledger, Result, ShardedLedger, TxSimulator};
 
 use crate::event::Event;
 
@@ -134,8 +134,8 @@ pub fn ingest(
 
 /// Ingest `events` (in time order) into a [`ShardedLedger`]: the stream
 /// is split by routed on-chain key and each shard ingests its slice
-/// concurrently on a scoped thread (wrapped in a `shard.commit` span, so
-/// traces show one lane per shard).
+/// concurrently ([`ShardedLedger::for_each_shard`] under `shard.commit`
+/// spans, so traces show one lane per shard).
 ///
 /// Within a shard, events keep their global time order, and every
 /// entity's events land wholly on its owning shard — so per-key history
@@ -153,43 +153,20 @@ pub fn ingest_sharded(
     encoder: &(dyn EventEncoder + Sync),
 ) -> Result<IngestReport> {
     let start = Instant::now();
-    let n = ledger.shard_count();
-    let mut per_shard: Vec<Vec<Event>> = vec![Vec::new(); n];
+    let mut per_shard: Vec<Vec<Event>> = vec![Vec::new(); ledger.shard_count()];
     for ev in events {
         let (key, _) = encoder.encode(ev);
         per_shard[ledger.shard_index_for_key(&key)].push(*ev);
     }
-    let ctx = ledger.telemetry().current_context();
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (i, slice) in per_shard.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            let shard = ledger.shard(i);
-            let tel = ledger.telemetry();
-            handles.push(scope.spawn(move || -> Result<IngestReport> {
-                let _s = tel
-                    .span_in(SHARD_COMMIT_SPAN, ctx)
-                    .with_label(format!("shard {i}"));
-                ingest(shard, slice, mode, encoder)
-            }));
+    let reports = ledger.for_each_shard(SHARD_COMMIT_SPAN, |i, shard| {
+        if per_shard[i].is_empty() {
+            return Ok(None);
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(Error::Io {
-                    context: "shard.commit".to_string(),
-                    source: std::io::Error::other("shard ingest worker panicked"),
-                }),
-            })
-            .collect::<Vec<_>>()
-    });
+        ingest(shard, &per_shard[i], mode, encoder).map(Some)
+    })?;
     let mut txs = 0u64;
     let mut blocks = 0u64;
-    for r in results {
-        let r = r?;
+    for r in reports.into_iter().flatten() {
         txs += r.txs;
         blocks += r.blocks;
     }
@@ -453,7 +430,7 @@ mod tests {
         let plain_report = ingest(&plain, &w.events, IngestMode::MultiEvent, &IdentityEncoder);
         let plain_report = plain_report.unwrap();
         plain.flush_stores().unwrap();
-        let sharded = ShardedLedger::open(&sharded_dir.0, config, 1).unwrap();
+        let sharded = ShardedLedger::create(&sharded_dir.0, config, 1).unwrap();
         let report = ingest_sharded(
             &sharded,
             &w.events,
@@ -486,7 +463,7 @@ mod tests {
         let config = LedgerConfig::small_for_tests();
         let plain = Ledger::open(&plain_dir.0, config.clone()).unwrap();
         ingest(&plain, &w.events, IngestMode::MultiEvent, &IdentityEncoder).unwrap();
-        let sharded = ShardedLedger::open(&sharded_dir.0, config, 4).unwrap();
+        let sharded = ShardedLedger::create(&sharded_dir.0, config, 4).unwrap();
         let report = ingest_sharded(
             &sharded,
             &w.events,

@@ -67,6 +67,32 @@ fn config_surface_is_eighteen_knobs() {
 }
 
 #[test]
+fn cli_option_surface_is_thirty_five_names() {
+    // `tfq` is a binary, so its option table is read from the source. A
+    // new `--name` fails here until it is listed, as a new config field
+    // does above.
+    let src = include_str!("../../crates/cli/src/commands.rs");
+    let table = src
+        .split("const OPTIONS: &[&str] = &[")
+        .nth(1)
+        .and_then(|rest| rest.split("];").next())
+        .expect("commands.rs declares OPTIONS");
+    let names: Vec<&str> = table
+        .split(',')
+        .map(|name| name.trim().trim_matches('"'))
+        .filter(|name| !name.is_empty())
+        .collect();
+    #[rustfmt::skip]
+    assert_eq!(names, [
+        "adaptive", "addr", "addr-file", "backend", "cache-blocks", "coalesce", "counter-tol",
+        "counter-tol-for", "engine", "export", "format", "from", "hz", "index-lag", "ingest",
+        "key", "limit", "m2-u", "max-u", "min-u", "mode", "out", "pipeline", "requests", "scale",
+        "shards", "slow-factor", "slow-log", "slow-ms", "time-slack", "time-tol", "to", "u",
+        "wal-group-commit", "workers",
+    ]);
+}
+
+#[test]
 fn queries_on_empty_ledger() {
     let dir = TempDir::new("empty");
     let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! An N-shard [`ShardedLedger`] answers the paper's table-1-style queries
 //! (per-key events, the ferry join, the planner's chosen access path)
-//! bit-identically to a single ledger holding the same event stream.
+//! bit-identically to a single ledger holding the same event stream, and
+//! its one-shard layouts *are* that single ledger, byte for byte.
 
 use fabric_ledger::{Ledger, LedgerConfig, ShardedLedger};
 use fabric_workload::dataset::{generate_scaled, DatasetId};
@@ -10,7 +11,7 @@ use fabric_workload::ingest::{ingest, ingest_sharded, IdentityEncoder, IngestMod
 use temporal_core::interval::Interval;
 use temporal_core::join::ferry_query;
 use temporal_core::tqf::TqfEngine;
-use temporal_core::{ferry_query_sharded, list_keys_sharded, AutoEngine, TemporalEngine};
+use temporal_core::{ferry_query_parallel, list_keys_sharded, AutoEngine, TemporalEngine};
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -50,7 +51,7 @@ fn sharded_ledger_answers_table1_queries_like_a_single_ledger() {
     )
     .unwrap();
 
-    let sharded = ShardedLedger::open(dir.0.join("sharded"), LedgerConfig::default(), 4).unwrap();
+    let sharded = ShardedLedger::create(dir.0.join("sharded"), LedgerConfig::default(), 4).unwrap();
     ingest_sharded(
         &sharded,
         &workload.events,
@@ -86,9 +87,7 @@ fn sharded_ledger_answers_table1_queries_like_a_single_ledger() {
             // Block *bounds* are layout-dependent (each shard numbers its
             // own chain), so only the chosen path is comparable.
             let p1 = AutoEngine::default().choose(&plain, key, tau).unwrap();
-            let pn = AutoEngine::default()
-                .choose_sharded(&sharded, key, tau)
-                .unwrap();
+            let pn = AutoEngine::default().choose(shard, key, tau).unwrap();
             assert_eq!(
                 p1.path_label(),
                 pn.path_label(),
@@ -98,10 +97,79 @@ fn sharded_ledger_answers_table1_queries_like_a_single_ledger() {
 
         // join: the full ferry answer.
         let single = ferry_query(&TqfEngine, &plain, tau).unwrap();
-        let multi = ferry_query_sharded(&TqfEngine, &sharded, tau, 2).unwrap();
+        let multi = ferry_query_parallel(&TqfEngine, &sharded, tau, 2).unwrap();
         assert_eq!(
             single.records, multi.records,
             "ferry join diverged over {tau}"
         );
+    }
+}
+
+/// Every `blockfile_*` under `ledger_dir/blocks`, name-sorted, with its bytes.
+fn blockfile_bytes(ledger_dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(ledger_dir.join("blocks"))
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .filter(|(name, _)| name.starts_with("blockfile_"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn root_layout_and_one_shard_layout_are_the_plain_ledger() {
+    // The same DS3 stream into a plain `Ledger`, a handle opened on an
+    // empty directory (root layout) and a handle created with one shard.
+    let workload = generate_scaled(DatasetId::Ds3, 4);
+    let dir = TempDir::new("layouts");
+    let (events, mode) = (&workload.events, IngestMode::MultiEvent);
+    let plain = Ledger::open(dir.0.join("plain"), LedgerConfig::default()).unwrap();
+    let report = ingest(&plain, events, mode, &IdentityEncoder).unwrap();
+    let root = ShardedLedger::open(dir.0.join("root"), LedgerConfig::default()).unwrap();
+    let one = ShardedLedger::create(dir.0.join("one"), LedgerConfig::default(), 1).unwrap();
+    for handle in [&root, &one] {
+        let routed = ingest_sharded(handle, events, mode, &IdentityEncoder).unwrap();
+        assert_eq!(
+            (routed.events, routed.txs, routed.blocks),
+            (report.events, report.txs, report.blocks)
+        );
+    }
+    assert_eq!(root.sole().unwrap().dir(), dir.0.join("root"));
+    assert_eq!(
+        one.sole().unwrap().dir(),
+        dir.0.join("one").join("shard-00")
+    );
+    assert_eq!(root.global_block_num(0, 41), 41);
+
+    let tau = Interval::new(0, workload.params.t_max / 2);
+    let want = ferry_query(&TqfEngine, &plain, tau).unwrap();
+    assert!(!want.records.is_empty());
+    let cost = |o: &temporal_core::JoinOutcome| {
+        (
+            o.events_scanned,
+            o.stats.blocks_deserialized(),
+            o.stats.ghfk_calls(),
+        )
+    };
+    for handle in [&root, &one] {
+        let ledger = handle.sole().unwrap();
+        assert_eq!(blockfile_bytes(ledger.dir()), blockfile_bytes(plain.dir()));
+        assert_eq!(
+            handle.get_state_by_range(None, None).unwrap(),
+            plain.get_state_by_range(None, None).unwrap()
+        );
+        let serial = ferry_query(&TqfEngine, ledger, tau).unwrap();
+        assert_eq!(serial.records, want.records);
+        assert_eq!(cost(&serial), cost(&want));
+        // The fan-out over a one-partition handle is the serial join.
+        for workers in [1, 4] {
+            let fanned = ferry_query_parallel(&TqfEngine, handle, tau, workers).unwrap();
+            assert_eq!(fanned.records, want.records, "workers={workers}");
+            assert_eq!(cost(&fanned), cost(&want), "workers={workers}");
+        }
     }
 }
