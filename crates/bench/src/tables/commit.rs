@@ -1,7 +1,6 @@
 //! Commit-path ablation: 1/2/4 key-sharded commit streams.
 //!
-//! Guards the sharded commit path the same way [`crate::tables::ingest`]
-//! guards the pipelined writer. Every cell ingests DS1 (single-event
+//! Guards the sharded commit path. Every cell ingests DS1 (single-event
 //! transactions — the validation-heaviest mode) into a throwaway ledger
 //! with durable WAL fsyncs, the profile where sharding actually pays:
 //! N shards are N independent fsync streams. Cell names keep the
@@ -39,8 +38,7 @@ fn scratch(ctx: &Ctx, name: &str) -> Result<std::path::PathBuf> {
     Ok(dir)
 }
 
-/// Durable config for one cell: WAL fsyncs on, pipeline off (the cell
-/// isolates shard parallelism).
+/// Durable config for one cell: WAL fsyncs on.
 fn cell_config() -> LedgerConfig {
     let mut config = LedgerConfig::default();
     config.state_db.sync_wal = true;
@@ -202,7 +200,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
         ledger.submit(sim.into_transaction(2 + i as u64)?)?;
     }
     ledger.cut_block()?;
-    ledger.drain_commits()?;
     let snap = ledger.telemetry().snapshot();
     let conflicts = snap.counter("commit.validate.conflicts");
     assert_eq!(

@@ -1,22 +1,19 @@
-//! Ingest-path ablation: serial vs pipelined block commit, WAL group
-//! commit under concurrent writers, M1 index construction, and a
-//! storage-backend head-to-head (LSM vs value log, plus a
-//! write-amplification cell with asserted space bounds).
+//! Ingest-path ablation: block commit under both durability profiles, M1
+//! index construction, and a storage-backend head-to-head (LSM vs value
+//! log, plus a write-amplification cell with asserted space bounds).
 //!
 //! Unlike the paper tables this is not a reproduction target — it guards
-//! the write-path overhaul. The serial commit path is the paper's cost
-//! model; the pipelined path must produce byte-identical ledgers while
-//! overlapping the append / index / state-apply stages in time. Each cell
-//! ingests into a throwaway ledger (no caching: ingestion *is* the
-//! measurement), repeats `REPS` times and reports medians.
+//! the write path. Each cell ingests into a throwaway ledger (no caching:
+//! ingestion *is* the measurement), repeats `REPS` times and reports
+//! medians.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use fabric_kvstore::{Backend, KvStore, LogStore, Options as KvOptions};
+use fabric_kvstore::{Backend, LogStore, Options as KvOptions};
 use fabric_ledger::{Error, Ledger, LedgerConfig, Result};
 use fabric_workload::dataset::DatasetId;
-use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode, IngestReport};
+use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
 use temporal_core::interval::Interval;
 use temporal_core::m1::M1Indexer;
 use temporal_core::partition::FixedLength;
@@ -26,10 +23,6 @@ use crate::regress::{bench_file_from_samples, MetricKind};
 
 /// Repetitions per cell; samples reduce to medians in the bench file.
 const REPS: usize = 3;
-/// Concurrent writers in the WAL group-commit cell.
-const WAL_WRITERS: usize = 4;
-/// Writes per writer in the WAL group-commit cell.
-const WAL_WRITES_PER: usize = 64;
 
 /// A scratch directory under the cache root, wiped before use.
 fn scratch(ctx: &Ctx, name: &str) -> Result<std::path::PathBuf> {
@@ -62,204 +55,86 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     ]);
     let mut samples: Vec<(String, MetricKind, f64)> = Vec::new();
 
-    // ── Section 1: serial vs pipelined block commit ─────────────────────
+    // ── Section 1: block commit, buffered vs durable ────────────────────
     // Two durability profiles: `buffered` leaves `sync_wal` off (the test
-    // default — commits are bounded by CPU, where stage A's validate+hash
-    // serialises and the pipeline mostly overlaps store writes), and
-    // `durable` fsyncs both ledger stores per block like a production peer,
-    // where the pipeline overlaps the two fsyncs with each other and with
-    // the next block's assembly. The headline speedup is the durable one.
-    let mut table = TableOut::new(&[
-        "Dataset",
-        "Profile",
-        "Serial ingest",
-        "Pipelined ingest",
-        "Speedup",
-        "Events/s (serial → pipelined)",
-    ]);
+    // default, commits are bounded by CPU) and `durable` fsyncs both ledger
+    // stores per block like a production peer. Cells keep the `serial`
+    // segment they were recorded under in `BENCH_ingest.json`.
+    let mut table = TableOut::new(&["Dataset", "Profile", "Ingest", "Events/s", "WAL fsyncs"]);
     for (id, mode) in [
         (DatasetId::Ds3, IngestMode::SingleEvent),
         (DatasetId::Ds2, IngestMode::MultiEvent),
     ] {
         let workload = ctx.workload(id);
         for (profile, sync) in [("buffered", false), ("durable", true)] {
-            let mut medians: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-            let mut reports: BTreeMap<&str, IngestReport> = BTreeMap::new();
-            for (variant, pipeline) in [("serial", false), ("pipelined", true)] {
-                for rep in 0..REPS {
-                    eprintln!("[ingest] {id} ({mode}) {profile}/{variant} rep {rep} ...");
-                    let dir = scratch(
-                        ctx,
-                        &format!("{id}-{mode}-{profile}-{variant}-{rep}").to_lowercase(),
-                    )?;
-                    let mut config = LedgerConfig::default().with_pipeline(pipeline);
-                    config.state_db.sync_wal = sync;
-                    config.index_db.sync_wal = sync;
-                    let ledger = Ledger::open(&dir, config)?;
-                    let out = ingest(&ledger, &workload.events, mode, &IdentityEncoder)?;
-                    // Gauges are registry-direct (not gated on the enabled
-                    // flag), so reading them here costs the run nothing.
-                    ledger.publish_gauges();
-                    let gauges = ledger.telemetry().snapshot();
-                    let wal_syncs = gauges.gauge("statedb.wal_fsyncs").unwrap_or(0)
-                        + gauges.gauge("indexdb.wal_fsyncs").unwrap_or(0);
-                    drop(ledger);
-                    let _ = std::fs::remove_dir_all(&dir);
-                    let prefix = format!("{id}/{mode}/{profile}/{variant}").to_lowercase();
+            let mut walls = Vec::new();
+            let mut events = 0u64;
+            let mut wal_syncs = 0i64;
+            for rep in 0..REPS {
+                eprintln!("[ingest] {id} ({mode}) {profile} rep {rep} ...");
+                let dir = scratch(ctx, &format!("{id}-{mode}-{profile}-{rep}").to_lowercase())?;
+                let mut config = LedgerConfig::default();
+                config.state_db.sync_wal = sync;
+                config.index_db.sync_wal = sync;
+                let ledger = Ledger::open(&dir, config)?;
+                let out = ingest(&ledger, &workload.events, mode, &IdentityEncoder)?;
+                // Gauges are registry-direct (not gated on the enabled
+                // flag), so reading them here costs the run nothing.
+                ledger.publish_gauges();
+                let gauges = ledger.telemetry().snapshot();
+                // One fsync per store write, so this is deterministic.
+                wal_syncs = gauges.gauge("statedb.wal_fsyncs").unwrap_or(0)
+                    + gauges.gauge("indexdb.wal_fsyncs").unwrap_or(0);
+                drop(ledger);
+                let _ = std::fs::remove_dir_all(&dir);
+                let prefix = format!("{id}/{mode}/{profile}/serial").to_lowercase();
+                samples.push((
+                    format!("{prefix}/ingest_s"),
+                    MetricKind::Time,
+                    out.wall.as_secs_f64(),
+                ));
+                for (name, value) in [
+                    ("events", out.events),
+                    ("txs", out.txs),
+                    ("blocks", out.blocks),
+                    ("wal_syncs", wal_syncs as u64),
+                ] {
                     samples.push((
-                        format!("{prefix}/ingest_s"),
-                        MetricKind::Time,
-                        out.wall.as_secs_f64(),
-                    ));
-                    samples.push((
-                        format!("{prefix}/events"),
+                        format!("{prefix}/{name}"),
                         MetricKind::Counter,
-                        out.events as f64,
+                        value as f64,
                     ));
-                    samples.push((format!("{prefix}/txs"), MetricKind::Counter, out.txs as f64));
-                    samples.push((
-                        format!("{prefix}/blocks"),
-                        MetricKind::Counter,
-                        out.blocks as f64,
-                    ));
-                    // Deterministic for the serial variants (one fsync per
-                    // store write); timing-dependent for the pipelined
-                    // ones, where the backlog coalesces — CI compares the
-                    // latter with a wide per-key tolerance.
-                    samples.push((
-                        format!("{prefix}/wal_syncs"),
-                        MetricKind::Counter,
-                        wal_syncs as f64,
-                    ));
-                    csv.row(vec![
-                        "commit".into(),
-                        id.to_string(),
-                        mode.to_string(),
-                        format!("{profile}/{variant}"),
-                        rep.to_string(),
-                        out.wall.as_secs_f64().to_string(),
-                        out.events.to_string(),
-                        out.txs.to_string(),
-                        out.blocks.to_string(),
-                        wal_syncs.to_string(),
-                    ]);
-                    medians
-                        .entry(variant)
-                        .or_default()
-                        .push(out.wall.as_secs_f64());
-                    reports.insert(variant, out);
                 }
+                csv.row(vec![
+                    "commit".into(),
+                    id.to_string(),
+                    mode.to_string(),
+                    format!("{profile}/serial"),
+                    rep.to_string(),
+                    out.wall.as_secs_f64().to_string(),
+                    out.events.to_string(),
+                    out.txs.to_string(),
+                    out.blocks.to_string(),
+                    wal_syncs.to_string(),
+                ]);
+                walls.push(out.wall.as_secs_f64());
+                events = out.events;
             }
-            // The pipelined path must produce exactly the serial path's
-            // ledger; the report counters are the cheap version of that
-            // invariant here (the byte-level equivalence tests live in the
-            // workload crate).
-            let (s, p) = (&reports["serial"], &reports["pipelined"]);
-            assert!(
-                (s.events, s.txs, s.blocks) == (p.events, p.txs, p.blocks),
-                "serial and pipelined ingest diverged on {id}: {s:?} vs {p:?}"
-            );
-            let serial_s = crate::regress::median(&medians["serial"]);
-            let piped_s = crate::regress::median(&medians["pipelined"]);
-            let speedup = serial_s / piped_s.max(1e-9);
+            let med = crate::regress::median(&walls);
             table.row(vec![
                 format!("{id} ({mode})"),
                 profile.into(),
-                fmt_secs(std::time::Duration::from_secs_f64(serial_s)),
-                fmt_secs(std::time::Duration::from_secs_f64(piped_s)),
-                format!("{speedup:.2}x"),
-                format!(
-                    "{:.0} → {:.0}",
-                    s.events as f64 / serial_s.max(1e-9),
-                    s.events as f64 / piped_s.max(1e-9)
-                ),
+                fmt_secs(std::time::Duration::from_secs_f64(med)),
+                format!("{:.0}", events as f64 / med.max(1e-9)),
+                wal_syncs.to_string(),
             ]);
         }
     }
-    report.push_str("## Serial vs pipelined commit\n\n");
+    report.push_str("## Block commit (buffered vs durable)\n\n");
     report.push_str(&table.to_markdown());
     report.push('\n');
 
-    // ── Section 2: WAL group commit under concurrent writers ────────────
-    // Measured at the kvstore layer: the ledger's stores are single-writer,
-    // so coalescing only pays off when independent threads hit one store.
-    // `sync_wal` is on — the whole point of group commit is N writers
-    // sharing one fsync.
-    let mut table = TableOut::new(&["Variant", "Wall", "Writes", "fsyncs"]);
-    for (variant, group) in [("single", false), ("grouped", true)] {
-        for rep in 0..REPS {
-            eprintln!("[ingest] wal group-commit {variant} rep {rep} ...");
-            let dir = scratch(ctx, &format!("wal-{variant}-{rep}"))?;
-            let opts = KvOptions {
-                sync_wal: true,
-                group_commit: group,
-                ..KvOptions::default()
-            };
-            let store = KvStore::open(&dir, opts)?;
-            let start = Instant::now();
-            std::thread::scope(|s| {
-                for w in 0..WAL_WRITERS {
-                    let store = &store;
-                    s.spawn(move || {
-                        for i in 0..WAL_WRITES_PER {
-                            let key = format!("w{w:02}-{i:04}");
-                            store.put(key, vec![b'v'; 64]).expect("wal bench write");
-                        }
-                    });
-                }
-            });
-            let wall = start.elapsed();
-            let metrics = store.metrics();
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
-            let writes = (WAL_WRITERS * WAL_WRITES_PER) as u64;
-            let prefix = format!("wal/sync/{variant}");
-            samples.push((
-                format!("{prefix}/write_s"),
-                MetricKind::Time,
-                wall.as_secs_f64(),
-            ));
-            samples.push((
-                format!("{prefix}/writes"),
-                MetricKind::Counter,
-                writes as f64,
-            ));
-            csv.row(vec![
-                "wal".into(),
-                "-".into(),
-                "-".into(),
-                variant.into(),
-                rep.to_string(),
-                wall.as_secs_f64().to_string(),
-                writes.to_string(),
-                "-".into(),
-                "-".into(),
-                metrics.wal_fsyncs.to_string(),
-            ]);
-            if rep == 0 {
-                // Batch counts are timing-dependent, so they stay out of the
-                // bench file; the human-readable table still shows them.
-                table.row(vec![
-                    variant.into(),
-                    fmt_secs(wall),
-                    writes.to_string(),
-                    if group {
-                        format!(
-                            "{} ({} writes coalesced into {} flushes)",
-                            metrics.wal_fsyncs, metrics.group_commit_batches, metrics.group_commits
-                        )
-                    } else {
-                        format!("{} (one per write)", metrics.wal_fsyncs)
-                    },
-                ]);
-            }
-        }
-    }
-    report.push_str("## WAL group commit (4 writers, sync on)\n\n");
-    report.push_str(&table.to_markdown());
-    report.push('\n');
-
-    // ── Section 3: M1 index construction ────────────────────────────────
+    // ── Section 2: M1 index construction ────────────────────────────────
     let id = DatasetId::Ds3;
     let workload = ctx.workload(id);
     let u = ctx.scale_time(id, 2000);
@@ -336,7 +211,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     report.push_str(&table.to_markdown());
     report.push('\n');
 
-    // ── Section 4: storage-backend ablation (LSM vs value log) ──────────
+    // ── Section 3: storage-backend ablation (LSM vs value log) ──────────
     // Head-to-head ingest on the two storage engines behind the same
     // `StorageEngine` boundary, in both durability profiles. The engines
     // must agree block-for-block (same tip hash); only the cost differs.
@@ -518,12 +393,12 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     report.push_str(&table.to_markdown());
     report.push('\n');
 
-    // ── Section 5: commit-path ablation (validation × shards) ───────────
+    // ── Section 4: commit-path ablation (validation × shards) ───────────
     // Lives in its own module; its samples join this table's bench file
     // so one `BENCH_ingest.json` covers the whole write path.
     report.push_str(&crate::tables::commit::run(ctx, &mut samples)?);
 
-    // ── Section 6: index-lag ablation (online M1 daemon) ────────────────
+    // ── Section 5: index-lag ablation (online M1 daemon) ────────────────
     report.push_str(&crate::tables::m1lag::run(ctx, &mut samples)?);
 
     ctx.save_result("ingest.csv", &csv.to_csv());

@@ -76,10 +76,6 @@ write-path flags (any command taking <dir>):
                              directory's on-disk ENGINE marker, falling
                              back to lsm; the choice is persisted and
                              checked on reopen)
-  --pipeline on|off          pipelined block commit (default off, the
-                             paper's cost model; byte-identical either way)
-  --wal-group-commit on|off  coalesce concurrent kvstore writers into one
-                             WAL append+fsync (default off)
   --shards N                 demo only: create the ledger as N key-range
                              partitions. The count is persisted in
                              <dir>/SHARDS and every other command reads
@@ -118,7 +114,6 @@ const OPTIONS: &[&str] = &[
     "min-u",
     "mode",
     "out",
-    "pipeline",
     "requests",
     "scale",
     "shards",
@@ -129,7 +124,6 @@ const OPTIONS: &[&str] = &[
     "time-tol",
     "to",
     "u",
-    "wal-group-commit",
     "workers",
 ];
 
@@ -149,21 +143,6 @@ fn config_from(args: &Args) -> Result<LedgerConfig, String> {
         None | Some("on") => {}
         Some("off") => config.coalesce_history = false,
         Some(other) => return Err(format!("--coalesce must be on|off, got '{other}'")),
-    }
-    match args.opt("pipeline") {
-        None | Some("off") => {}
-        Some("on") => config.pipeline = true,
-        Some(other) => return Err(format!("--pipeline must be on|off, got '{other}'")),
-    }
-    match args.opt("wal-group-commit") {
-        None | Some("off") => {}
-        Some("on") => {
-            config.state_db.group_commit = true;
-            config.index_db.group_commit = true;
-        }
-        Some(other) => {
-            return Err(format!("--wal-group-commit must be on|off, got '{other}'"));
-        }
     }
     match args.opt("backend") {
         None | Some("auto") => {}
@@ -689,10 +668,6 @@ struct Recorded {
 /// `--engine`), all under span
 /// recording with queue-depth track points on.
 ///
-/// With `--pipeline on` the commit-stage worker spans (commit.append/
-/// index/statedb) land in the recording alongside the query, each
-/// parented under the ledger.commit span that submitted its block.
-///
 /// `tau` of `None` means "the ingested dataset's full `(0, t_max]`
 /// window" and requires `--ingest`.
 fn record_workload(
@@ -1173,11 +1148,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_chrome_export_covers_pipeline_and_workers() {
+    fn trace_chrome_export_covers_commit_and_workers() {
         let dir = TempDir::new("chrome");
         let out = std::env::temp_dir().join(format!("tfq-chrome-{}.json", std::process::id()));
-        // One invocation: pipelined ingest + parallel query, exported as a
-        // Chrome trace. The acceptance shape for the observability PR.
+        // One invocation: ingest + parallel query, exported as a Chrome
+        // trace. The acceptance shape for the observability PR.
         run(&[
             "trace",
             dir.s(),
@@ -1187,8 +1162,6 @@ mod tests {
             "ds3",
             "--scale",
             "300",
-            "--pipeline",
-            "on",
             "--workers",
             "2",
             "--export",
@@ -1200,7 +1173,7 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         let _ = std::fs::remove_file(&out);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        // Commit-stage lanes from the pipelined ingest...
+        // Commit-stage spans from the ingest...
         assert!(json.contains("\"name\":\"commit.append\""), "{json}");
         // ...and per-cursor worker lanes from the parallel query.
         assert!(json.contains("\"name\":\"query.worker.key\""), "{json}");
@@ -1321,31 +1294,6 @@ mod tests {
         run(&["history", dir.s(), "S00000", "--coalesce", "off"]).unwrap();
         assert!(run(&["join", dir.s(), "0", "5000", "--coalesce", "maybe"]).is_err());
         assert!(run(&["join", dir.s(), "0", "5000", "--cache-blocks", "x"]).is_err());
-    }
-
-    #[test]
-    fn write_path_flags_are_accepted_and_validated() {
-        let dir = TempDir::new("writepath");
-        // Pipelined + group-commit ingest, then read back serially: the
-        // pipelined path must leave a fully valid ledger behind.
-        run(&[
-            "demo",
-            dir.s(),
-            "ds3",
-            "--scale",
-            "400",
-            "--pipeline",
-            "on",
-            "--wal-group-commit",
-            "on",
-        ])
-        .unwrap();
-        run(&["verify", dir.s()]).unwrap();
-        run(&["join", dir.s(), "0", "5000"]).unwrap();
-        run(&["index", dir.s(), "--u", "2000"]).unwrap();
-        run(&["events", dir.s(), "S00000", "0", "5000", "--engine", "m1"]).unwrap();
-        assert!(run(&["info", dir.s(), "--pipeline", "maybe"]).is_err());
-        assert!(run(&["info", dir.s(), "--wal-group-commit", "2"]).is_err());
     }
 
     #[test]
@@ -1652,15 +1600,17 @@ mod tests {
     #[test]
     fn removed_and_misspelt_options_are_refused_not_ignored() {
         let dir = TempDir::new("unknown-opt");
-        for (cmd, flag) in [
-            ("demo", "--validate-threads"),
+        for (cmd, flag, value) in [
+            ("demo", "--validate-threads", "4"),
             // Split so that a search of the tree for the removed name
             // finds nothing.
-            ("index", concat!("--m1-index", "-threads")),
-            ("join", "--cache-shards"),
-            ("info", "--cache-block"),
+            ("index", concat!("--m1-index", "-threads"), "4"),
+            ("join", "--cache-shards", "4"),
+            ("info", "--cache-block", "4"),
+            ("demo", "--pipeline", "on"),
+            ("demo", concat!("--wal-group", "-commit"), "on"),
         ] {
-            let err = run(&[cmd, dir.s(), flag, "4"]).unwrap_err();
+            let err = run(&[cmd, dir.s(), flag, value]).unwrap_err();
             assert!(
                 err.contains(&format!("unknown option '{flag}'")),
                 "{cmd} {flag}: {err}"

@@ -84,10 +84,6 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// crash or none does.
     fn write(&self, batch: WriteBatch) -> Result<()>;
 
-    /// Apply several independently atomic batches with one append + at most
-    /// one fsync (cross-batch group commit).
-    fn write_many(&self, batches: Vec<WriteBatch>) -> Result<()>;
-
     /// Point lookup.
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>>;
 
@@ -136,10 +132,6 @@ impl StorageEngine for KvStore {
 
     fn write(&self, batch: WriteBatch) -> Result<()> {
         KvStore::write(self, batch)
-    }
-
-    fn write_many(&self, batches: Vec<WriteBatch>) -> Result<()> {
-        KvStore::write_many(self, batches)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
@@ -198,10 +190,6 @@ impl StorageEngine for LogStore {
 
     fn write(&self, batch: WriteBatch) -> Result<()> {
         LogStore::write(self, batch)
-    }
-
-    fn write_many(&self, batches: Vec<WriteBatch>) -> Result<()> {
-        LogStore::write_many(self, batches)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {

@@ -18,8 +18,6 @@ pub struct Metrics {
     pub(crate) bytes_flushed: AtomicU64,
     pub(crate) bytes_wal: AtomicU64,
     pub(crate) wal_fsyncs: AtomicU64,
-    pub(crate) group_commits: AtomicU64,
-    pub(crate) group_commit_batches: AtomicU64,
     pub(crate) flushes: AtomicU64,
     pub(crate) compactions: AtomicU64,
     pub(crate) compaction_bytes_read: AtomicU64,
@@ -50,8 +48,6 @@ impl Metrics {
             bytes_flushed: self.bytes_flushed.load(Ordering::Relaxed),
             bytes_wal: self.bytes_wal.load(Ordering::Relaxed),
             wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
-            group_commits: self.group_commits.load(Ordering::Relaxed),
-            group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             compaction_bytes_read: self.compaction_bytes_read.load(Ordering::Relaxed),
@@ -83,12 +79,6 @@ pub struct MetricsSnapshot {
     pub bytes_wal: u64,
     /// WAL appends that forced an fsync (`Options::sync_wal`).
     pub wal_fsyncs: u64,
-    /// Leader rounds executed by the group-commit path
-    /// (`Options::group_commit`).
-    pub group_commits: u64,
-    /// Write batches processed by the group-commit path. The coalescing
-    /// ratio is `group_commit_batches / group_commits`.
-    pub group_commit_batches: u64,
     /// Memtable flushes performed.
     pub flushes: u64,
     /// Compactions performed.
@@ -118,10 +108,6 @@ impl MetricsSnapshot {
             bytes_flushed: self.bytes_flushed.saturating_sub(earlier.bytes_flushed),
             bytes_wal: self.bytes_wal.saturating_sub(earlier.bytes_wal),
             wal_fsyncs: self.wal_fsyncs.saturating_sub(earlier.wal_fsyncs),
-            group_commits: self.group_commits.saturating_sub(earlier.group_commits),
-            group_commit_batches: self
-                .group_commit_batches
-                .saturating_sub(earlier.group_commit_batches),
             flushes: self.flushes.saturating_sub(earlier.flushes),
             compactions: self.compactions.saturating_sub(earlier.compactions),
             compaction_bytes_read: self
@@ -148,13 +134,8 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "bytes_wal {}  wal_fsyncs {}  group_commits {}  group_commit_batches {}  bytes_flushed {}  flushes {}",
-            self.bytes_wal,
-            self.wal_fsyncs,
-            self.group_commits,
-            self.group_commit_batches,
-            self.bytes_flushed,
-            self.flushes
+            "bytes_wal {}  wal_fsyncs {}  bytes_flushed {}  flushes {}",
+            self.bytes_wal, self.wal_fsyncs, self.bytes_flushed, self.flushes
         )?;
         write!(
             f,
@@ -203,8 +184,6 @@ mod tests {
             "gets",
             "bloom_false_positives",
             "wal_fsyncs",
-            "group_commits",
-            "group_commit_batches",
             "compaction_bytes_read",
             "compaction_bytes_written",
         ] {

@@ -79,11 +79,6 @@ pub struct Options {
     /// Trigger a full merge compaction when the number of live SSTables
     /// reaches this count. Zero disables automatic compaction.
     pub compaction_trigger: usize,
-    /// Coalesce concurrent [`crate::KvStore::write`] callers into one WAL
-    /// append + fsync (leader/follower group commit). Sequential callers
-    /// behave exactly as without it; the win is for many writer threads
-    /// with `sync_wal` on, where N writers pay one fsync instead of N.
-    pub group_commit: bool,
     /// Which engine implementation to open (see [`Backend`]). Ignored by the
     /// concrete constructors (`KvStore::open` is always LSM); consulted by
     /// [`crate::open_engine`].
@@ -105,7 +100,6 @@ impl Default for Options {
             sparse_index_interval: 16,
             bloom_bits_per_key: 10,
             compaction_trigger: 8,
-            group_commit: false,
             backend: Backend::Auto,
             log_file_max_bytes: 16 << 20,
             log_compaction_bytes: 8 << 20,
@@ -123,7 +117,6 @@ impl Options {
             sparse_index_interval: 4,
             bloom_bits_per_key: 10,
             compaction_trigger: 4,
-            group_commit: false,
             backend: Backend::Auto,
             log_file_max_bytes: 2048,
             log_compaction_bytes: 4096,

@@ -19,10 +19,10 @@ use std::fs::File;
 use std::io::Write;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 
 use bytes::Bytes;
-use fabric_telemetry::{QueueProbe, Telemetry};
+use fabric_telemetry::Telemetry;
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::error::{Error, Result};
@@ -56,41 +56,10 @@ pub struct KvStore {
     inner: RwLock<Inner>,
     metrics: Metrics,
     tel: Telemetry,
-    /// Leader/follower queue for [`Options::group_commit`].
-    group: GroupCommit,
-    /// Backpressure probe for the group-commit queue: depth is batches
-    /// pending a leader, send-wait is each waiter's enqueue-to-result
-    /// latency, drain-wait is how stale the drained backlog was when a
-    /// leader picked it up.
-    group_probe: QueueProbe,
     /// Serializes compactions so the merge can run outside the writer lock
     /// without two merges racing over the same input tables.
     compaction_gate: Mutex<()>,
 }
-
-/// Shared state of the group-commit path: writers enqueue their batch, the
-/// first to find no leader running drains the queue and commits it as one
-/// WAL append + fsync.
-#[derive(Default)]
-struct GroupCommit {
-    state: Mutex<GroupState>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct GroupState {
-    pending: Vec<PendingWrite>,
-    leader_running: bool,
-}
-
-struct PendingWrite {
-    batch: WriteBatch,
-    slot: Arc<WriteSlot>,
-}
-
-/// Per-waiter result cell, filled by the leader that commits the batch.
-#[derive(Default)]
-struct WriteSlot(Mutex<Option<Result<()>>>);
 
 /// Create a WAL at a freshly allocated file number. A crash between
 /// allocating the number and persisting the manifest can leave an orphan
@@ -212,9 +181,7 @@ impl KvStore {
                 next_file,
             }),
             metrics: Metrics::default(),
-            group_probe: QueueProbe::new(&tel, "kv.group"),
             tel,
-            group: GroupCommit::default(),
             compaction_gate: Mutex::new(()),
         };
         store.write_manifest(&store.inner.read().unwrap_or_else(|e| e.into_inner()))?;
@@ -283,14 +250,10 @@ impl KvStore {
     }
 
     /// Apply a batch atomically: logged as one WAL record, applied to the
-    /// memtable under one lock. With [`Options::group_commit`] enabled,
-    /// concurrent callers are coalesced into one WAL append + fsync.
+    /// memtable under one lock.
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
-        }
-        if self.options.group_commit {
-            return self.write_grouped(batch);
         }
         let puts = batch
             .iter()
@@ -312,50 +275,6 @@ impl KvStore {
         Metrics::add(&self.metrics.puts, puts as u64);
         Metrics::add(&self.metrics.deletes, dels as u64);
         Self::apply_to_memtable(&mut inner.memtable, batch);
-        let wants_compaction = self.maybe_flush_locked(&mut inner)?;
-        drop(inner);
-        self.compact_if_wanted(wants_compaction)
-    }
-
-    /// Apply several batches as one durability unit: all batches are
-    /// logged in one WAL append (one fsync with [`Options::sync_wal`]) and
-    /// applied to the memtable in order. The WAL frames and the resulting
-    /// store contents are exactly those of [`KvStore::write`] called once
-    /// per batch — only the fsync count differs. This is group commit for
-    /// a *single* caller with a backlog: the ledger's pipelined commit
-    /// workers use it to amortise fsyncs over queued blocks.
-    pub fn write_many(&self, batches: Vec<WriteBatch>) -> Result<()> {
-        let mut batches: Vec<WriteBatch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
-        if batches.len() < 2 {
-            return match batches.pop() {
-                Some(batch) => self.write(batch),
-                None => Ok(()),
-            };
-        }
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Metrics::incr(&self.metrics.group_commits);
-        Metrics::add(&self.metrics.group_commit_batches, batches.len() as u64);
-        let payloads: Vec<Vec<u8>> = batches.iter().map(|b| b.encode()).collect();
-        let bytes = {
-            let mut span = self.tel.span("kv.wal.append");
-            let bytes = inner.wal.append_group(&payloads)?;
-            span.record("bytes", bytes);
-            bytes
-        };
-        Metrics::add(&self.metrics.bytes_wal, bytes);
-        if self.options.sync_wal {
-            Metrics::incr(&self.metrics.wal_fsyncs);
-            self.tel.count("kv.wal.fsyncs", 1);
-        }
-        for batch in batches {
-            let puts = batch
-                .iter()
-                .filter(|op| matches!(op, BatchOp::Put { .. }))
-                .count();
-            Metrics::add(&self.metrics.puts, puts as u64);
-            Metrics::add(&self.metrics.deletes, (batch.len() - puts) as u64);
-            Self::apply_to_memtable(&mut inner.memtable, batch);
-        }
         let wants_compaction = self.maybe_flush_locked(&mut inner)?;
         drop(inner);
         self.compact_if_wanted(wants_compaction)
@@ -385,133 +304,6 @@ impl KvStore {
             // Free, or poisoned by a merge that panicked: the gate guards
             // no data, so either way this thread now holds it.
             _gate => self.compact_gated(),
-        }
-    }
-
-    /// Group-commit front door: enqueue the batch, then either become the
-    /// leader (no leader running) and commit the whole queue, or wait for
-    /// a leader to fill this batch's result slot.
-    fn write_grouped(&self, batch: WriteBatch) -> Result<()> {
-        let slot = Arc::new(WriteSlot::default());
-        let enqueued_at = self.group_probe.is_live().then(std::time::Instant::now);
-        let wait_ns =
-            |t0: Option<std::time::Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let mut state = self.group.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.pending.push(PendingWrite {
-            batch,
-            slot: Arc::clone(&slot),
-        });
-        self.group_probe.enqueued();
-        loop {
-            if !state.leader_running {
-                state.leader_running = true;
-                let work = std::mem::take(&mut state.pending);
-                // The backlog's staleness is bounded by this leader's own
-                // queue residency (it enqueued last).
-                self.group_probe
-                    .drained(work.len() as u64, wait_ns(enqueued_at));
-                drop(state);
-                self.run_group(work);
-                self.group
-                    .state
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .leader_running = false;
-                self.group.cond.notify_all();
-                self.group_probe.send_waited_ns(wait_ns(enqueued_at));
-                return slot
-                    .0
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("leader fills every slot it drained, including its own");
-            }
-            state = self
-                .group
-                .cond
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(result) = slot.0.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                self.group_probe.send_waited_ns(wait_ns(enqueued_at));
-                return result;
-            }
-            // Woken but not served: this batch arrived after the running
-            // leader drained the queue. Loop — we may be the next leader.
-        }
-    }
-
-    /// Leader body of the group-commit path: append every queued batch in
-    /// one WAL write (one fsync), then apply them to the memtable in queue
-    /// order. Fills every waiter's result slot; never returns an error —
-    /// failures fan out to the waiters instead.
-    fn run_group(&self, work: Vec<PendingWrite>) {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        Metrics::incr(&self.metrics.group_commits);
-        Metrics::add(&self.metrics.group_commit_batches, work.len() as u64);
-        let payloads: Vec<Vec<u8>> = work.iter().map(|w| w.batch.encode()).collect();
-        let appended = {
-            let mut span = self.tel.span("kv.wal.append");
-            let result = inner.wal.append_group(&payloads);
-            if let Ok(bytes) = &result {
-                span.record("bytes", *bytes);
-            }
-            result
-        };
-        let bytes = match appended {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                drop(inner);
-                // Nothing in this group is durable; fail every waiter.
-                // `Error` is not `Clone`, so each gets a formatted copy.
-                let msg = e.to_string();
-                for w in work {
-                    *w.slot.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Err(Error::io(
-                        "group commit".to_string(),
-                        std::io::Error::other(msg.clone()),
-                    )));
-                }
-                return;
-            }
-        };
-        Metrics::add(&self.metrics.bytes_wal, bytes);
-        if self.options.sync_wal {
-            Metrics::incr(&self.metrics.wal_fsyncs);
-            self.tel.count("kv.wal.fsyncs", 1);
-        }
-        let mut slots = Vec::with_capacity(work.len());
-        for w in work {
-            let puts = w
-                .batch
-                .iter()
-                .filter(|op| matches!(op, BatchOp::Put { .. }))
-                .count();
-            Metrics::add(&self.metrics.puts, puts as u64);
-            Metrics::add(&self.metrics.deletes, (w.batch.len() - puts) as u64);
-            Self::apply_to_memtable(&mut inner.memtable, w.batch);
-            slots.push(w.slot);
-        }
-        // Flush/compact exactly as a serial writer would. A failure here is
-        // reported to every waiter: their records are durable in the WAL,
-        // but the store may be wedged — same contract as the serial path.
-        let tail = self.maybe_flush_locked(&mut inner).and_then(|wanted| {
-            drop(inner);
-            self.compact_if_wanted(wanted)
-        });
-        match tail {
-            Ok(()) => {
-                for s in slots {
-                    *s.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ok(()));
-                }
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                for s in slots {
-                    *s.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(Err(Error::io(
-                        "group commit flush".to_string(),
-                        std::io::Error::other(msg.clone()),
-                    )));
-                }
-            }
         }
     }
 
@@ -1363,72 +1155,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn group_commit_sequential_writes_match_serial_fsyncs() {
-        let dir = TempDir::new("group-seq");
-        let mut opts = Options::small_for_tests();
-        opts.sync_wal = true;
-        opts.group_commit = true;
-        let db = KvStore::open(&dir.0, opts).unwrap();
-        db.put(&b"a"[..], &b"1"[..]).unwrap();
-        db.put(&b"b"[..], &b"2"[..]).unwrap();
-        let m = db.metrics();
-        // Sequential callers never coalesce: one leader round (and one
-        // fsync) per write, exactly like the serial path.
-        assert_eq!(m.wal_fsyncs, 2);
-        assert_eq!(m.group_commits, 2);
-        assert_eq!(m.group_commit_batches, 2);
-        assert_eq!(db.get(b"a").unwrap().unwrap(), &b"1"[..]);
-        assert_eq!(db.get(b"b").unwrap().unwrap(), &b"2"[..]);
-    }
-
-    #[test]
-    fn group_commit_coalesces_concurrent_writers() {
-        let dir = TempDir::new("group-conc");
-        let opts = Options {
-            sync_wal: true,
-            group_commit: true,
-            ..Options::default()
-        };
-        let db = std::sync::Arc::new(KvStore::open(&dir.0, opts).unwrap());
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let db = db.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    db.put(format!("t{t}-k{i}"), format!("v{i}")).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let m = db.metrics();
-        assert_eq!(m.group_commit_batches, 400);
-        assert!(m.group_commits >= 1 && m.group_commits <= 400);
-        // One fsync per leader round — never more than one per batch.
-        assert_eq!(m.wal_fsyncs, m.group_commits);
-        assert_eq!(m.puts, 400);
-        for t in 0..8 {
-            for i in 0..50 {
-                let key = format!("t{t}-k{i}");
-                assert_eq!(
-                    db.get(key.as_bytes()).unwrap().unwrap(),
-                    format!("v{i}").as_bytes(),
-                    "{key} lost"
-                );
-            }
-        }
-    }
-
-    /// Crash-recovery property for group commit: after a torn tail (a
-    /// record that was being appended when the process died, never
+    /// Crash-recovery property under concurrent writers: after a torn
+    /// tail (a record that was being appended when the process died, never
     /// acknowledged), replay yields exactly the acknowledged writes.
-    fn group_commit_crash_recovery(sync_wal: bool, tag: &str) {
+    fn torn_wal_tail_crash_recovery(sync_wal: bool, tag: &str) {
         let dir = TempDir::new(tag);
         let opts = Options {
             sync_wal,
-            group_commit: true,
             ..Options::default()
         };
         {
@@ -1494,13 +1227,13 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_crash_recovery_sync() {
-        group_commit_crash_recovery(true, "group-crash-sync");
+    fn torn_wal_tail_crash_recovery_sync() {
+        torn_wal_tail_crash_recovery(true, "torn-crash-sync");
     }
 
     #[test]
-    fn group_commit_crash_recovery_nosync() {
-        group_commit_crash_recovery(false, "group-crash-nosync");
+    fn torn_wal_tail_crash_recovery_nosync() {
+        torn_wal_tail_crash_recovery(false, "torn-crash-nosync");
     }
 
     #[test]
@@ -1617,81 +1350,6 @@ mod tests {
         assert_eq!(db.get(b"live").unwrap().unwrap(), &b"1"[..]);
         db.put(&b"after"[..], &b"2"[..]).unwrap();
         assert_eq!(db.get(b"after").unwrap().unwrap(), &b"2"[..]);
-    }
-
-    #[test]
-    fn write_many_matches_sequential_writes() {
-        // The coalesced path must leave the store (and its WAL bytes)
-        // exactly as N sequential writes would — only the fsync count may
-        // differ.
-        let batches = || -> Vec<WriteBatch> {
-            (0..5)
-                .map(|i| {
-                    let mut b = WriteBatch::new();
-                    b.put(format!("k{i}"), format!("v{i}"));
-                    if i > 0 {
-                        b.delete(format!("k{}", i - 1));
-                    }
-                    b
-                })
-                .collect()
-        };
-        let seq_dir = TempDir::new("wm-seq");
-        let many_dir = TempDir::new("wm-many");
-        let opts = || Options {
-            sync_wal: true,
-            ..Options::small_for_tests()
-        };
-        {
-            let db = KvStore::open(&seq_dir.0, opts()).unwrap();
-            for b in batches() {
-                db.write(b).unwrap();
-            }
-        }
-        {
-            let db = KvStore::open(&many_dir.0, opts()).unwrap();
-            db.write_many(batches()).unwrap();
-            let m = db.metrics();
-            assert_eq!(m.wal_fsyncs, 1, "one fsync covers the whole backlog");
-            assert_eq!(m.group_commits, 1);
-            assert_eq!(m.group_commit_batches, 5);
-        }
-        let wal_bytes = |dir: &TempDir| {
-            let mut names: Vec<_> = std::fs::read_dir(&dir.0)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .filter(|p| p.extension().is_some_and(|e| e == "wal"))
-                .collect();
-            names.sort();
-            names
-                .iter()
-                .flat_map(|p| std::fs::read(p).unwrap())
-                .collect::<Vec<u8>>()
-        };
-        let (seq_wal, many_wal) = (wal_bytes(&seq_dir), wal_bytes(&many_dir));
-        assert!(!seq_wal.is_empty(), "sequential WAL must not be empty");
-        assert_eq!(
-            seq_wal, many_wal,
-            "write_many must log byte-identical WAL frames"
-        );
-        // Reopen the coalesced store: every batch replays.
-        let db = KvStore::open(&many_dir.0, opts()).unwrap();
-        assert_eq!(db.get(b"k4").unwrap().unwrap(), &b"v4"[..]);
-        assert!(db.get(b"k3").unwrap().is_none(), "delete in later batch");
-    }
-
-    #[test]
-    fn write_many_handles_empty_and_singleton() {
-        let dir = TempDir::new("wm-edge");
-        let db = open(&dir);
-        db.write_many(Vec::new()).unwrap();
-        db.write_many(vec![WriteBatch::new()]).unwrap();
-        let mut b = WriteBatch::new();
-        b.put(&b"solo"[..], &b"v"[..]);
-        db.write_many(vec![WriteBatch::new(), b]).unwrap();
-        assert_eq!(db.get(b"solo").unwrap().unwrap(), &b"v"[..]);
-        // A singleton degrades to the plain write path: no group metrics.
-        assert_eq!(db.metrics().group_commits, 0);
     }
 
     #[test]

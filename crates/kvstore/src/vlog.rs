@@ -400,43 +400,22 @@ impl LogStore {
     /// Apply a batch atomically: one CRC-framed record, so either every
     /// operation replays after a crash or none does.
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
-        self.append_batches(&[batch])
-    }
-
-    /// Apply several independently atomic batches with one buffered append
-    /// and at most one fsync — the cross-batch group-commit primitive. Each
-    /// batch is its own record, so atomicity is per batch.
-    pub fn write_many(&self, batches: Vec<WriteBatch>) -> Result<()> {
-        if batches.len() > 1 {
-            Metrics::incr(&self.metrics.group_commits);
-            Metrics::add(&self.metrics.group_commit_batches, batches.len() as u64);
-        }
-        self.append_batches(&batches)
-    }
-
-    fn append_batches(&self, batches: &[WriteBatch]) -> Result<()> {
-        let mut payloads = Vec::with_capacity(batches.len());
-        for batch in batches {
-            if batch.is_empty() {
-                continue;
-            }
-            for op in batch.iter() {
-                match op {
-                    crate::batch::BatchOp::Put { .. } => Metrics::incr(&self.metrics.puts),
-                    crate::batch::BatchOp::Delete { .. } => Metrics::incr(&self.metrics.deletes),
-                }
-            }
-            payloads.push(batch.encode());
-        }
-        if payloads.is_empty() {
+        if batch.is_empty() {
             return Ok(());
         }
+        for op in batch.iter() {
+            match op {
+                crate::batch::BatchOp::Put { .. } => Metrics::incr(&self.metrics.puts),
+                crate::batch::BatchOp::Delete { .. } => Metrics::incr(&self.metrics.deletes),
+            }
+        }
+        let payload = batch.encode();
         let dead_total;
         {
             let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
             let base = inner.active.bytes_written();
             let mut span = self.tel.span("kv.vlog.append");
-            let bytes = inner.active.append_group(&payloads)?;
+            let bytes = inner.active.append(&payload)?;
             span.record("bytes", bytes);
             drop(span);
             Metrics::add(&self.metrics.bytes_wal, bytes);
@@ -445,18 +424,14 @@ impl LogStore {
                 self.tel.count("kv.wal.fsyncs", 1);
             }
             let inner = &mut *inner;
-            let mut off = base;
-            for payload in &payloads {
-                let ops = parse_ops(payload).expect("just-encoded batch reparses");
-                apply_record(
-                    &mut inner.index,
-                    &mut inner.files,
-                    inner.active_id,
-                    off + 8,
-                    ops,
-                );
-                off += 8 + payload.len() as u64;
-            }
+            let ops = parse_ops(&payload).expect("just-encoded batch reparses");
+            apply_record(
+                &mut inner.index,
+                &mut inner.files,
+                inner.active_id,
+                base + 8,
+                ops,
+            );
             let active_len = inner.active.bytes_written();
             if let Some(f) = inner.files.get_mut(&inner.active_id) {
                 f.len = active_len;
@@ -1124,37 +1099,6 @@ mod tests {
         let all = iter.collect_all().unwrap();
         assert_eq!(all.len(), 50);
         assert!(all.iter().all(|(_, v)| v[..] == vec![b'x'; 100][..]));
-    }
-
-    #[test]
-    fn write_many_coalesces_fsyncs() {
-        let dir = TempDir::new("write-many");
-        let db = LogStore::open(
-            &dir.0,
-            Options {
-                sync_wal: true,
-                log_compaction_bytes: 0,
-                ..Options::small_for_tests()
-            },
-        )
-        .unwrap();
-        let batches: Vec<WriteBatch> = (0..8)
-            .map(|i| {
-                let mut b = WriteBatch::new();
-                b.put(format!("k{i}"), format!("v{i}"));
-                b
-            })
-            .collect();
-        db.write_many(batches).unwrap();
-        let m = db.metrics();
-        assert_eq!(m.puts, 8);
-        assert_eq!(m.wal_fsyncs, 1, "cross-batch group commit must coalesce");
-        for i in 0..8 {
-            assert_eq!(
-                db.get(format!("k{i}").as_bytes()).unwrap().unwrap(),
-                format!("v{i}").as_bytes()
-            );
-        }
     }
 
     #[test]

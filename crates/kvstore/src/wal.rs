@@ -84,37 +84,6 @@ impl Wal {
         Ok(written)
     }
 
-    /// Append several records, flushing (and syncing, when `sync`) **once**
-    /// for the whole group — the group-commit primitive. Equivalent to one
-    /// [`Wal::append`] per payload from a replay point of view, but pays a
-    /// single fsync instead of one per record.
-    pub fn append_group(&mut self, payloads: &[Vec<u8>]) -> Result<u64> {
-        let ctx = || format!("appending to wal {}", self.path.display());
-        let mut written = 0u64;
-        for payload in payloads {
-            let len = u32::try_from(payload.len())
-                .map_err(|_| Error::InvalidArgument("wal record exceeds 4 GiB".into()))?;
-            let mut crc_input = Vec::with_capacity(4 + payload.len());
-            crc_input.extend_from_slice(&len.to_le_bytes());
-            crc_input.extend_from_slice(payload);
-            let crc = crc32(&crc_input);
-            self.writer
-                .write_all(&crc.to_le_bytes())
-                .and_then(|_| self.writer.write_all(&crc_input))
-                .map_err(|e| Error::io(ctx(), e))?;
-            written += 8 + payload.len() as u64;
-        }
-        self.writer.flush().map_err(|e| Error::io(ctx(), e))?;
-        if self.sync {
-            self.writer
-                .get_ref()
-                .sync_data()
-                .map_err(|e| Error::io(ctx(), e))?;
-        }
-        self.bytes_written += written;
-        Ok(written)
-    }
-
     /// Total bytes appended since creation.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -268,29 +237,6 @@ mod tests {
         // After the caller explicitly removes the orphan, create succeeds.
         std::fs::remove_file(&path).unwrap();
         Wal::create(&path, false).unwrap();
-    }
-
-    #[test]
-    fn append_group_is_replay_equivalent_to_appends() {
-        let dir = tmpdir();
-        let grouped = dir.path().join("grouped.wal");
-        let single = dir.path().join("single.wal");
-        let records: Vec<Vec<u8>> = vec![b"one".to_vec(), b"".to_vec(), b"three".to_vec()];
-        let mut wal = Wal::create(&grouped, true).unwrap();
-        let group_bytes = wal.append_group(&records).unwrap();
-        drop(wal);
-        let mut wal = Wal::create(&single, true).unwrap();
-        let mut single_bytes = 0;
-        for r in &records {
-            single_bytes += wal.append(r).unwrap();
-        }
-        drop(wal);
-        assert_eq!(group_bytes, single_bytes);
-        assert_eq!(replay(&grouped).unwrap(), records);
-        assert_eq!(
-            std::fs::read(&grouped).unwrap(),
-            std::fs::read(&single).unwrap()
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct Block {
 
 impl Block {
     /// Assemble a block over `txs`, computing the data hash and linking to
-    /// `prev_hash`. Validation codes are set by the commit pipeline.
+    /// `prev_hash`. Validation codes are set by the commit path.
     pub fn new(
         number: BlockNum,
         prev_hash: Digest,

@@ -89,7 +89,7 @@ impl std::fmt::Debug for BlockFileManager {
     }
 }
 
-fn file_path(dir: &Path, num: u32) -> PathBuf {
+pub(crate) fn file_path(dir: &Path, num: u32) -> PathBuf {
     dir.join(format!("blockfile_{num:06}"))
 }
 

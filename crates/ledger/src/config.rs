@@ -18,16 +18,6 @@ pub struct LedgerConfig {
     /// every history read; the paper's cost model depends on this. The
     /// cache's mutex shard count is derived from this capacity.
     pub cache_blocks: usize,
-    /// Commit blocks through the multi-stage pipeline (stage A validates
-    /// and assembles on the caller thread; blockfile append, history/tx
-    /// indexing and state-db apply run on dedicated worker threads, with
-    /// the index and state stages in parallel). **Off by default**: the
-    /// serial path is the paper's cost model. The pipelined path is
-    /// byte-identical — same block hashes, same blockfile bytes, same
-    /// state-db contents — it only overlaps the stages in time. Callers
-    /// that read their own writes must [`crate::Ledger::drain_commits`]
-    /// first.
-    pub pipeline: bool,
     /// Group history locations by block so each block is read and decoded
     /// at most once per GHFK scan (on by default). Turning this off
     /// restores the per-location read path — one block fetch per
@@ -55,7 +45,6 @@ impl Default for LedgerConfig {
             block_max_bytes: 512 << 10,
             blockfile_max_bytes: 64 << 20,
             cache_blocks: 0,
-            pipeline: false,
             coalesce_history: true,
             state_db: KvOptions::default(),
             index_db: KvOptions::default(),
@@ -72,7 +61,6 @@ impl LedgerConfig {
             block_max_bytes: 4 << 10,
             blockfile_max_bytes: 8 << 10,
             cache_blocks: 0,
-            pipeline: false,
             coalesce_history: true,
             state_db: KvOptions::small_for_tests(),
             index_db: KvOptions::small_for_tests(),
@@ -98,12 +86,6 @@ impl LedgerConfig {
         self
     }
 
-    /// Builder-style setter for [`LedgerConfig::pipeline`].
-    pub fn with_pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
-        self
-    }
-
     /// Builder-style setter for [`LedgerConfig::backend`].
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -124,7 +106,6 @@ mod tests {
             block_max_bytes,
             blockfile_max_bytes,
             cache_blocks,
-            pipeline,
             coalesce_history,
             state_db,
             index_db,
@@ -135,7 +116,6 @@ mod tests {
         assert_eq!(blockfile_max_bytes, 64 << 20);
         assert_eq!(cache_blocks, 0, "cache must default to off");
         assert!(coalesce_history, "coalescing is on by default");
-        assert!(!pipeline, "serial commit is the paper's cost model");
         assert!(!state_db.sync_wal && !index_db.sync_wal);
         assert_eq!(
             backend,
@@ -150,12 +130,10 @@ mod tests {
             .with_block_max_txs(50)
             .with_cache_blocks(16)
             .with_coalesce_history(false)
-            .with_pipeline(true)
             .with_backend(Backend::Log);
         assert_eq!(c.block_max_txs, 50);
         assert_eq!(c.cache_blocks, 16);
         assert!(!c.coalesce_history);
-        assert!(c.pipeline);
         assert_eq!(c.backend, Backend::Log);
     }
 }

@@ -39,25 +39,6 @@ pub struct LedgerIndex {
     db: SharedEngine,
 }
 
-/// Everything one committed block contributes to the indexes — the owned
-/// form of [`LedgerIndex::index_block`]'s arguments, queued by the
-/// pipelined commit path and drained in batches via
-/// [`LedgerIndex::index_blocks`].
-#[derive(Debug, Clone)]
-pub struct BlockIndexEntry {
-    /// The block's number.
-    pub block_num: BlockNum,
-    /// Where the block landed in the block files.
-    pub location: BlockLocation,
-    /// `(key, tx_num, tx_timestamp)` history entries for the block's valid
-    /// transactions.
-    pub history: Vec<(Bytes, TxNum, Timestamp)>,
-    /// `(tx_id, tx_num)` pairs for the transaction-id index.
-    pub tx_ids: Vec<(crate::tx::TxId, TxNum)>,
-    /// Chain tip after this block.
-    pub tip: ChainTip,
-}
-
 /// One history-index hit: which transaction (in which block) wrote the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct HistoryLocation {
@@ -150,38 +131,6 @@ impl LedgerIndex {
         tx_ids: &[(crate::tx::TxId, TxNum)],
         tip: ChainTip,
     ) -> Result<()> {
-        let batch = Self::block_batch(block_num, location, history_entries, tx_ids, tip);
-        self.db.write(batch)?;
-        Ok(())
-    }
-
-    /// Index several consecutive blocks as one durability unit: the
-    /// per-block write batches are identical to [`LedgerIndex::index_block`]
-    /// but share one WAL append + fsync
-    /// ([`fabric_kvstore::KvStore::write_many`]). Used by the pipelined
-    /// commit path to amortise fsyncs over its queued backlog.
-    pub fn index_blocks<'a>(
-        &self,
-        entries: impl IntoIterator<Item = &'a BlockIndexEntry>,
-    ) -> Result<()> {
-        let batches: Vec<WriteBatch> = entries
-            .into_iter()
-            .map(|e| Self::block_batch(e.block_num, e.location, &e.history, &e.tx_ids, e.tip))
-            .collect();
-        self.db.write_many(batches)?;
-        Ok(())
-    }
-
-    /// The exact write batch one committed block contributes to the
-    /// indexes — shared by the serial and batched write paths so their
-    /// on-disk effects stay identical.
-    fn block_batch(
-        block_num: BlockNum,
-        location: BlockLocation,
-        history_entries: &[(Bytes, TxNum, Timestamp)],
-        tx_ids: &[(crate::tx::TxId, TxNum)],
-        tip: ChainTip,
-    ) -> WriteBatch {
         let mut batch = WriteBatch::new();
         batch.put(block_key(block_num), location.encode().to_vec());
         for (key, tx_num, tx_ts) in history_entries {
@@ -200,7 +149,8 @@ impl LedgerIndex {
         tip_bytes.extend_from_slice(&tip.height.to_le_bytes());
         tip_bytes.extend_from_slice(&tip.last_hash.0);
         batch.put(meta_key("tip"), tip_bytes);
-        batch
+        self.db.write(batch)?;
+        Ok(())
     }
 
     /// Look up where a block lives.
@@ -441,49 +391,6 @@ mod tests {
         };
         idx.index_block(8, loc(3), &[], &[], tip).unwrap();
         assert_eq!(idx.chain_tip().unwrap(), Some(tip));
-    }
-
-    #[test]
-    fn index_blocks_matches_block_by_block_indexing() {
-        // The batched path (one WAL append for the whole backlog) must
-        // produce exactly the store the serial path would.
-        let entries: Vec<BlockIndexEntry> = (0..4u64)
-            .map(|n| BlockIndexEntry {
-                block_num: n,
-                location: loc(n as u32),
-                history: vec![(Bytes::from(format!("k{}", n % 2)), 0, n * 10)],
-                tx_ids: vec![(crate::tx::TxId(Digest([n as u8; 32])), 0)],
-                tip: ChainTip {
-                    height: n + 1,
-                    last_hash: Digest([n as u8; 32]),
-                },
-            })
-            .collect();
-        let serial_dir = TempDir::new("ib-serial");
-        let serial = index(&serial_dir);
-        for e in &entries {
-            serial
-                .index_block(e.block_num, e.location, &e.history, &e.tx_ids, e.tip)
-                .unwrap();
-        }
-        let batched_dir = TempDir::new("ib-batched");
-        let batched = index(&batched_dir);
-        batched.index_blocks(&entries).unwrap();
-        for idx in [&serial, &batched] {
-            assert_eq!(idx.chain_tip().unwrap().unwrap().height, 4);
-            assert_eq!(idx.block_location(3).unwrap().unwrap(), loc(3));
-            let locs = idx.history_locations(b"k0").unwrap();
-            assert_eq!(
-                locs.iter().map(|l| l.block_num).collect::<Vec<_>>(),
-                vec![0, 2]
-            );
-            assert_eq!(
-                idx.tx_location(&crate::tx::TxId(Digest([2; 32])))
-                    .unwrap()
-                    .unwrap(),
-                (2, 0)
-            );
-        }
     }
 
     #[test]

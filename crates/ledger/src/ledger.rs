@@ -1,4 +1,4 @@
-//! The ledger engine: commit pipeline, chain state, recovery and queries.
+//! The ledger engine: the commit path, chain state, recovery and queries.
 //!
 //! Data flow on commit (mirrors a Fabric peer):
 //!
@@ -18,12 +18,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
 use fabric_kvstore::{open_engine, Backend};
-use fabric_telemetry::{QueueProbe, SpanContext, SpanGuard, Telemetry};
+use fabric_telemetry::{SpanGuard, Telemetry};
 
 use crate::block::Block;
 use crate::blockfile::BlockFileManager;
@@ -31,7 +31,7 @@ use crate::cache::BlockCache;
 use crate::config::LedgerConfig;
 use crate::error::{Error, Result};
 use crate::hash::Digest;
-use crate::index::{BlockIndexEntry, ChainTip, HistoryLocation, LedgerIndex};
+use crate::index::{ChainTip, HistoryLocation, LedgerIndex};
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::orderer::BlockCutter;
 use crate::sharded::{holds_sharded_layout, SHARDS_META};
@@ -53,13 +53,13 @@ type BlockEffects = (
 /// A single-peer Fabric-style ledger.
 ///
 /// See the [crate docs](crate) for the architecture overview and the
-/// [module docs](self) for the commit pipeline.
+/// [module docs](self) for the commit path.
 pub struct Ledger {
     #[allow(dead_code)]
     dir: PathBuf,
     stats: Arc<IoStats>,
     tel: Telemetry,
-    blockfiles: Arc<BlockFileManager>,
+    blockfiles: BlockFileManager,
     index: LedgerIndex,
     state: StateDb,
     cache: Option<BlockCache>,
@@ -68,17 +68,9 @@ pub struct Ledger {
     coalesce_history: bool,
     chain: Mutex<ChainTip>,
     cutter: Mutex<BlockCutter>,
-    /// Commit-event subscribers (see [`Ledger::subscribe`]). Shared with
-    /// the pipeline workers, which fire the events on the pipelined path.
-    subscribers: Subscribers,
-    /// Worker threads of the pipelined commit path (see
-    /// [`crate::config::LedgerConfig::pipeline`]); `None` on the serial
-    /// path.
-    pipeline: Option<CommitPipeline>,
+    /// Senders of the live [`Ledger::subscribe`] channels.
+    subscribers: Mutex<Vec<mpsc::Sender<CommitEvent>>>,
 }
-
-/// Senders of the live [`Ledger::subscribe`] channels.
-type Subscribers = Arc<Mutex<Vec<mpsc::Sender<CommitEvent>>>>;
 
 /// Notification sent to [`Ledger::subscribe`]rs after each block commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,358 +82,6 @@ pub struct CommitEvent {
     /// Largest transaction timestamp in the block (0 for empty blocks) —
     /// index-maintenance daemons use this as the ledger's logical clock.
     pub max_timestamp: Timestamp,
-}
-
-/// MVCC-overlay entry for a key written by a block that has not reached
-/// the state db yet: the version validation must observe (`None` =
-/// deleted) and the block that wrote it, so the state worker can retire
-/// the entry once that block is applied.
-#[derive(Debug, Clone, Copy)]
-struct OverlayEntry {
-    version: Option<Version>,
-    writer: BlockNum,
-}
-
-/// Hand-off from stage A (validate + assemble, on the caller thread) to
-/// the append worker. `ctx` is the submitting `ledger.commit` span's
-/// trace context: worker-side spans parent under it so the whole commit
-/// forms one tree in the flight recorder even though it crosses threads.
-struct AppendItem {
-    block: Arc<Block>,
-    tip: ChainTip,
-    event: CommitEvent,
-    ctx: Option<SpanContext>,
-}
-
-/// Hand-off from the append worker to the index worker.
-struct IndexItem {
-    entry: BlockIndexEntry,
-    event: CommitEvent,
-    ctx: Option<SpanContext>,
-}
-
-/// Hand-off from the append worker to the state worker.
-struct StateItem {
-    block_num: BlockNum,
-    writes: Vec<StateUpdate>,
-    event: CommitEvent,
-    ctx: Option<SpanContext>,
-}
-
-/// State shared between stage A and the three pipeline workers.
-///
-/// Lock ordering (always acquire left before right, never the reverse):
-/// `chain` → `overlay`/`in_flight`, and `completed` → `error`/`in_flight`.
-/// `error` is never held while acquiring another lock.
-struct PipelineShared {
-    /// Blocks admitted by stage A but not yet fully applied (blockfile +
-    /// index + state). Guarded by `in_flight`, signalled on `all_done`.
-    in_flight: Mutex<u64>,
-    all_done: Condvar,
-    /// Per-block count of finished fan-out stages (index, state). The
-    /// second finisher fires the commit event and releases the barrier.
-    completed: Mutex<HashMap<BlockNum, u8>>,
-    /// First error any stage hit; poisons the whole pipeline.
-    error: Mutex<Option<Error>>,
-    /// Writes of in-flight blocks, visible to MVCC validation so stage A
-    /// sees exactly the state the serial path would.
-    overlay: Mutex<HashMap<Bytes, OverlayEntry>>,
-    subscribers: Subscribers,
-}
-
-impl PipelineShared {
-    fn lock_error(&self) -> std::sync::MutexGuard<'_, Option<Error>> {
-        self.error.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn poisoned(&self) -> bool {
-        self.lock_error().is_some()
-    }
-
-    /// Record the first failure; later failures are dropped.
-    fn poison(&self, e: Error) {
-        let mut slot = self.lock_error();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
-    /// A reportable copy of the poison error ([`Error`] is not `Clone`,
-    /// so the copy wraps the original's rendering).
-    fn error_copy(&self) -> Option<Error> {
-        self.lock_error().as_ref().map(|e| {
-            Error::io(
-                "commit pipeline".to_string(),
-                std::io::Error::other(e.to_string()),
-            )
-        })
-    }
-
-    /// Mark one of `event`'s two fan-out stages finished. The second
-    /// finisher fires the subscriber notification — inside the
-    /// `completed` lock, which serializes notifications in block order
-    /// (both workers process blocks in order, so second-completions are
-    /// monotone in block number) — then releases the drain barrier.
-    fn complete(&self, event: CommitEvent) {
-        let mut completed = self.completed.lock().unwrap_or_else(|e| e.into_inner());
-        let count = completed.entry(event.block_num).or_insert(0);
-        *count += 1;
-        if *count < 2 {
-            return;
-        }
-        completed.remove(&event.block_num);
-        if !self.poisoned() {
-            let mut subs = self.subscribers.lock().unwrap_or_else(|e| e.into_inner());
-            subs.retain(|tx| tx.send(event).is_ok());
-        }
-        let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        *n = n.saturating_sub(1);
-        drop(n);
-        drop(completed);
-        self.all_done.notify_all();
-    }
-}
-
-/// The worker side of the pipelined commit path: bounded channels feed
-/// `append → {index ∥ state}` threads. Dropping it closes the channels
-/// and joins the workers.
-struct CommitPipeline {
-    append_tx: Option<mpsc::SyncSender<AppendItem>>,
-    shared: Arc<PipelineShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Backpressure probe for the stage-A → append channel; the fan-out
-    /// channels carry their own probes inside the worker closures.
-    append_probe: QueueProbe,
-}
-
-impl CommitPipeline {
-    /// Channel depth per stage: enough to keep every stage busy without
-    /// letting the append worker run far ahead of the state db (which
-    /// would grow the MVCC overlay unboundedly).
-    const DEPTH: usize = 8;
-
-    fn start(
-        blockfiles: Arc<BlockFileManager>,
-        index: LedgerIndex,
-        state: StateDb,
-        subscribers: Subscribers,
-        tel: Telemetry,
-    ) -> CommitPipeline {
-        let shared = Arc::new(PipelineShared {
-            in_flight: Mutex::new(0),
-            all_done: Condvar::new(),
-            completed: Mutex::new(HashMap::new()),
-            error: Mutex::new(None),
-            overlay: Mutex::new(HashMap::new()),
-            subscribers,
-        });
-        let (append_tx, append_rx) = mpsc::sync_channel::<AppendItem>(Self::DEPTH);
-        let (index_tx, index_rx) = mpsc::sync_channel::<IndexItem>(Self::DEPTH);
-        let (state_tx, state_rx) = mpsc::sync_channel::<StateItem>(Self::DEPTH);
-        let append_probe = QueueProbe::new(&tel, "pipeline.append");
-        let index_probe = QueueProbe::new(&tel, "pipeline.index");
-        let state_probe = QueueProbe::new(&tel, "pipeline.state");
-
-        let append_worker = {
-            let shared = shared.clone();
-            let tel = tel.clone();
-            let append_probe = append_probe.clone();
-            let index_send = index_probe.clone();
-            let state_send = state_probe.clone();
-            std::thread::spawn(move || {
-                while let Ok(AppendItem {
-                    block,
-                    tip,
-                    event,
-                    ctx,
-                }) = append_probe.recv(|| append_rx.recv())
-                {
-                    if shared.poisoned() {
-                        // Drain mode: balance the barrier for both
-                        // skipped fan-out stages.
-                        shared.complete(event);
-                        shared.complete(event);
-                        continue;
-                    }
-                    let appended = {
-                        let _s = tel.span_in("commit.append", ctx);
-                        blockfiles.append_block(&block)
-                    };
-                    let location = match appended {
-                        Ok(loc) => loc,
-                        Err(e) => {
-                            shared.poison(e);
-                            shared.complete(event);
-                            shared.complete(event);
-                            continue;
-                        }
-                    };
-                    let (history, writes, tx_ids) = Ledger::collect_effects(&block);
-                    let block_num = block.header.number;
-                    if index_send
-                        .send(|| {
-                            index_tx
-                                .send(IndexItem {
-                                    entry: BlockIndexEntry {
-                                        block_num,
-                                        location,
-                                        history,
-                                        tx_ids,
-                                        tip,
-                                    },
-                                    event,
-                                    ctx,
-                                })
-                                // Drop the bulky SendError payload: only
-                                // send success matters here, and a slim Err
-                                // keeps the probe's closure result small.
-                                .map_err(drop)
-                        })
-                        .is_err()
-                    {
-                        shared.complete(event);
-                    }
-                    if state_send
-                        .send(|| {
-                            state_tx.send(StateItem {
-                                block_num,
-                                writes,
-                                event,
-                                ctx,
-                            })
-                        })
-                        .is_err()
-                    {
-                        shared.complete(event);
-                    }
-                }
-            })
-        };
-
-        // Both fan-out workers drain their queue each round and apply the
-        // backlog through one store write (`write_many`): one WAL append +
-        // fsync covers every queued block. The batching is self-clocking —
-        // an idle pipeline applies block-by-block exactly like the serial
-        // path, while a backlog (fsync-bound stores) amortises the sync
-        // across up to `DEPTH` blocks. Per-block WAL frames and memtable
-        // contents are identical either way.
-        let index_worker = {
-            let shared = shared.clone();
-            let index = index.clone();
-            let tel = tel.clone();
-            std::thread::spawn(move || {
-                while let Ok(first) = index_probe.recv(|| index_rx.recv()) {
-                    let mut items = vec![first];
-                    while items.len() < Self::DEPTH {
-                        match index_rx.try_recv() {
-                            Ok(item) => {
-                                index_probe.drained(1, 0);
-                                items.push(item);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if !shared.poisoned() {
-                        // A drained batch spans several commits; parent the
-                        // worker span under the first item's submitter.
-                        let mut span = tel.span_in("commit.index", items[0].ctx);
-                        span.record("blocks", items.len() as u64);
-                        if let Err(e) = index.index_blocks(items.iter().map(|i| &i.entry)) {
-                            shared.poison(e);
-                        }
-                    }
-                    for item in items {
-                        shared.complete(item.event);
-                    }
-                }
-            })
-        };
-
-        let state_worker = {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                while let Ok(first) = state_probe.recv(|| state_rx.recv()) {
-                    let mut items = vec![first];
-                    while items.len() < Self::DEPTH {
-                        match state_rx.try_recv() {
-                            Ok(item) => {
-                                state_probe.drained(1, 0);
-                                items.push(item);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if !shared.poisoned() {
-                        let mut span = tel.span_in("commit.statedb", items[0].ctx);
-                        span.record("blocks", items.len() as u64);
-                        match state.apply_many(items.iter().map(|i| i.writes.as_slice())) {
-                            Ok(()) => {
-                                // These blocks' writes are in the state db
-                                // now; retire their overlay entries. Later
-                                // blocks' entries keep shadowing.
-                                let applied: std::collections::HashSet<BlockNum> =
-                                    items.iter().map(|i| i.block_num).collect();
-                                let mut overlay =
-                                    shared.overlay.lock().unwrap_or_else(|e| e.into_inner());
-                                overlay.retain(|_, entry| !applied.contains(&entry.writer));
-                            }
-                            Err(e) => shared.poison(e),
-                        }
-                    }
-                    for item in items {
-                        shared.complete(item.event);
-                    }
-                }
-            })
-        };
-
-        CommitPipeline {
-            append_tx: Some(append_tx),
-            shared,
-            workers: vec![append_worker, index_worker, state_worker],
-            append_probe,
-        }
-    }
-
-    /// Hand a block to the append worker (blocking on channel capacity).
-    fn send(&self, item: AppendItem) -> Result<()> {
-        let event = item.event;
-        let Some(sender) = self.append_tx.as_ref() else {
-            // The pipeline is winding down (or was never started): balance
-            // the completion barrier and fail the submit cleanly.
-            self.shared.complete(event);
-            self.shared.complete(event);
-            return Err(Error::io(
-                "commit pipeline".to_string(),
-                std::io::Error::other("commit pipeline is not running"),
-            ));
-        };
-        match self.append_probe.send(|| sender.send(item)) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                // Append worker is gone (panicked): balance the barrier
-                // for both fan-out stages and report.
-                self.shared.complete(event);
-                self.shared.complete(event);
-                Err(Error::io(
-                    "commit pipeline".to_string(),
-                    std::io::Error::other("append worker unavailable"),
-                ))
-            }
-        }
-    }
-}
-
-impl Drop for CommitPipeline {
-    fn drop(&mut self) {
-        // Closing the append channel lets the append worker finish its
-        // queue and exit, which drops its downstream senders and winds
-        // down the index and state workers in turn.
-        self.append_tx.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
 }
 
 impl std::fmt::Debug for Ledger {
@@ -479,12 +119,12 @@ impl Ledger {
             )));
         }
         let stats = IoStats::new_shared();
-        let blockfiles = Arc::new(BlockFileManager::open_with_telemetry(
+        let blockfiles = BlockFileManager::open_with_telemetry(
             dir.join("blocks"),
             config.blockfile_max_bytes,
             stats.clone(),
             tel.clone(),
-        )?);
+        )?;
         // Engine resolution per store directory: `config.backend` seeds the
         // per-store options, and the on-disk marker wins for existing dirs
         // (see `fabric_kvstore::open_engine`), so reopening an existing
@@ -504,7 +144,7 @@ impl Ledger {
             height: 0,
             last_hash: Digest::ZERO,
         });
-        let mut ledger = Ledger {
+        let ledger = Ledger {
             dir,
             stats,
             tel,
@@ -518,26 +158,17 @@ impl Ledger {
                 config.block_max_txs,
                 config.block_max_bytes,
             )),
-            subscribers: Arc::new(Mutex::new(Vec::new())),
-            pipeline: None,
+            subscribers: Mutex::new(Vec::new()),
         };
-        // Recovery runs serially *before* the pipeline spins up, so the
-        // workers never race a re-index.
         ledger.recover()?;
-        if config.pipeline {
-            ledger.pipeline = Some(CommitPipeline::start(
-                ledger.blockfiles.clone(),
-                ledger.index.clone(),
-                ledger.state.clone(),
-                ledger.subscribers.clone(),
-                ledger.tel.clone(),
-            ));
-        }
         Ok(ledger)
     }
 
     /// Re-index and re-apply any blocks that reached the block files but
-    /// not the indexes (crash between steps 3 and 4/5 of the pipeline).
+    /// not the indexes (crash between steps 3 and 4/5 of a commit). The
+    /// opposite case, an index that names a block the block files do not
+    /// hold as a whole frame, is refused: serving it would fail reads of
+    /// that block and chain the next block onto bytes that are not there.
     fn recover(&self) -> Result<()> {
         let indexed_height = self.chain.lock().unwrap_or_else(|e| e.into_inner()).height;
         // Start scanning at the last indexed block (a known frame boundary);
@@ -547,10 +178,12 @@ impl Ledger {
         } else {
             None
         };
+        let mut tip_on_disk = indexed_height == 0;
         let mut recovered_tip: Option<ChainTip> = None;
         self.blockfiles.scan_from(start, |block, location| {
             let num = block.header.number;
             if num < indexed_height {
+                tip_on_disk |= num + 1 == indexed_height;
                 return Ok(()); // already indexed
             }
             let (history, writes, tx_ids) = Self::collect_effects(&block);
@@ -564,6 +197,29 @@ impl Ledger {
             recovered_tip = Some(tip);
             Ok(())
         })?;
+        if !tip_on_disk {
+            // Failure path only: a full scan to tell the operator how far
+            // the block files really go.
+            let mut last_whole: Option<BlockNum> = None;
+            self.blockfiles.scan_all(|block, _| {
+                last_whole = Some(block.header.number);
+                Ok(())
+            })?;
+            let file = match start {
+                Some(s) => crate::blockfile::file_path(self.blockfiles.dir(), s.file_num),
+                None => self.blockfiles.dir().to_path_buf(),
+            };
+            return Err(Error::corruption(
+                file,
+                format!(
+                    "the index records height {indexed_height} but block {} is not a whole \
+                     frame in the block files (last whole block: {}); refusing to serve or \
+                     build on a block that is not on disk",
+                    indexed_height - 1,
+                    last_whole.map_or("none".to_string(), |n| n.to_string()),
+                ),
+            ));
+        }
         if let Some(tip) = recovered_tip {
             *self.chain.lock().unwrap_or_else(|e| e.into_inner()) = tip;
         }
@@ -632,55 +288,37 @@ impl Ledger {
         }
     }
 
-    /// Validate, assemble, persist and index one block.
+    /// Validate, assemble, persist and index one block: the one commit
+    /// path, and the paper's cost model. Every stage runs on the caller
+    /// thread, in order, so a returned block number means the block is in
+    /// the block file, the index and the state db (see DESIGN.md §6 for
+    /// what has been fsynced at that point).
     fn commit_batch(&self, txs: Vec<Transaction>) -> Result<BlockNum> {
-        match &self.pipeline {
-            Some(pipe) => self.commit_batch_pipelined(pipe, txs),
-            None => self.commit_batch_serial(txs),
-        }
-    }
-
-    /// MVCC-validate one block's transactions (see [`crate::validate`])
-    /// and record the `commit.validate.*` counters.
-    fn validate_block(
-        &self,
-        txs: &[Transaction],
-        block_num: BlockNum,
-        base: impl FnMut(&[u8]) -> Result<Option<Version>>,
-    ) -> Result<crate::validate::ValidationOutcome> {
-        let mut span = self.tel.span("commit.mvcc_validate");
-        let outcome = crate::validate::validate_serial(txs, block_num, base)?;
-        span.record("txs", txs.len() as u64);
-        span.record("conflicts", outcome.conflicts);
-        self.tel.count("commit.validate.txs", txs.len() as u64);
-        self.tel
-            .count("commit.validate.conflicts", outcome.conflicts);
-        Ok(outcome)
-    }
-
-    /// State writes a block will apply: every write of every valid tx
-    /// (the number of history entries — committed events — it adds).
-    fn count_events(txs: &[Transaction], validation: &[ValidationCode]) -> u64 {
-        txs.iter()
-            .zip(validation)
-            .filter(|(_, c)| **c == ValidationCode::Valid)
-            .map(|(tx, _)| tx.writes.len() as u64)
-            .sum()
-    }
-
-    /// The serial commit path — the paper's cost model. Every stage runs
-    /// on the caller thread, in order, before the call returns.
-    fn commit_batch_serial(&self, txs: Vec<Transaction>) -> Result<BlockNum> {
         let mut commit_span = self.tel.span("ledger.commit");
         let mut chain = self.chain.lock().unwrap_or_else(|e| e.into_inner());
         let block_num = chain.height;
         // MVCC validation: a read set is valid when every observed version
         // still matches the committed state — including writes made by
         // earlier valid transactions in this same block.
-        let validation = self
-            .validate_block(&txs, block_num, |key| self.state.version(key))?
-            .codes;
-        let events = Self::count_events(&txs, &validation);
+        let validation = {
+            let mut span = self.tel.span("commit.mvcc_validate");
+            let outcome =
+                crate::validate::validate_serial(&txs, block_num, |key| self.state.version(key))?;
+            span.record("txs", txs.len() as u64);
+            span.record("conflicts", outcome.conflicts);
+            self.tel.count("commit.validate.txs", txs.len() as u64);
+            self.tel
+                .count("commit.validate.conflicts", outcome.conflicts);
+            outcome.codes
+        };
+        // State writes the block will apply: every write of every valid tx
+        // (the number of history entries — committed events — it adds).
+        let events: u64 = txs
+            .iter()
+            .zip(&validation)
+            .filter(|(_, c)| **c == ValidationCode::Valid)
+            .map(|(tx, _)| tx.writes.len() as u64)
+            .sum();
         let tx_count = txs.len() as u64;
         let block = {
             let _s = self.tel.span("commit.assemble");
@@ -717,113 +355,9 @@ impl Ledger {
         Ok(block_num)
     }
 
-    /// The pipelined commit path. Stage A — MVCC validation and block
-    /// assembly — runs here, on the caller thread, under the chain lock;
-    /// blockfile append, index update and state-db apply happen on the
-    /// pipeline workers (the latter two in parallel). Validation reads
-    /// versions through the in-flight overlay, so each transaction sees
-    /// exactly the state it would on the serial path and the resulting
-    /// blocks are byte-identical. Commit events fire when a block is
-    /// fully applied, still in block order.
-    fn commit_batch_pipelined(
-        &self,
-        pipe: &CommitPipeline,
-        txs: Vec<Transaction>,
-    ) -> Result<BlockNum> {
-        if let Some(e) = pipe.shared.error_copy() {
-            return Err(e);
-        }
-        let mut commit_span = self.tel.span("ledger.commit");
-        let mut chain = self.chain.lock().unwrap_or_else(|e| e.into_inner());
-        let block_num = chain.height;
-        let validation = {
-            let mut overlay = pipe
-                .shared
-                .overlay
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            // Validation reads through the in-flight overlay, so each
-            // transaction sees exactly the state it would serially.
-            let outcome = self.validate_block(&txs, block_num, |key| match overlay.get(key) {
-                Some(entry) => Ok(entry.version),
-                None => self.state.version(key),
-            })?;
-            // Publish this block's writes to the overlay before releasing
-            // the chain lock: the next commit must validate against them.
-            for (key, version) in &outcome.intra_block {
-                overlay.insert(
-                    key.clone(),
-                    OverlayEntry {
-                        version: *version,
-                        writer: block_num,
-                    },
-                );
-            }
-            outcome.codes
-        };
-        let events = Self::count_events(&txs, &validation);
-        let tx_count = txs.len() as u64;
-        let block = {
-            let _s = self.tel.span("commit.assemble");
-            Arc::new(Block::new(block_num, chain.last_hash, txs, validation)?)
-        };
-        let tip = ChainTip {
-            height: block_num + 1,
-            last_hash: block.hash(),
-        };
-        let event = CommitEvent {
-            block_num,
-            tx_count: tx_count as usize,
-            max_timestamp: block.txs.iter().map(|t| t.timestamp).max().unwrap_or(0),
-        };
-        {
-            let mut n = pipe
-                .shared
-                .in_flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *n += 1;
-        }
-        pipe.send(AppendItem {
-            block,
-            tip,
-            event,
-            ctx: commit_span.context(),
-        })?;
-        *chain = tip;
-        commit_span.record("txs", tx_count);
-        IoStats::add(&self.stats.txs_committed, tx_count);
-        IoStats::incr(&self.stats.blocks_committed);
-        IoStats::add(&self.stats.events_committed, events);
-        Ok(block_num)
-    }
-
-    /// Wait until every admitted block has fully reached the block files,
-    /// the index and the state db, then surface the first pipeline error
-    /// if a stage failed. A no-op on the serial path. Callers that read
-    /// their own writes (queries, benchmarks measuring durable state)
-    /// should drain first; `height()` and `last_hash()` already reflect
-    /// admitted blocks without draining.
+    /// Commits are synchronous, so there is never anything to wait for;
+    /// kept because the frozen `benchmark/src/sut.rs` calls it.
     pub fn drain_commits(&self) -> Result<()> {
-        let Some(pipe) = &self.pipeline else {
-            return Ok(());
-        };
-        let mut n = pipe
-            .shared
-            .in_flight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        while *n > 0 {
-            n = pipe
-                .shared
-                .all_done
-                .wait(n)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(n);
-        if let Some(e) = pipe.shared.error_copy() {
-            return Err(e);
-        }
         Ok(())
     }
 
@@ -1150,18 +684,16 @@ impl Ledger {
         set("indexdb.kv.log.data_files", index.data_files);
         set("indexdb.kv.log.uncompacted_bytes", index.uncompacted_bytes);
         set("indexdb.kv.log.compactions", index.compactions);
-        // Write-path shape: fsync and group-commit totals per store. The
-        // fsync count is the headline durability cost; the batch/commit
-        // ratio shows how much coalescing (pipelined backlog or concurrent
-        // group commit) is actually happening.
-        let sm = self.state.store().metrics();
-        set("statedb.wal_fsyncs", sm.wal_fsyncs);
-        set("statedb.group_commits", sm.group_commits);
-        set("statedb.group_commit_batches", sm.group_commit_batches);
-        let im = self.index.store().metrics();
-        set("indexdb.wal_fsyncs", im.wal_fsyncs);
-        set("indexdb.group_commits", im.group_commits);
-        set("indexdb.group_commit_batches", im.group_commit_batches);
+        // Write-path shape: the fsync count per store is the headline
+        // durability cost.
+        set(
+            "statedb.wal_fsyncs",
+            self.state.store().metrics().wal_fsyncs,
+        );
+        set(
+            "indexdb.wal_fsyncs",
+            self.index.store().metrics().wal_fsyncs,
+        );
         // Process-level memory: RSS from /proc plus counting-allocator
         // totals (zero when the binary runs on the system allocator).
         fabric_telemetry::alloc::publish_memory_gauges(&self.tel);
@@ -1170,7 +702,6 @@ impl Ledger {
     /// Flush state and index stores (clean shutdown aid; the block files
     /// are append-only and always consistent up to the last full frame).
     pub fn flush_stores(&self) -> Result<()> {
-        self.drain_commits()?;
         self.index.flush()?;
         self.state.flush()?;
         Ok(())
@@ -1182,7 +713,6 @@ impl Ledger {
     /// recovery, which re-indexes any blocks committed between the two
     /// steps, so a backup taken against a live ledger is still consistent.
     pub fn backup(&self, dest: impl Into<PathBuf>) -> Result<()> {
-        self.drain_commits()?;
         let dest = dest.into();
         if dest.join("blocks").exists() {
             return Err(Error::InvalidArgument(format!(
@@ -1433,6 +963,14 @@ mod tests {
         assert_eq!(committed, vec![0]);
         assert_eq!(ledger.height(), 1);
         assert_eq!(ledger.pending_txs(), 0);
+        // A returned block number means applied: state and history serve
+        // the write at once, with nothing to wait for.
+        assert_eq!(
+            ledger.get_state(b"c").unwrap().unwrap().version.block_num,
+            0
+        );
+        let history = ledger.get_history_for_key(b"c").unwrap();
+        assert_eq!(history.collect_all().unwrap().len(), 1);
     }
 
     #[test]
@@ -1869,8 +1407,7 @@ mod tests {
             .collect_all()
             .unwrap();
         assert!(ledger.telemetry().drain_spans().is_empty());
-        // Queue probes register their instruments at construction, so the
-        // snapshot lists them — but disabled telemetry records no values.
+        // Disabled telemetry records no values.
         let snap = ledger.telemetry().snapshot();
         assert!(snap.counters.iter().all(|(_, v)| *v == 0), "{snap:?}");
     }
@@ -2082,149 +1619,6 @@ mod tests {
         }
         // Block 0 lives in shard 0: its hit landed there.
         assert!(snap.gauge("ledger.cache.shard0.hits").unwrap() >= 1);
-    }
-
-    fn open_pipelined(dir: &TempDir) -> Ledger {
-        Ledger::open(&dir.0, LedgerConfig::small_for_tests().with_pipeline(true)).unwrap()
-    }
-
-    /// Read every blockfile's raw bytes, sorted by file name.
-    fn blockfile_bytes(dir: &TempDir) -> Vec<(String, Vec<u8>)> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(dir.0.join("blocks")).unwrap() {
-            let entry = entry.unwrap();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("blockfile_") {
-                out.push((name, std::fs::read(entry.path()).unwrap()));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn pipelined_commit_is_byte_identical_to_serial() {
-        let dir_serial = TempDir::new("pipe-eq-serial");
-        let dir_pipe = TempDir::new("pipe-eq-pipe");
-        let serial = open(&dir_serial);
-        let pipelined = open_pipelined(&dir_pipe);
-        for ledger in [&serial, &pipelined] {
-            for i in 0..20u64 {
-                let key = ["a", "b", "c"][(i % 3) as usize];
-                ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
-            }
-            ledger.cut_block().unwrap();
-            ledger.drain_commits().unwrap();
-        }
-        assert_eq!(serial.height(), pipelined.height());
-        assert_eq!(serial.last_hash(), pipelined.last_hash());
-        assert_eq!(
-            blockfile_bytes(&dir_serial),
-            blockfile_bytes(&dir_pipe),
-            "blockfiles must be byte-identical"
-        );
-        assert_eq!(
-            serial.get_state_by_range(None, None).unwrap(),
-            pipelined.get_state_by_range(None, None).unwrap(),
-            "state dbs must hold identical contents"
-        );
-        pipelined.verify_chain().unwrap();
-    }
-
-    #[test]
-    fn pipelined_mvcc_sees_in_flight_writes() {
-        // Dependent read-modify-write chains: each tx reads the version
-        // the *previous block* wrote. Without the overlay, validation
-        // would consult a lagging state db and flag false conflicts.
-        let dir = TempDir::new("pipe-overlay");
-        let ledger = open_pipelined(&dir); // batch size 3
-        ledger.submit(put_tx(0, "k", "v0")).unwrap();
-        ledger.cut_block().unwrap();
-        let mut version = Some(Version {
-            block_num: 0,
-            tx_num: 0,
-        });
-        for round in 1..6u64 {
-            let tx = Transaction::new(
-                round * 10,
-                vec![KvRead {
-                    key: Bytes::from_static(b"k"),
-                    version,
-                }],
-                vec![KvWrite {
-                    key: Bytes::from_static(b"k"),
-                    value: Some(Bytes::copy_from_slice(format!("v{round}").as_bytes())),
-                }],
-            )
-            .unwrap();
-            ledger.submit(tx).unwrap();
-            ledger.cut_block().unwrap();
-            version = Some(Version {
-                block_num: round,
-                tx_num: 0,
-            });
-        }
-        ledger.drain_commits().unwrap();
-        // Every tx must have validated: the final state is the last write.
-        assert_eq!(
-            ledger.get_state(b"k").unwrap().unwrap().value,
-            Bytes::from_static(b"v5")
-        );
-        for num in 0..6 {
-            let block = ledger.get_block(num).unwrap();
-            assert_eq!(
-                block.validation[0],
-                ValidationCode::Valid,
-                "block {num} should commit cleanly against in-flight state"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_subscribers_get_events_in_block_order() {
-        let dir = TempDir::new("pipe-subscribe");
-        let ledger = open_pipelined(&dir); // batch size 3
-        let rx = ledger.subscribe();
-        for i in 0..9u64 {
-            ledger
-                .submit(put_tx(i * 10, &format!("k{i}"), "v"))
-                .unwrap();
-        }
-        ledger.drain_commits().unwrap();
-        let events: Vec<CommitEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 3);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.block_num, i as u64);
-            assert_eq!(e.tx_count, 3);
-        }
-    }
-
-    #[test]
-    fn pipelined_reopen_recovers_cleanly() {
-        let dir = TempDir::new("pipe-reopen");
-        let tip;
-        {
-            let ledger = open_pipelined(&dir);
-            for i in 0..10u64 {
-                ledger.submit(put_tx(i, &format!("k{i}"), "v")).unwrap();
-            }
-            ledger.cut_block().unwrap();
-            ledger.flush_stores().unwrap(); // drains first
-            tip = (ledger.height(), ledger.last_hash());
-        }
-        // Reopen serially: recovery must find a consistent ledger.
-        let ledger = open(&dir);
-        assert_eq!((ledger.height(), ledger.last_hash()), tip);
-        ledger.verify_chain().unwrap();
-        assert!(ledger.get_state(b"k7").unwrap().is_some());
-    }
-
-    #[test]
-    fn drain_commits_is_a_noop_on_serial_path() {
-        let dir = TempDir::new("drain-serial");
-        let ledger = open(&dir);
-        ledger.submit(put_tx(1, "k", "v")).unwrap();
-        ledger.drain_commits().unwrap();
     }
 
     #[test]

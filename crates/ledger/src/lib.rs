@@ -27,6 +27,9 @@
 //!   paper's cost model).
 //! * **MVCC validation** ([`validate`]): Fabric's serial, order-sensitive
 //!   scan of each block's read sets.
+//! * **One synchronous commit path** ([`ledger`]): validate → append →
+//!   index → state on the caller's thread; a block number returned by
+//!   [`Ledger::submit`] means the block is applied and readable.
 //! * **Key-range sharding** ([`sharded`]): opt-in [`ShardedLedger`] router
 //!   over N partitions — each a full [`Ledger`] — committing concurrently
 //!   with deterministic global block numbering.

@@ -40,7 +40,6 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use bytes::Bytes;
 
@@ -52,7 +51,7 @@ use crate::error::{Error, Result};
 use crate::iostats::IoStatsSnapshot;
 use crate::ledger::{HistoryIterator, Ledger};
 use crate::statedb::VersionedValue;
-use crate::tx::{BlockNum, Timestamp, Transaction};
+use crate::tx::{BlockNum, Transaction};
 
 /// Span name used for per-shard commit work (see
 /// [`ShardedLedger::for_each_shard`]).
@@ -159,22 +158,13 @@ impl ShardedLedger {
     /// Open the ledger at `dir` in the layout the directory holds: a
     /// `SHARDS` file means that many `shard-NN` partitions, none means one
     /// partition rooted at `dir` itself (created when `dir` is new), the
-    /// layout [`Ledger::open`] writes. Telemetry starts disabled.
+    /// layout [`Ledger::open`] writes. Every partition shares one
+    /// telemetry handle, which starts disabled (see
+    /// [`ShardedLedger::telemetry`]).
     pub fn open(dir: impl Into<PathBuf>, config: LedgerConfig) -> Result<Self> {
-        Self::open_with_telemetry(dir, config, Telemetry::disabled())
-    }
-
-    /// [`ShardedLedger::open`] sharing one `tel` handle across every
-    /// partition, so spans and counters from all shards land in the same
-    /// flight recorder and registry.
-    pub fn open_with_telemetry(
-        dir: impl Into<PathBuf>,
-        config: LedgerConfig,
-        tel: Telemetry,
-    ) -> Result<Self> {
         let dir = dir.into();
         let shards = Self::read_meta(&dir)?;
-        Self::open_partitions(dir, config, shards, tel)
+        Self::open_partitions(dir, config, shards)
     }
 
     /// Create a ledger of `shards` partitions under `dir/shard-NN`, or
@@ -211,15 +201,13 @@ impl ShardedLedger {
                 Self::install_meta(&dir, shards)?;
             }
         }
-        Self::open_partitions(dir, config, Some(shards), Telemetry::disabled())
+        Self::open_partitions(dir, config, Some(shards))
     }
 
-    fn open_partitions(
-        dir: PathBuf,
-        config: LedgerConfig,
-        shards: Option<usize>,
-        tel: Telemetry,
-    ) -> Result<Self> {
+    fn open_partitions(dir: PathBuf, config: LedgerConfig, shards: Option<usize>) -> Result<Self> {
+        // One handle across every partition, so spans and counters from
+        // all shards land in the same flight recorder and registry.
+        let tel = Telemetry::disabled();
         let open = |part: PathBuf| Ledger::open_with_telemetry(part, config.clone(), tel.clone());
         let parts = match shards {
             None => vec![open(dir.clone())?],
@@ -305,11 +293,6 @@ impl ShardedLedger {
         }
     }
 
-    /// The key→shard router.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
     /// Index of the shard owning `key`.
     pub fn shard_index_for_key(&self, key: &[u8]) -> usize {
         self.router.route(key)
@@ -376,36 +359,6 @@ impl ShardedLedger {
             .collect())
     }
 
-    /// Route a batch by key range and commit the per-shard slices
-    /// concurrently (see [`ShardedLedger::for_each_shard`]). Returns the
-    /// global numbers of every block cut, sorted.
-    pub fn commit_split(&self, txs: Vec<Transaction>) -> Result<Vec<BlockNum>> {
-        let mut per_shard: Vec<Vec<Transaction>> = vec![Vec::new(); self.shards.len()];
-        for tx in txs {
-            per_shard[self.router.route_tx(&tx)].push(tx);
-        }
-        // Each worker takes its own slice out of the shared list.
-        let slices: Vec<Mutex<Vec<Transaction>>> = per_shard.into_iter().map(Mutex::new).collect();
-        let cut = self.for_each_shard(SHARD_COMMIT_SPAN, |i, shard| {
-            let slice = std::mem::take(&mut *slices[i].lock().unwrap_or_else(|e| e.into_inner()));
-            let mut locals = Vec::new();
-            if slice.is_empty() {
-                return Ok(locals);
-            }
-            for tx in slice {
-                locals.extend(shard.submit(tx)?);
-            }
-            locals.extend(shard.cut_block()?);
-            for b in &mut locals {
-                *b = self.global_block_num(i, *b);
-            }
-            Ok(locals)
-        })?;
-        let mut blocks: Vec<BlockNum> = cut.into_iter().flatten().collect();
-        blocks.sort_unstable();
-        Ok(blocks)
-    }
-
     /// Force-cut every shard's pending batch. Returns global numbers of
     /// the blocks cut, sorted.
     pub fn cut_blocks(&self) -> Result<Vec<BlockNum>> {
@@ -417,14 +370,6 @@ impl ShardedLedger {
         }
         out.sort_unstable();
         Ok(out)
-    }
-
-    /// Drain every shard's commit pipeline (no-op for serial shards).
-    pub fn drain_commits(&self) -> Result<()> {
-        for shard in &self.shards {
-            shard.drain_commits()?;
-        }
-        Ok(())
     }
 
     /// Flush every shard's state and index stores.
@@ -461,22 +406,6 @@ impl ShardedLedger {
     /// history lives on one shard, so the iterator is complete).
     pub fn get_history_for_key(&self, key: &[u8]) -> Result<HistoryIterator<'_>> {
         self.shard_for_key(key).get_history_for_key(key)
-    }
-
-    /// Bounded history scan routed to the owning shard; see
-    /// [`Ledger::get_history_for_key_from`].
-    pub fn get_history_for_key_from(
-        &self,
-        key: &[u8],
-        after_ts: Timestamp,
-    ) -> Result<HistoryIterator<'_>> {
-        self.shard_for_key(key)
-            .get_history_for_key_from(key, after_ts)
-    }
-
-    /// History-index profile routed to the owning shard.
-    pub fn history_profile(&self, key: &[u8]) -> Result<Vec<crate::index::HistoryEntryMeta>> {
-        self.shard_for_key(key).history_profile(key)
     }
 
     /// `GetStateByRange` merged across shards and re-sorted by key (the
@@ -517,7 +446,6 @@ impl ShardedLedger {
     /// `dest/shard-NN` plus the `SHARDS` meta file, so the backup routes
     /// identically and is a drop-in replica.
     pub fn backup(&self, dest: impl Into<PathBuf>) -> Result<()> {
-        self.drain_commits()?;
         let dest = dest.into();
         if holds_sharded_layout(&dest) || dest.join("blocks").exists() {
             return Err(Error::InvalidArgument(format!(
@@ -640,7 +568,6 @@ mod tests {
             put(&ledger, key, &format!("v{i}"), 10 + i as u64);
         }
         ledger.cut_blocks().unwrap();
-        ledger.drain_commits().unwrap();
         // Keys landed on distinct shards.
         let owners: std::collections::HashSet<usize> = ["S00004", "S00013", "S00022", "S00031"]
             .iter()
@@ -682,32 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_split_routes_batches_concurrently() {
-        let dir = tmp("split");
-        let ledger = ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 4).unwrap();
-        let mut txs = Vec::new();
-        for i in 0..40 {
-            let key = format!("S{i:05}");
-            let shard = ledger.shard_for_key(key.as_bytes());
-            let mut sim = TxSimulator::new(shard);
-            sim.put_state(key.clone(), "v");
-            txs.push(sim.into_transaction(i as u64).unwrap());
-        }
-        let blocks = ledger.commit_split(txs).unwrap();
-        assert!(!blocks.is_empty());
-        ledger.drain_commits().unwrap();
-        assert_eq!(ledger.get_state_by_range(None, None).unwrap().len(), 40);
-        // Every shard received work (keys span the whole ordinal space).
-        assert!(
-            ledger.heights().iter().all(|h| *h > 0),
-            "{:?}",
-            ledger.heights()
-        );
-        assert_eq!(ledger.stats().events_committed, 40);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn reopen_with_wrong_shard_count_is_rejected() {
         let dir = tmp("meta");
         {
@@ -739,7 +640,6 @@ mod tests {
             put(&ledger, &format!("S{i:05}"), "v", i + 1);
         }
         ledger.cut_blocks().unwrap();
-        ledger.drain_commits().unwrap();
         let tips = ledger.verify_chain().unwrap();
         assert_eq!(tips.len(), 3);
         // Each tip is the shard's own chain head, not a placeholder.
@@ -758,7 +658,6 @@ mod tests {
             put(&ledger, &format!("S{i:05}"), &format!("v{i}"), i + 1);
         }
         ledger.cut_blocks().unwrap();
-        ledger.drain_commits().unwrap();
         ledger.backup(&dest).unwrap();
         // A second backup into the same destination is refused.
         let err = ledger.backup(&dest).unwrap_err();
@@ -883,9 +782,8 @@ mod tests {
     fn per_shard_gauges_publish() {
         let dir = tmp("gauges");
         drop(ShardedLedger::create(&dir, LedgerConfig::small_for_tests(), 2).unwrap());
-        let tel = Telemetry::enabled();
-        let ledger =
-            ShardedLedger::open_with_telemetry(&dir, LedgerConfig::small_for_tests(), tel).unwrap();
+        let ledger = ShardedLedger::open(&dir, LedgerConfig::small_for_tests()).unwrap();
+        ledger.telemetry().enable();
         put(&ledger, "S00001", "a", 1);
         put(&ledger, "S00002", "b", 2);
         ledger.cut_blocks().unwrap();

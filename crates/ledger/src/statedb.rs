@@ -84,33 +84,6 @@ impl StateDb {
         if updates.is_empty() {
             return Ok(());
         }
-        self.db.write(Self::block_batch(updates))?;
-        Ok(())
-    }
-
-    /// Apply several consecutive blocks' state updates as one durability
-    /// unit: one write batch per block (identical to [`StateDb::apply`]),
-    /// all sharing one WAL append + fsync
-    /// ([`fabric_kvstore::KvStore::write_many`]). Blocks must be given in
-    /// commit order. Used by the pipelined commit path to amortise fsyncs
-    /// over its queued backlog.
-    pub fn apply_many<'a>(
-        &self,
-        blocks: impl IntoIterator<Item = &'a [(Bytes, Option<Bytes>, Version)]>,
-    ) -> Result<()> {
-        let batches: Vec<WriteBatch> = blocks
-            .into_iter()
-            .filter(|u| !u.is_empty())
-            .map(Self::block_batch)
-            .collect();
-        self.db.write_many(batches)?;
-        Ok(())
-    }
-
-    /// The exact write batch one block's updates contribute to the state
-    /// db — shared by the serial and batched write paths so their on-disk
-    /// effects stay identical.
-    fn block_batch(updates: &[(Bytes, Option<Bytes>, Version)]) -> WriteBatch {
         let mut batch = WriteBatch::new();
         for (key, value, version) in updates {
             match value {
@@ -126,7 +99,8 @@ impl StateDb {
                 }
             }
         }
-        batch
+        self.db.write(batch)?;
+        Ok(())
     }
 
     /// Range scan over current states: keys in `[start, end)`
@@ -297,48 +271,5 @@ mod tests {
     #[test]
     fn decode_rejects_short_values() {
         assert!(VersionedValue::decode(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn apply_many_matches_block_by_block_apply() {
-        // Batched apply shares one WAL fsync but must leave the same
-        // contents — later blocks overwrite and delete earlier ones.
-        let blocks: Vec<Vec<(Bytes, Option<Bytes>, Version)>> = vec![
-            vec![
-                (
-                    Bytes::from_static(b"a"),
-                    Some(Bytes::from_static(b"1")),
-                    v(0, 0),
-                ),
-                (
-                    Bytes::from_static(b"b"),
-                    Some(Bytes::from_static(b"1")),
-                    v(0, 1),
-                ),
-            ],
-            vec![(
-                Bytes::from_static(b"a"),
-                Some(Bytes::from_static(b"2")),
-                v(1, 0),
-            )],
-            vec![(Bytes::from_static(b"b"), None, v(2, 0))],
-        ];
-        let serial_dir = TempDir::new("am-serial");
-        let serial = statedb(&serial_dir);
-        for b in &blocks {
-            serial.apply(b).unwrap();
-        }
-        let batched_dir = TempDir::new("am-batched");
-        let batched = statedb(&batched_dir);
-        batched
-            .apply_many(blocks.iter().map(|b| b.as_slice()))
-            .unwrap();
-        for db in [&serial, &batched] {
-            let a = db.get(b"a").unwrap().unwrap();
-            assert_eq!(a.value, Bytes::from_static(b"2"));
-            assert_eq!(a.version, v(1, 0));
-            assert!(db.get(b"b").unwrap().is_none(), "deleted in block 2");
-            assert_eq!(db.key_count().unwrap(), 1);
-        }
     }
 }

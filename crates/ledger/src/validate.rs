@@ -15,28 +15,24 @@ use bytes::Bytes;
 use crate::error::Result;
 use crate::tx::{BlockNum, Transaction, TxNum, ValidationCode, Version};
 
-/// What validation decided for one block, plus the write set the
-/// pipelined path publishes to its in-flight overlay.
+/// What validation decided for one block.
 #[derive(Debug)]
 pub struct ValidationOutcome {
     /// Per-transaction codes, in block order.
     pub codes: Vec<ValidationCode>,
-    /// Final intra-block write versions: for every key written by at
-    /// least one valid transaction, the last valid writer's version
-    /// (`None` = the last valid write was a delete).
-    pub intra_block: HashMap<Bytes, Option<Version>>,
     /// Number of [`ValidationCode::MvccConflict`] codes.
     pub conflicts: u64,
 }
 
 /// The serial in-order scan — the paper's cost model. `base` resolves a
-/// key's version outside the block (state db, or overlay-then-state on
-/// the pipelined path).
+/// key's version outside the block (the state db).
 pub fn validate_serial(
     txs: &[Transaction],
     block_num: BlockNum,
     mut base: impl FnMut(&[u8]) -> Result<Option<Version>>,
 ) -> Result<ValidationOutcome> {
+    // For every key written by a valid transaction so far, the last valid
+    // writer's version (`None` = that write was a delete).
     let mut intra_block: HashMap<Bytes, Option<Version>> = HashMap::new();
     let mut codes = Vec::with_capacity(txs.len());
     let mut conflicts = 0u64;
@@ -72,11 +68,7 @@ pub fn validate_serial(
         }
         codes.push(code);
     }
-    Ok(ValidationOutcome {
-        codes,
-        intra_block,
-        conflicts,
-    })
+    Ok(ValidationOutcome { codes, conflicts })
 }
 
 #[cfg(test)]
@@ -128,17 +120,17 @@ mod tests {
     #[test]
     fn read_after_write_sees_the_earlier_valid_write() {
         // tx0 writes k; tx1 read k@None → conflict (tx0's write intervenes);
-        // tx2 reads k at tx0's version → valid.
+        // tx2 reads k at tx0's version → valid; tx3 reads x@None → valid,
+        // because the conflicting tx1's write of x is never visible.
         let txs = vec![
             tx(vec![], vec![("k", true)]),
             tx(vec![("k", None)], vec![("x", true)]),
             tx(vec![("k", version(7, 0))], vec![("y", true)]),
+            tx(vec![("x", None)], vec![]),
         ];
         let out = validate(&txs, &[]);
-        assert_eq!(out.codes, vec![Valid, MvccConflict, Valid]);
+        assert_eq!(out.codes, vec![Valid, MvccConflict, Valid, Valid]);
         assert_eq!(out.conflicts, 1);
-        // The conflicting tx's write of x never reaches the write set.
-        assert!(!out.intra_block.contains_key(key("x").as_ref()));
     }
 
     #[test]
@@ -158,15 +150,14 @@ mod tests {
     #[test]
     fn later_writer_does_not_leak_backwards() {
         // tx1 must observe tx0's version of k, not tx2's later blind write;
-        // the final write set carries tx2's (the last valid writer).
+        // tx3 then observes tx2's (the last valid writer).
         let txs = vec![
             tx(vec![], vec![("k", true)]),
             tx(vec![("k", version(7, 0))], vec![("a", true)]),
             tx(vec![], vec![("k", true)]),
+            tx(vec![("k", version(7, 2))], vec![]),
         ];
-        let out = validate(&txs, &[]);
-        assert_eq!(out.codes, vec![Valid; 3]);
-        assert_eq!(out.intra_block.get(key("k").as_ref()), Some(&version(7, 2)));
+        assert_eq!(validate(&txs, &[]).codes, vec![Valid; 4]);
     }
 
     #[test]
@@ -178,9 +169,7 @@ mod tests {
             tx(vec![("k", committed)], vec![("k", false)]),
             tx(vec![("k", None)], vec![("w", true)]),
         ];
-        let out = validate(&txs, &[("k", committed)]);
-        assert_eq!(out.codes, vec![Valid; 2]);
-        assert_eq!(out.intra_block.get(key("k").as_ref()), Some(&None));
+        assert_eq!(validate(&txs, &[("k", committed)]).codes, vec![Valid; 2]);
     }
 
     #[test]

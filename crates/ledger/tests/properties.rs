@@ -1,4 +1,4 @@
-//! Property-based tests for the ledger's wire formats and commit pipeline.
+//! Property-based tests for the ledger's wire formats and commit path.
 
 use bytes::Bytes;
 use proptest::prelude::*;

@@ -4,7 +4,7 @@
 //! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
 //! complete (`"ph":"X"`) event per span, grouped so each **trace** becomes
 //! a process row (`pid` = trace id) and each **thread lane** a track
-//! (`tid` = lane). Cross-thread spans — pipelined commit stages, parallel
+//! (`tid` = lane). Cross-thread spans — per-shard commit streams, parallel
 //! cursor workers — therefore land on their own lanes but stay nested
 //! under the one trace they follow from. Metadata events name each
 //! process row after its root span so the UI reads
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn track_points_become_counter_tracks() {
         use std::sync::Arc;
-        let name: Arc<str> = Arc::from("queue.pipeline.append.depth");
+        let name: Arc<str> = Arc::from("queue.query.slots.depth");
         let points = vec![
             crate::TrackPoint {
                 name: Arc::clone(&name),
@@ -266,7 +266,7 @@ mod tests {
         );
         assert!(
             out.contains(
-                "{\"name\":\"queue.pipeline.append.depth\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":1.000,\"pid\":0,\"args\":{\"value\":1}}"
+                "{\"name\":\"queue.query.slots.depth\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":1.000,\"pid\":0,\"args\":{\"value\":1}}"
             ),
             "{out}"
         );

@@ -65,7 +65,7 @@ use std::time::Instant;
 /// only while [`Telemetry::enable_track_points`] is on.
 #[derive(Debug, Clone)]
 pub struct TrackPoint {
-    /// Track name (e.g. `queue.pipeline.append.depth`), shared not copied.
+    /// Track name (e.g. `queue.query.slots.depth`), shared not copied.
     pub name: Arc<str>,
     /// Sample time in nanoseconds since the telemetry epoch.
     pub at_ns: u64,

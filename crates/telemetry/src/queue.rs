@@ -1,8 +1,7 @@
 //! Backpressure probes for bounded queues.
 //!
-//! Every bounded channel in the stack — the pipelined-commit stage
-//! channels, the parallel fan-out slots, the WAL group-commit queue — is
-//! a place where the system absorbs, and eventually signals, overload. A
+//! A bounded channel — today the parallel fan-out slots (`query.slots`) —
+//! is a place where the system absorbs, and eventually signals, overload. A
 //! [`QueueProbe`] makes that visible on `/metrics` with four instruments
 //! per queue:
 //!
@@ -105,8 +104,8 @@ impl QueueProbe {
         out
     }
 
-    /// Manual path for condvar-style queues (the WAL group-commit queue):
-    /// an item was pushed under the queue lock.
+    /// Manual path for queues the probe cannot wrap in one call (the
+    /// fan-out slots' try-then-block send): an item was pushed.
     pub fn enqueued(&self) {
         if self.is_live() {
             self.depth.add(1);
@@ -122,7 +121,7 @@ impl QueueProbe {
         }
     }
 
-    /// Manual path: a leader/consumer drained `n` items in one go, after
+    /// Manual path: a consumer drained `n` items in one go, after
     /// waiting `wait_ns` for them.
     pub fn drained(&self, n: u64, wait_ns: u64) {
         if self.is_live() {
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn send_recv_track_depth_and_waits() {
         let tel = Telemetry::enabled();
-        let probe = QueueProbe::new(&tel, "pipeline.append");
+        let probe = QueueProbe::new(&tel, "query.slots");
         let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(4);
         probe.send(|| tx.send(1)).unwrap();
         probe.send(|| tx.send(2)).unwrap();
@@ -153,16 +152,16 @@ mod tests {
         assert_eq!(probe.recv(|| rx.recv()).unwrap(), 1);
         assert_eq!(probe.depth(), 1);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("queue.pipeline.append.items"), 2);
-        assert_eq!(snap.gauge("queue.pipeline.append.depth"), Some(1));
+        assert_eq!(snap.counter("queue.query.slots.items"), 2);
+        assert_eq!(snap.gauge("queue.query.slots.depth"), Some(1));
         assert_eq!(
-            snap.histogram("queue.pipeline.append.send_wait_ns")
+            snap.histogram("queue.query.slots.send_wait_ns")
                 .unwrap()
                 .count,
             2
         );
         assert_eq!(
-            snap.histogram("queue.pipeline.append.drain_wait_ns")
+            snap.histogram("queue.query.slots.drain_wait_ns")
                 .unwrap()
                 .count,
             1
@@ -184,9 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn manual_path_models_group_commit() {
+    fn manual_path_tracks_items_and_drain_wait() {
         let tel = Telemetry::enabled();
-        let probe = QueueProbe::new(&tel, "kv.group");
+        let probe = QueueProbe::new(&tel, "manual");
         probe.enqueued();
         probe.enqueued();
         probe.enqueued();
@@ -194,11 +193,9 @@ mod tests {
         probe.drained(3, 120);
         assert_eq!(probe.depth(), 0);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("queue.kv.group.items"), 3);
+        assert_eq!(snap.counter("queue.manual.items"), 3);
         assert_eq!(
-            snap.histogram("queue.kv.group.drain_wait_ns")
-                .unwrap()
-                .count,
+            snap.histogram("queue.manual.drain_wait_ns").unwrap().count,
             1
         );
     }

@@ -49,8 +49,8 @@ pub fn thread_lane() -> u64 {
 /// Captured via [`SpanGuard::context`] (or [`Telemetry::current_context`])
 /// on the submitting thread and redeemed with [`Telemetry::span_in`] on a
 /// worker thread, it makes the worker's span a child of the originating
-/// span — a `follows_from` edge — so pipelined stages and fan-out workers
-/// stitch into the same trace instead of becoming orphan roots.
+/// span — a `follows_from` edge — so per-shard and fan-out workers stitch
+/// into the same trace instead of becoming orphan roots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
     pub(crate) tag: usize,

@@ -4,7 +4,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p fabric-telemetry --test chrome_golden`.
 //!
 //! The fixture mirrors what `tfq trace --export chrome` records on a
-//! pipelined ingest + parallel query: one commit trace whose stage spans
+//! sharded ingest + parallel query: one commit trace whose stage spans
 //! ran on worker lanes, and one query trace with a per-key cursor span
 //! on a fan-out lane.
 

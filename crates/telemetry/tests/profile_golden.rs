@@ -10,7 +10,7 @@ use fabric_telemetry::Profile;
 
 fn fixed_profile() -> Profile {
     let mut p = Profile::default();
-    // Mirrors what the sampler sees on a pipelined ingest + parallel
+    // Mirrors what the sampler sees on a sharded ingest + parallel
     // query: commit stacks on worker lanes, query stacks on the caller.
     for _ in 0..14 {
         p.record_sample(&["ledger.commit", "commit.append", "kv.wal.append"]);

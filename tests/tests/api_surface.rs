@@ -33,7 +33,7 @@ impl Drop for TempDir {
 }
 
 #[test]
-fn config_surface_is_eighteen_knobs() {
+fn config_surface_is_sixteen_knobs() {
     // Both patterns are exhaustive on purpose (no `..`): a field added to
     // either struct fails to compile here until it is listed and counted,
     // so the knob count in CHANGES.md cannot drift unnoticed.
@@ -42,7 +42,6 @@ fn config_surface_is_eighteen_knobs() {
         block_max_bytes: _,
         blockfile_max_bytes: _,
         cache_blocks,
-        pipeline,
         coalesce_history,
         state_db,
         index_db: _,
@@ -54,20 +53,19 @@ fn config_surface_is_eighteen_knobs() {
         sparse_index_interval: _,
         bloom_bits_per_key: _,
         compaction_trigger: _,
-        group_commit,
         backend: _,
         log_file_max_bytes: _,
         log_compaction_bytes: _,
     } = state_db;
-    // The paper's cost model is the default: no cache, serial commit, one
-    // WAL append per write; only read coalescing (counter-neutral) is on.
+    // The paper's cost model is the default: no cache, buffered WALs;
+    // only read coalescing (counter-neutral) is on.
     assert_eq!(cache_blocks, 0);
-    assert!(!pipeline && !sync_wal && !group_commit);
+    assert!(!sync_wal);
     assert!(coalesce_history);
 }
 
 #[test]
-fn cli_option_surface_is_thirty_five_names() {
+fn cli_option_surface_is_thirty_three_names() {
     // `tfq` is a binary, so its option table is read from the source. A
     // new `--name` fails here until it is listed, as a new config field
     // does above.
@@ -86,9 +84,8 @@ fn cli_option_surface_is_thirty_five_names() {
     assert_eq!(names, [
         "adaptive", "addr", "addr-file", "backend", "cache-blocks", "coalesce", "counter-tol",
         "counter-tol-for", "engine", "export", "format", "from", "hz", "index-lag", "ingest",
-        "key", "limit", "m2-u", "max-u", "min-u", "mode", "out", "pipeline", "requests", "scale",
-        "shards", "slow-factor", "slow-log", "slow-ms", "time-slack", "time-tol", "to", "u",
-        "wal-group-commit", "workers",
+        "key", "limit", "m2-u", "max-u", "min-u", "mode", "out", "requests", "scale", "shards",
+        "slow-factor", "slow-log", "slow-ms", "time-slack", "time-tol", "to", "u", "workers",
     ]);
 }
 

@@ -131,6 +131,81 @@ fn torn_block_tail_is_discarded_and_ledger_continues() {
     assert!(ledger.get_state(b"post-crash").unwrap().is_some());
 }
 
+/// Every file under `dir` with its length, sorted by path. Opening a
+/// kvstore always moves its WAL to a fresh file number (also on a refused
+/// ledger open, which must read the index to know the height), so a WAL
+/// is listed under its directory, not its number.
+fn listing(dir: &std::path::Path) -> Vec<(std::path::PathBuf, u64)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let entry = entry.unwrap();
+            let meta = entry.metadata().unwrap();
+            let path = entry.path();
+            if meta.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|x| x == "wal") {
+                out.push((d.join("wal"), meta.len()));
+            } else {
+                out.push((path, meta.len()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn index_ahead_of_block_file_is_refused() {
+    // The same tear as above, but index and state survive intact: they now
+    // name a block whose bytes are not whole on disk. Opening must refuse
+    // (serving would fail reads of that block and chain the next one onto
+    // a hash with no block behind it) and must leave the data alone.
+    let dir = TempDir::new("idx-ahead");
+    let tip;
+    {
+        let (ledger, _) = build(&dir.0);
+        tip = (ledger.height(), ledger.last_hash());
+        ledger.flush_stores().unwrap();
+    }
+    let blocks_dir = dir.0.join("blocks");
+    let mut files: Vec<_> = std::fs::read_dir(&blocks_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let last = files.last().unwrap();
+    let whole = std::fs::read(last).unwrap();
+    let torn = &whole[..whole.len() - 7];
+    std::fs::write(last, torn).unwrap();
+    let before = listing(&dir.0);
+
+    // Refused, and refused again: the first attempt repaired nothing.
+    for _ in 0..2 {
+        let err = Ledger::open(&dir.0, LedgerConfig::default()).unwrap_err();
+        match &err {
+            Error::Corruption { file, detail } => {
+                assert_eq!(file, last, "names the torn block file");
+                assert!(
+                    detail.contains(&format!("height {}", tip.0))
+                        && detail.contains(&format!("last whole block: {}", tip.0 - 2)),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected Corruption, got {other}"),
+        }
+        assert_eq!(listing(&dir.0), before, "a refused open changes nothing");
+        assert_eq!(std::fs::read(last).unwrap(), torn);
+    }
+    // Nothing was lost by refusing: with the bytes back, the ledger opens
+    // at the old tip and audits clean.
+    std::fs::write(last, &whole).unwrap();
+    let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+    assert_eq!((ledger.height(), ledger.last_hash()), tip);
+    ledger.verify_chain().unwrap();
+}
+
 #[test]
 fn flipped_bit_in_block_file_detected_on_read() {
     let dir = TempDir::new("bitflip");
