@@ -37,13 +37,9 @@ pub struct Ctx {
     /// Emit per-run telemetry JSON-lines alongside the usual CSV results
     /// (`--telemetry` / `TF_TELEMETRY=1`).
     pub telemetry: bool,
-    /// Write a machine-readable [`crate::regress::BenchFile`] of per-engine
-    /// medians to this path (`--json-out path` / `TF_JSON_OUT=path`).
+    /// Write a machine-readable [`crate::regress::BenchFile`] of the run's
+    /// exact counters to this path (`--json-out path` / `TF_JSON_OUT=path`).
     pub json_out: Option<PathBuf>,
-    /// Append the auto-planner's calibration records (decision + measured
-    /// actuals) to this JSONL path (`--planner-log path` /
-    /// `TF_PLANNER_LOG=path`); read back by `tfq planner-report`.
-    pub planner_log: Option<PathBuf>,
 }
 
 impl Ctx {
@@ -74,17 +70,6 @@ impl Ctx {
                     .filter(|v| !v.is_empty())
                     .map(PathBuf::from)
             });
-        let planner_log = args
-            .iter()
-            .position(|a| a == "--planner-log")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
-            .or_else(|| {
-                std::env::var("TF_PLANNER_LOG")
-                    .ok()
-                    .filter(|v| !v.is_empty())
-                    .map(PathBuf::from)
-            });
         let data_root = std::env::var("TF_DATA_ROOT")
             .map(PathBuf::from)
             .unwrap_or_else(|_| {
@@ -96,30 +81,14 @@ impl Ctx {
             sim: SimCostModel::default(),
             telemetry,
             json_out,
-            planner_log,
         }
     }
 
-    /// Open the planner calibration log, when one was requested.
-    pub fn open_planner_log(&self) -> Option<std::sync::Arc<temporal_core::PlannerLog>> {
-        let path = self.planner_log.as_ref()?;
-        match temporal_core::PlannerLog::open(path) {
-            Ok(log) => Some(log),
-            Err(e) => {
-                eprintln!("warning: cannot open planner log {}: {e}", path.display());
-                None
-            }
-        }
-    }
-
-    /// Machine metadata at this context's scale (for `BENCH_*.json` files).
-    pub fn machine(&self) -> crate::regress::MachineInfo {
-        crate::regress::MachineInfo::capture(self.scale as u64)
-    }
-
-    /// Write a bench file to the `--json-out` path, if one was given.
-    pub fn save_bench_file(&self, file: &crate::regress::BenchFile) {
+    /// Reduce `samples` to a bench file named `name` at this context's
+    /// scale and write it to the `--json-out` path, if one was given.
+    pub fn save_bench_file(&self, name: &str, samples: &[(String, f64)]) {
         let Some(path) = &self.json_out else { return };
+        let file = crate::regress::bench_file_from_samples(name, self.scale as u64, samples);
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }

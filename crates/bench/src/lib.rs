@@ -17,4 +17,3 @@ pub mod regress;
 pub mod tables;
 
 pub use harness::{Ctx, TableOut};
-pub use regress::{diff, BenchFile, DiffConfig, DiffReport, MachineInfo, MetricKind};

@@ -1,184 +1,50 @@
-//! Bench regression pipeline: machine-readable bench results and diffing.
+//! The checked-in bench files: exact counters, compared byte for byte.
 //!
 //! A bench run can emit a `BENCH_<name>.json` file ([`BenchFile`]) holding
-//! per-table/per-engine **medians** plus machine metadata. Two such files —
-//! a checked-in baseline and a fresh run — are compared by [`diff`] with
-//! per-kind tolerances; the `tfq bench-diff` command exits non-zero when a
-//! regression is detected, which CI uses as an advisory gate.
+//! per-table/per-engine **counters**: blocks deserialized, GHFK calls,
+//! events, WAL syncs and the like. They depend on the workload and the
+//! engine, never on the machine or the scheduler, so the gate is file
+//! equality: regenerate the file into a scratch directory and `diff` it
+//! against the tracked copy. A moved counter means the engine or the
+//! workload changed. Timings stay in the printed tables and CSVs; the
+//! repository's `benchmark/` package is what measures them.
 //!
 //! The workspace deliberately carries no JSON dependency, so this module
-//! includes a small recursive-descent parser for the subset of JSON these
-//! files use (objects, strings, numbers) and a deterministic writer
-//! (sorted keys), keeping checked-in baselines diff-friendly.
+//! writes the files itself, deterministically (sorted keys, one metric per
+//! line), keeping checked-in files diff-friendly.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// How a metric behaves under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MetricKind {
-    /// A wall-clock measurement in seconds: noisy, compared with a relative
-    /// tolerance plus an absolute slack floor.
-    Time,
-    /// A deterministic count (blocks deserialized, GHFK calls): compared
-    /// (near-)exactly — drift means the workload or engine changed.
-    Counter,
-}
-
-impl fmt::Display for MetricKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MetricKind::Time => write!(f, "time"),
-            MetricKind::Counter => write!(f, "counter"),
-        }
-    }
-}
-
-/// One recorded metric: a median value and its comparison kind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Metric {
-    /// Median value (seconds for [`MetricKind::Time`]).
-    pub value: f64,
-    /// Comparison behaviour.
-    pub kind: MetricKind,
-}
-
-/// Where and how a bench file was produced. Scale is part of the identity:
-/// comparing runs at different scales is meaningless and [`diff`] flags it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineInfo {
-    /// `std::env::consts::OS` at run time.
-    pub os: String,
-    /// `std::env::consts::ARCH` at run time.
-    pub arch: String,
-    /// Available parallelism.
-    pub cpus: u64,
-    /// The harness scale factor (`TF_SCALE`).
-    pub scale: u64,
-}
-
-impl MachineInfo {
-    /// Capture the current machine at the given harness scale.
-    pub fn capture(scale: u64) -> Self {
-        MachineInfo {
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
-            scale,
-        }
-    }
-}
-
-/// A machine-readable bench result: named metrics with machine metadata.
+/// A machine-readable bench result: named exact counters at one scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
     /// Which bench produced this (e.g. `table1`).
     pub name: String,
-    /// Producing machine + scale.
-    pub machine: MachineInfo,
-    /// Metric medians keyed `dataset/mode/engine/metric`.
-    pub metrics: BTreeMap<String, Metric>,
+    /// The harness scale factor (`TF_SCALE`): counters at different scales
+    /// are different files.
+    pub scale: u64,
+    /// Counter medians keyed `dataset/mode/engine/metric`.
+    pub metrics: BTreeMap<String, f64>,
 }
 
 impl BenchFile {
-    /// An empty bench file for `name` on this machine.
-    pub fn new(name: impl Into<String>, machine: MachineInfo) -> Self {
-        BenchFile {
-            name: name.into(),
-            machine,
-            metrics: BTreeMap::new(),
-        }
-    }
-
-    /// Insert (or overwrite) one metric.
-    pub fn insert(&mut self, key: impl Into<String>, value: f64, kind: MetricKind) {
-        self.metrics.insert(key.into(), Metric { value, kind });
-    }
-
-    /// Serialise deterministically (sorted keys, stable float formatting).
+    /// Serialise deterministically (sorted keys, one metric per line).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"name\": {},\n  \"schema\": 1,\n",
-            json_string(&self.name)
-        ));
-        out.push_str(&format!(
-            "  \"machine\": {{\"os\": {}, \"arch\": {}, \"cpus\": {}, \"scale\": {}}},\n",
-            json_string(&self.machine.os),
-            json_string(&self.machine.arch),
-            self.machine.cpus,
-            self.machine.scale
-        ));
-        out.push_str("  \"metrics\": {\n");
+        let mut out = format!(
+            "{{\n  \"name\": {},\n  \"scale\": {},\n  \"metrics\": {{\n",
+            json_string(&self.name),
+            self.scale
+        );
         let n = self.metrics.len();
-        for (i, (key, m)) in self.metrics.iter().enumerate() {
+        for (i, (key, value)) in self.metrics.iter().enumerate() {
             out.push_str(&format!(
-                "    {}: {{\"value\": {}, \"kind\": {}}}{}\n",
+                "    {}: {value}{}\n",
                 json_string(key),
-                fmt_f64(m.value),
-                json_string(&m.kind.to_string()),
                 if i + 1 < n { "," } else { "" }
             ));
         }
         out.push_str("  }\n}\n");
         out
-    }
-
-    /// Parse a file produced by [`BenchFile::to_json`] (tolerates any JSON
-    /// layout/whitespace, unknown fields ignored).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_obj().ok_or("top level is not an object")?;
-        let name = obj
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("missing \"name\"")?
-            .to_string();
-        let machine = obj
-            .get("machine")
-            .and_then(Json::as_obj)
-            .ok_or("missing \"machine\"")?;
-        let machine = MachineInfo {
-            os: machine
-                .get("os")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            arch: machine
-                .get("arch")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            cpus: machine.get("cpus").and_then(Json::as_u64).unwrap_or(0),
-            scale: machine.get("scale").and_then(Json::as_u64).unwrap_or(0),
-        };
-        let raw = obj
-            .get("metrics")
-            .and_then(Json::as_obj)
-            .ok_or("missing \"metrics\"")?;
-        let mut metrics = BTreeMap::new();
-        for (key, entry) in raw {
-            let entry = entry
-                .as_obj()
-                .ok_or_else(|| format!("metric {key:?} is not an object"))?;
-            let value = entry
-                .get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("metric {key:?} has no numeric \"value\""))?;
-            let kind = match entry.get("kind").and_then(Json::as_str) {
-                Some("counter") => MetricKind::Counter,
-                Some("time") | None => MetricKind::Time,
-                Some(other) => return Err(format!("metric {key:?}: unknown kind {other:?}")),
-            };
-            metrics.insert(key.clone(), Metric { value, kind });
-        }
-        Ok(BenchFile {
-            name,
-            machine,
-            metrics,
-        })
     }
 }
 
@@ -198,199 +64,27 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Group raw `(key, kind, value)` samples by key and reduce each group to
+/// Group raw `(key, value)` counter samples by key and reduce each group to
 /// its median — the bridge from a bench's inner loop to a [`BenchFile`].
+/// Every group the benches record is odd-sized (nine query windows, three
+/// repetitions or one run), so each median is one of the counted values.
 pub fn bench_file_from_samples(
     name: impl Into<String>,
-    machine: MachineInfo,
-    samples: &[(String, MetricKind, f64)],
+    scale: u64,
+    samples: &[(String, f64)],
 ) -> BenchFile {
-    let mut grouped: BTreeMap<(String, MetricKind), Vec<f64>> = BTreeMap::new();
-    for (key, kind, value) in samples {
-        grouped
-            .entry((key.clone(), *kind))
-            .or_default()
-            .push(*value);
+    let mut grouped: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for (key, value) in samples {
+        grouped.entry(key.as_str()).or_default().push(*value);
     }
-    let mut file = BenchFile::new(name, machine);
-    for ((key, kind), values) in grouped {
-        file.insert(key, median(&values), kind);
+    BenchFile {
+        name: name.into(),
+        scale,
+        metrics: grouped
+            .into_iter()
+            .map(|(key, values)| (key.to_string(), median(&values)))
+            .collect(),
     }
-    file
-}
-
-/// Tolerances for [`diff`].
-#[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Relative tolerance for [`MetricKind::Time`] metrics (0.3 = +30%).
-    pub time_tolerance: f64,
-    /// Absolute slack (seconds) under which time drift is ignored — keeps
-    /// micro-benchmarks from flapping on scheduler noise.
-    pub time_slack: f64,
-    /// Relative tolerance for [`MetricKind::Counter`] metrics (0 = exact).
-    pub counter_tolerance: f64,
-    /// Per-key counter tolerance overrides: `(substring, tolerance)` pairs
-    /// checked in order; the first pattern contained in a metric key wins
-    /// over [`DiffConfig::counter_tolerance`]. Used to loosen exactly one
-    /// counter family (e.g. `txs_decoded` across a codec change) without
-    /// weakening the exact-match default for everything else.
-    pub counter_overrides: Vec<(String, f64)>,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            time_tolerance: 0.30,
-            time_slack: 0.005,
-            counter_tolerance: 0.0,
-            counter_overrides: Vec::new(),
-        }
-    }
-}
-
-impl DiffConfig {
-    /// The counter tolerance applying to `key`: the first matching
-    /// override, else the global [`DiffConfig::counter_tolerance`].
-    pub fn counter_tolerance_for(&self, key: &str) -> f64 {
-        self.counter_overrides
-            .iter()
-            .find(|(pat, _)| key.contains(pat.as_str()))
-            .map(|(_, tol)| *tol)
-            .unwrap_or(self.counter_tolerance)
-    }
-}
-
-/// One compared metric.
-#[derive(Debug, Clone)]
-pub struct DiffLine {
-    /// Metric key.
-    pub key: String,
-    /// Comparison kind.
-    pub kind: MetricKind,
-    /// Baseline value.
-    pub base: f64,
-    /// Current value.
-    pub current: f64,
-    /// `current / base` (infinity when base is 0 and current is not).
-    pub ratio: f64,
-    /// Whether this metric regressed under the configured tolerance.
-    pub regressed: bool,
-}
-
-/// Result of comparing two bench files.
-#[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    /// Per-metric comparisons for keys present in both files.
-    pub lines: Vec<DiffLine>,
-    /// Keys present in the baseline but missing from the current run.
-    pub missing: Vec<String>,
-    /// Keys present only in the current run (informational).
-    pub added: Vec<String>,
-    /// Human-readable metadata mismatches (scale, bench name).
-    pub mismatches: Vec<String>,
-}
-
-impl DiffReport {
-    /// True when any metric regressed, any baseline metric vanished, or the
-    /// two files are not comparable (different bench or scale).
-    pub fn has_regression(&self) -> bool {
-        !self.missing.is_empty()
-            || !self.mismatches.is_empty()
-            || self.lines.iter().any(|l| l.regressed)
-    }
-
-    /// Render a human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for m in &self.mismatches {
-            out.push_str(&format!("MISMATCH  {m}\n"));
-        }
-        for k in &self.missing {
-            out.push_str(&format!("MISSING   {k} (in baseline, not in current)\n"));
-        }
-        for l in &self.lines {
-            let tag = if l.regressed {
-                "REGRESSED"
-            } else {
-                "ok       "
-            };
-            out.push_str(&format!(
-                "{tag} {key}  {base} -> {cur}  ({pct:+.1}%)\n",
-                key = l.key,
-                base = fmt_f64(l.base),
-                cur = fmt_f64(l.current),
-                pct = (l.ratio - 1.0) * 100.0,
-            ));
-        }
-        for k in &self.added {
-            out.push_str(&format!("new       {k} (not in baseline)\n"));
-        }
-        let regressed = self.lines.iter().filter(|l| l.regressed).count();
-        out.push_str(&format!(
-            "{} metric(s) compared, {} regressed, {} missing, {} new\n",
-            self.lines.len(),
-            regressed,
-            self.missing.len(),
-            self.added.len()
-        ));
-        out
-    }
-}
-
-/// Compare `current` against `baseline` under `cfg`.
-pub fn diff(baseline: &BenchFile, current: &BenchFile, cfg: &DiffConfig) -> DiffReport {
-    let mut report = DiffReport::default();
-    if baseline.name != current.name {
-        report.mismatches.push(format!(
-            "bench name: baseline {:?} vs current {:?}",
-            baseline.name, current.name
-        ));
-    }
-    if baseline.machine.scale != current.machine.scale {
-        report.mismatches.push(format!(
-            "scale: baseline {} vs current {} (results are not comparable)",
-            baseline.machine.scale, current.machine.scale
-        ));
-    }
-    for (key, base) in &baseline.metrics {
-        let Some(cur) = current.metrics.get(key) else {
-            report.missing.push(key.clone());
-            continue;
-        };
-        let ratio = if base.value == 0.0 {
-            if cur.value == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            cur.value / base.value
-        };
-        let regressed = match base.kind {
-            MetricKind::Time => {
-                cur.value > base.value * (1.0 + cfg.time_tolerance)
-                    && cur.value - base.value > cfg.time_slack
-            }
-            MetricKind::Counter => {
-                let tol = base.value.abs() * cfg.counter_tolerance_for(key);
-                (cur.value - base.value).abs() > tol
-            }
-        };
-        report.lines.push(DiffLine {
-            key: key.clone(),
-            kind: base.kind,
-            base: base.value,
-            current: cur.value,
-            ratio,
-            regressed,
-        });
-    }
-    for key in current.metrics.keys() {
-        if !baseline.metrics.contains_key(key) {
-            report.added.push(key.clone());
-        }
-    }
-    report
 }
 
 fn json_string(s: &str) -> String {
@@ -411,308 +105,9 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Round-trippable float formatting: integers render without a trailing
-/// `.0`-storm, everything else with enough digits to survive re-parsing.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        let s = format!("{v}");
-        if s.parse::<f64>() == Ok(v) {
-            s
-        } else {
-            format!("{v:.17}")
-        }
-    }
-}
-
-/// Minimal JSON value for [`BenchFile::parse`].
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        self.as_f64()
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn eat_keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_keyword("null") => Ok(Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn machine() -> MachineInfo {
-        MachineInfo {
-            os: "linux".into(),
-            arch: "x86_64".into(),
-            cpus: 8,
-            scale: 1500,
-        }
-    }
-
-    fn file_with(metrics: &[(&str, f64, MetricKind)]) -> BenchFile {
-        let mut f = BenchFile::new("table1", machine());
-        for (k, v, kind) in metrics {
-            f.insert(*k, *v, *kind);
-        }
-        f
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let f = file_with(&[
-            ("ds1/me/M1/join_s", 0.12345, MetricKind::Time),
-            ("ds1/me/M1/blocks", 42.0, MetricKind::Counter),
-            ("odd \"key\"\n", 1e-9, MetricKind::Time),
-        ]);
-        let text = f.to_json();
-        let back = BenchFile::parse(&text).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(BenchFile::parse("").is_err());
-        assert!(BenchFile::parse("{").is_err());
-        assert!(BenchFile::parse("[1,2]").is_err());
-        assert!(BenchFile::parse("{\"name\": \"x\"} trailing").is_err());
-        assert!(BenchFile::parse("{\"name\": \"x\", \"metrics\": {}}").is_err());
-    }
 
     #[test]
     fn median_handles_odd_even_empty() {
@@ -725,92 +120,30 @@ mod tests {
     #[test]
     fn samples_group_to_medians() {
         let samples = vec![
-            ("a".to_string(), MetricKind::Time, 1.0),
-            ("a".to_string(), MetricKind::Time, 3.0),
-            ("a".to_string(), MetricKind::Time, 100.0),
-            ("b".to_string(), MetricKind::Counter, 7.0),
+            ("a".to_string(), 1.0),
+            ("a".to_string(), 3.0),
+            ("a".to_string(), 100.0),
+            ("b".to_string(), 7.0),
         ];
-        let f = bench_file_from_samples("t", machine(), &samples);
-        assert_eq!(f.metrics["a"].value, 3.0);
-        assert_eq!(f.metrics["b"].value, 7.0);
-        assert_eq!(f.metrics["b"].kind, MetricKind::Counter);
+        let f = bench_file_from_samples("t", 1500, &samples);
+        assert_eq!(f.metrics["a"], 3.0);
+        assert_eq!(f.metrics["b"], 7.0);
     }
 
     #[test]
-    fn diff_flags_time_regressions_with_slack() {
-        let base = file_with(&[("k", 1.0, MetricKind::Time)]);
-        let ok = file_with(&[("k", 1.2, MetricKind::Time)]);
-        let bad = file_with(&[("k", 1.5, MetricKind::Time)]);
-        let cfg = DiffConfig::default();
-        assert!(!diff(&base, &ok, &cfg).has_regression());
-        assert!(diff(&base, &bad, &cfg).has_regression());
-        // Tiny absolute values never trip the relative gate.
-        let base = file_with(&[("k", 0.0001, MetricKind::Time)]);
-        let noisy = file_with(&[("k", 0.004, MetricKind::Time)]);
-        assert!(!diff(&base, &noisy, &cfg).has_regression());
-    }
-
-    #[test]
-    fn diff_counters_are_exact_by_default() {
-        let base = file_with(&[("blocks", 100.0, MetricKind::Counter)]);
-        let same = file_with(&[("blocks", 100.0, MetricKind::Counter)]);
-        let drift = file_with(&[("blocks", 101.0, MetricKind::Counter)]);
-        let cfg = DiffConfig::default();
-        assert!(!diff(&base, &same, &cfg).has_regression());
-        assert!(diff(&base, &drift, &cfg).has_regression());
-        let loose = DiffConfig {
-            counter_tolerance: 0.05,
-            ..cfg
-        };
-        assert!(!diff(&base, &drift, &loose).has_regression());
-    }
-
-    #[test]
-    fn counter_overrides_loosen_only_matching_keys() {
-        let base = file_with(&[
-            ("ds1/me/tqf/blocks", 100.0, MetricKind::Counter),
-            ("ds1/me/tqf/txs_decoded", 1000.0, MetricKind::Counter),
-        ]);
-        let cur = file_with(&[
-            ("ds1/me/tqf/blocks", 100.0, MetricKind::Counter),
-            ("ds1/me/tqf/txs_decoded", 1040.0, MetricKind::Counter),
-        ]);
-        // Exact by default: the txs_decoded drift regresses.
-        assert!(diff(&base, &cur, &DiffConfig::default()).has_regression());
-        // A txs_decoded override absorbs it without loosening `blocks`.
-        let cfg = DiffConfig {
-            counter_overrides: vec![("txs_decoded".to_string(), 0.05)],
-            ..DiffConfig::default()
-        };
-        assert!(!diff(&base, &cur, &cfg).has_regression());
-        assert_eq!(cfg.counter_tolerance_for("x/blocks"), 0.0);
-        assert_eq!(cfg.counter_tolerance_for("x/txs_decoded"), 0.05);
-        // The override must not rescue non-matching counters.
-        let blocks_drift = file_with(&[
-            ("ds1/me/tqf/blocks", 101.0, MetricKind::Counter),
-            ("ds1/me/tqf/txs_decoded", 1000.0, MetricKind::Counter),
-        ]);
-        assert!(diff(&base, &blocks_drift, &cfg).has_regression());
-    }
-
-    #[test]
-    fn diff_flags_missing_metrics_and_scale_mismatch() {
-        let base = file_with(&[("k", 1.0, MetricKind::Time)]);
-        let empty = file_with(&[]);
-        assert!(diff(&base, &empty, &DiffConfig::default()).has_regression());
-        let mut rescaled = base.clone();
-        rescaled.machine.scale = 1;
-        let report = diff(&base, &rescaled, &DiffConfig::default());
-        assert!(report.has_regression());
-        assert!(report.render().contains("scale"));
-    }
-
-    #[test]
-    fn added_metrics_are_informational() {
-        let base = file_with(&[("k", 1.0, MetricKind::Time)]);
-        let grown = file_with(&[("k", 1.0, MetricKind::Time), ("k2", 9.0, MetricKind::Time)]);
-        let report = diff(&base, &grown, &DiffConfig::default());
-        assert!(!report.has_regression());
-        assert_eq!(report.added, vec!["k2".to_string()]);
+    fn json_is_sorted_one_counter_per_line() {
+        let samples = vec![
+            ("ds3/se/tqf/blocks".to_string(), 65.0),
+            ("ds1/me/m1/ghfk_calls".to_string(), 20.0),
+            ("odd \"key\"\n".to_string(), 1.0),
+        ];
+        let text = bench_file_from_samples("table1", 1500, &samples).to_json();
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"table1\",\n  \"scale\": 1500,\n  \"metrics\": {\n    \
+             \"ds1/me/m1/ghfk_calls\": 20,\n    \
+             \"ds3/se/tqf/blocks\": 65,\n    \
+             \"odd \\\"key\\\"\\n\": 1\n  }\n}\n"
+        );
     }
 }

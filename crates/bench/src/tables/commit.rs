@@ -17,9 +17,8 @@ use fabric_workload::dataset::DatasetId;
 use fabric_workload::ingest::{ingest_sharded, IdentityEncoder, IngestMode, IngestReport};
 
 use crate::harness::{fmt_secs, Ctx, TableOut};
-use crate::regress::MetricKind;
 
-/// Repetitions per cell; samples reduce to medians in the bench file.
+/// Repetitions per cell; wall times reduce to medians in the report.
 const REPS: usize = 3;
 /// Shard counts in the grid.
 const SHARD_GRID: [usize; 3] = [1, 2, 4];
@@ -74,10 +73,10 @@ fn run_cell(
     })
 }
 
-/// Run the commit-path ablation, appending bench samples (keyed under
+/// Run the commit-path ablation, appending its exact counters (keyed under
 /// `ablation/commit_path/`) to `samples` so they land in the same
 /// `BENCH_ingest.json` as the write-path cells.
-pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<String> {
+pub fn run(ctx: &Ctx, samples: &mut Vec<(String, f64)>) -> Result<String> {
     let mut report = String::new();
     let mut csv = TableOut::new(&[
         "section",
@@ -120,12 +119,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
             let r = &cell.report;
             let wall = r.wall.as_secs_f64();
             let prefix = format!("ablation/commit_path/{variant}-shards{shards}");
-            samples.push((format!("{prefix}/ingest_s"), MetricKind::Time, wall));
-            samples.push((
-                format!("{prefix}/ingest_eps"),
-                MetricKind::Counter,
-                r.events as f64 / wall.max(1e-9),
-            ));
             for (metric, v) in [
                 ("events", r.events),
                 ("txs", r.txs),
@@ -133,7 +126,7 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
                 ("validate_txs", cell.validate_txs),
                 ("conflicts", cell.conflicts),
             ] {
-                samples.push((format!("{prefix}/{metric}"), MetricKind::Counter, v as f64));
+                samples.push((format!("{prefix}/{metric}"), v as f64));
             }
             csv.row(vec![
                 "grid".into(),
@@ -164,11 +157,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
         ]);
     }
     let headline = baseline_s / crate::regress::median(&medians[&4]).max(1e-9);
-    samples.push((
-        "ablation/commit_path/headline_speedup".into(),
-        MetricKind::Time,
-        headline,
-    ));
     report.push_str(&format!("## Commit path: shards ({id} SE, durable)\n\n"));
     report.push_str(&table.to_markdown());
     report.push_str(&format!(
@@ -207,14 +195,9 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
         "validation missed the closed-form conflict count"
     );
     let prefix = format!("ablation/commit_path/contention/{variant}");
-    samples.push((
-        format!("{prefix}/conflicts"),
-        MetricKind::Counter,
-        conflicts as f64,
-    ));
+    samples.push((format!("{prefix}/conflicts"), conflicts as f64));
     samples.push((
         format!("{prefix}/txs"),
-        MetricKind::Counter,
         snap.counter("commit.validate.txs") as f64,
     ));
     csv.row(vec![

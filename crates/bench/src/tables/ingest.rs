@@ -19,9 +19,8 @@ use temporal_core::m1::M1Indexer;
 use temporal_core::partition::FixedLength;
 
 use crate::harness::{copy_dir_recursive, fmt_secs, Ctx, TableOut};
-use crate::regress::{bench_file_from_samples, MetricKind};
 
-/// Repetitions per cell; samples reduce to medians in the bench file.
+/// Repetitions per cell; wall times reduce to medians in the report.
 const REPS: usize = 3;
 
 /// A scratch directory under the cache root, wiped before use.
@@ -53,7 +52,8 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         "blocks",
         "wal_syncs",
     ]);
-    let mut samples: Vec<(String, MetricKind, f64)> = Vec::new();
+    // Exact counters for the bench file, one sample per repetition.
+    let mut samples: Vec<(String, f64)> = Vec::new();
 
     // ── Section 1: block commit, buffered vs durable ────────────────────
     // Two durability profiles: `buffered` leaves `sync_wal` off (the test
@@ -88,22 +88,13 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                 drop(ledger);
                 let _ = std::fs::remove_dir_all(&dir);
                 let prefix = format!("{id}/{mode}/{profile}/serial").to_lowercase();
-                samples.push((
-                    format!("{prefix}/ingest_s"),
-                    MetricKind::Time,
-                    out.wall.as_secs_f64(),
-                ));
                 for (name, value) in [
                     ("events", out.events),
                     ("txs", out.txs),
                     ("blocks", out.blocks),
                     ("wal_syncs", wal_syncs as u64),
                 ] {
-                    samples.push((
-                        format!("{prefix}/{name}"),
-                        MetricKind::Counter,
-                        value as f64,
-                    ));
+                    samples.push((format!("{prefix}/{name}"), value as f64));
                 }
                 csv.row(vec![
                     "commit".into(),
@@ -170,22 +161,8 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         let height = ledger.height();
         drop(ledger);
         let _ = std::fs::remove_dir_all(&dir);
-        let prefix = format!("m1/{cell}");
-        samples.push((
-            format!("{prefix}/index_s"),
-            MetricKind::Time,
-            wall.as_secs_f64(),
-        ));
-        samples.push((
-            format!("{prefix}/keys"),
-            MetricKind::Counter,
-            keys.len() as f64,
-        ));
-        samples.push((
-            format!("{prefix}/height"),
-            MetricKind::Counter,
-            height as f64,
-        ));
+        samples.push((format!("m1/{cell}/keys"), keys.len() as f64));
+        samples.push((format!("m1/{cell}/height"), height as f64));
         csv.row(vec![
             "m1".into(),
             id.to_string(),
@@ -249,35 +226,18 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                 );
                 drop(ledger);
                 let _ = std::fs::remove_dir_all(&dir);
-                let prefix = format!("ablation/backend/{backend_name}/{profile}");
-                samples.push((
-                    format!("{prefix}/ingest_s"),
-                    MetricKind::Time,
-                    out.wall.as_secs_f64(),
-                ));
-                samples.push((
-                    format!("{prefix}/events"),
-                    MetricKind::Counter,
-                    out.events as f64,
-                ));
-                samples.push((
-                    format!("{prefix}/blocks"),
-                    MetricKind::Counter,
-                    out.blocks as f64,
-                ));
                 // Rotation and merge counts follow the (deterministic)
                 // byte stream, not timing; a run-over-run drift here means
                 // the write path itself changed shape.
-                samples.push((
-                    format!("{prefix}/data_files"),
-                    MetricKind::Counter,
-                    files as f64,
-                ));
-                samples.push((
-                    format!("{prefix}/compactions"),
-                    MetricKind::Counter,
-                    compactions as f64,
-                ));
+                let prefix = format!("ablation/backend/{backend_name}/{profile}");
+                for (name, value) in [
+                    ("events", out.events),
+                    ("blocks", out.blocks),
+                    ("data_files", files as u64),
+                    ("compactions", compactions as u64),
+                ] {
+                    samples.push((format!("{prefix}/{name}"), value as f64));
+                }
                 csv.row(vec![
                     "backend".into(),
                     id.to_string(),
@@ -366,21 +326,8 @@ pub fn run(ctx: &Ctx) -> Result<String> {
             written
         );
         let prefix = "ablation/backend/log/amp";
-        samples.push((
-            format!("{prefix}/write_s"),
-            MetricKind::Time,
-            wall.as_secs_f64(),
-        ));
-        samples.push((
-            format!("{prefix}/disk_bytes"),
-            MetricKind::Counter,
-            disk_bytes as f64,
-        ));
-        samples.push((
-            format!("{prefix}/compactions"),
-            MetricKind::Counter,
-            stats.compactions as f64,
-        ));
+        samples.push((format!("{prefix}/disk_bytes"), disk_bytes as f64));
+        samples.push((format!("{prefix}/compactions"), stats.compactions as f64));
         table.row(vec![
             "log (overwrite churn)".into(),
             "amplification".into(),
@@ -402,8 +349,6 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     report.push_str(&crate::tables::m1lag::run(ctx, &mut samples)?);
 
     ctx.save_result("ingest.csv", &csv.to_csv());
-    if ctx.json_out.is_some() {
-        ctx.save_bench_file(&bench_file_from_samples("ingest", ctx.machine(), &samples));
-    }
+    ctx.save_bench_file("ingest", &samples);
     Ok(report)
 }

@@ -11,9 +11,7 @@
 //! the read side). Both claims are asserted, not just reported.
 //!
 //! Ledger construction and the daemon's epoch cuts are deterministic, so
-//! every sample here is a counter; CI compares the `index_lag` family
-//! with a tolerance band only because block packing may shift when the
-//! ingest layer changes.
+//! every sample here is an exact counter.
 
 use std::sync::Arc;
 
@@ -28,7 +26,6 @@ use temporal_core::tqf::TqfEngine;
 use temporal_core::{index_freshness, DaemonConfig, IndexerDaemon, TemporalEngine, ThetaPolicy};
 
 use crate::harness::{Ctx, TableOut};
-use crate::regress::MetricKind;
 
 /// Chain-growth phases (the x-axis of the ablation).
 const PHASES: usize = 4;
@@ -83,7 +80,7 @@ fn phase_chunks(events: &[Event]) -> Vec<&[Event]> {
 
 /// Run the index-lag ablation, appending samples to the shared ingest
 /// bench file under `ablation/index_lag/*`.
-pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<String> {
+pub fn run(ctx: &Ctx, samples: &mut Vec<(String, f64)>) -> Result<String> {
     let id = DatasetId::Ds3;
     let workload = ctx.workload(id);
     let mut events = workload.events.clone();
@@ -158,7 +155,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
                         phase + 1,
                         qi + 1
                     ),
-                    MetricKind::Counter,
                     blocks as f64,
                 ));
             }
@@ -167,7 +163,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
                 .unwrap_or_else(|| ledger.height());
             samples.push((
                 format!("ablation/index_lag/{variant}/p{}/lag_blocks", phase + 1),
-                MetricKind::Counter,
                 phase_lag as f64,
             ));
             phase_lags.push(phase_lag);
@@ -185,7 +180,6 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, MetricKind, f64)>) -> Result<St
         })?;
         samples.push((
             format!("ablation/index_lag/{variant}/final_lag_blocks"),
-            MetricKind::Counter,
             fresh.lag_blocks as f64,
         ));
 

@@ -19,7 +19,6 @@ use temporal_core::{AutoEngine, TemporalEngine};
 const PARALLEL_WORKERS: usize = 4;
 
 use crate::harness::{fmt_secs, with_telemetry, Ctx, TableOut};
-use crate::regress::{bench_file_from_samples, MetricKind};
 
 struct Cell {
     join_wall: std::time::Duration,
@@ -65,6 +64,25 @@ fn run_engine(
     Ok((cell, snapshot))
 }
 
+/// Record `cell`'s exact counters for the bench file, one sample per query
+/// window (the file keeps each counter's median over the windows).
+fn sample(
+    samples: &mut Vec<(String, f64)>,
+    id: DatasetId,
+    mode: IngestMode,
+    engine: &str,
+    cell: &Cell,
+) {
+    let prefix = format!("{id}/{mode}/{engine}").to_lowercase();
+    for (metric, value) in [
+        ("ghfk_calls", cell.ghfk_calls),
+        ("blocks", cell.blocks),
+        ("txs_decoded", cell.txs_decoded),
+    ] {
+        samples.push((format!("{prefix}/{metric}"), value as f64));
+    }
+}
+
 fn telemetry_line(
     snapshot: fabric_telemetry::RegistrySnapshot,
     id: DatasetId,
@@ -107,45 +125,9 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         "records",
     ]);
     let mut jsonl = String::new();
-    // Calibration sink for the auto-planner ablation (`--planner-log`):
-    // every auto query's certified bounds + measured actuals, stamped with
-    // the dataset currently under test.
-    let planner_log = ctx.open_planner_log();
-    // Raw samples for the machine-readable bench file: one entry per
-    // (dataset/mode/engine/metric) per window, reduced to medians at the end.
-    let mut samples: Vec<(String, MetricKind, f64)> = Vec::new();
-    // Parallel-ablation samples, collected separately because the `sample`
-    // closure below holds the mutable borrow of `samples`; merged at the end.
-    let mut parallel_samples: Vec<(String, MetricKind, f64)> = Vec::new();
-    let mut sample = |id: DatasetId, mode: IngestMode, engine: &str, cell: &Cell| {
-        let prefix = format!("{id}/{mode}/{engine}").to_lowercase();
-        samples.push((
-            format!("{prefix}/join_s"),
-            MetricKind::Time,
-            cell.join_wall.as_secs_f64(),
-        ));
-        samples.push((
-            format!("{prefix}/ghfk_s"),
-            MetricKind::Time,
-            cell.ghfk_wall.as_secs_f64(),
-        ));
-        samples.push((
-            format!("{prefix}/ghfk_calls"),
-            MetricKind::Counter,
-            cell.ghfk_calls as f64,
-        ));
-        samples.push((
-            format!("{prefix}/blocks"),
-            MetricKind::Counter,
-            cell.blocks as f64,
-        ));
-        samples.push((
-            format!("{prefix}/txs_decoded"),
-            MetricKind::Counter,
-            cell.txs_decoded as f64,
-        ));
-        samples.push((format!("{prefix}/sim_s"), MetricKind::Time, cell.sim_secs));
-    };
+    // Raw counter samples for the machine-readable bench file, reduced to
+    // medians at the end.
+    let mut samples: Vec<(String, f64)> = Vec::new();
 
     for (id, mode, m2_us) in [
         (
@@ -157,9 +139,6 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         (DatasetId::Ds3, IngestMode::SingleEvent, vec![2000]),
     ] {
         let u_index = ctx.scale_time(id, 2000);
-        if let Some(log) = &planner_log {
-            log.set_dataset(&id.to_string().to_lowercase());
-        }
         eprintln!("[table1] building ledgers for {id} ({mode}) ...");
         let m1_ledger = ctx.m1_ledger(id, mode, u_index)?;
         let m2_ledgers: Vec<(u64, Ledger)> = m2_us
@@ -209,7 +188,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                 jsonl.push_str(&telemetry_line(snap, id, mode, "M1", tau, &m1));
                 jsonl.push('\n');
             }
-            sample(id, mode, "m1", &m1);
+            sample(&mut samples, id, mode, "m1", &m1);
             push_cell(&m1, &mut row);
             record_counts.push(m1.records);
             csv.row(vec![
@@ -233,7 +212,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                 jsonl.push_str(&telemetry_line(snap, id, mode, "TQF", tau, &tqf));
                 jsonl.push('\n');
             }
-            sample(id, mode, "tqf", &tqf);
+            sample(&mut samples, id, mode, "tqf", &tqf);
             push_cell(&tqf, &mut row);
             record_counts.push(tqf.records);
             csv.row(vec![
@@ -254,16 +233,12 @@ pub fn run(ctx: &Ctx) -> Result<String> {
             // Planner ablation: auto runs on the same base+M1 ledger and
             // must never deserialize more blocks than the better of the
             // two fixed engines it chooses between.
-            let auto_engine = match &planner_log {
-                Some(log) => AutoEngine::with_log(log.clone()),
-                None => AutoEngine::default(),
-            };
-            let (auto, snap) = run_engine(ctx, &auto_engine, &m1_ledger, tau)?;
+            let (auto, snap) = run_engine(ctx, &AutoEngine::default(), &m1_ledger, tau)?;
             if let Some(snap) = snap {
                 jsonl.push_str(&telemetry_line(snap, id, mode, "Auto", tau, &auto));
                 jsonl.push('\n');
             }
-            sample(id, mode, "auto", &auto);
+            sample(&mut samples, id, mode, "auto", &auto);
             push_cell(&auto, &mut row);
             record_counts.push(auto.records);
             assert!(
@@ -301,7 +276,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                     ));
                     jsonl.push('\n');
                 }
-                sample(id, mode, &format!("m2-u{u_paper}"), &m2);
+                sample(&mut samples, id, mode, &format!("m2-u{u_paper}"), &m2);
                 push_cell(&m2, &mut row);
                 record_counts.push(m2.records);
                 csv.row(vec![
@@ -351,21 +326,9 @@ pub fn run(ctx: &Ctx) -> Result<String> {
             par.peak_buffered_events,
             SLOT_CAPACITY * key_count
         );
-        let prefix = format!("{id}/{mode}/parallel-m1").to_lowercase();
-        parallel_samples.push((
-            format!("{prefix}/join_s"),
-            MetricKind::Time,
-            par.stats.wall.as_secs_f64(),
-        ));
-        parallel_samples.push((
-            format!("{prefix}/records"),
-            MetricKind::Counter,
+        samples.push((
+            format!("{id}/{mode}/parallel-m1/records").to_lowercase(),
             par.records.len() as f64,
-        ));
-        parallel_samples.push((
-            format!("{prefix}/peak_buffered_events"),
-            MetricKind::Counter,
-            par.peak_buffered_events as f64,
         ));
         report.push_str(&format!(
             "Parallel streaming ({PARALLEL_WORKERS} workers, full window): \
@@ -380,41 +343,31 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     // join with instrumentation off, with span recording on (plus
     // allocation accounting when the binary installs the counting
     // allocator), and with the 99Hz sampling profiler on top of that.
-    // Three runs per cell reduce to medians in the bench file; the
-    // headline ratios print so a profiler-cost regression is visible in
-    // the report itself.
+    // Three runs per cell reduce to medians; the headline ratios print so a
+    // profiler-cost regression is visible in the report itself.
     {
         let id = DatasetId::Ds3;
         let ledger = ctx.m1_ledger(id, IngestMode::SingleEvent, ctx.scale_time(id, 2000))?;
         let full = temporal_core::Interval::new(0, ctx.t_max(id));
-        let cell = |label: &str,
-                    samples: &mut Vec<(String, MetricKind, f64)>,
-                    run: &mut dyn FnMut() -> Result<f64>|
-         -> Result<f64> {
+        let cell = |run: &mut dyn FnMut() -> Result<f64>| -> Result<f64> {
             let mut secs = Vec::new();
             for _ in 0..3 {
-                let s = run()?;
-                samples.push((
-                    format!("ablation/observability/{label}/join_s"),
-                    MetricKind::Time,
-                    s,
-                ));
-                secs.push(s);
+                secs.push(run()?);
             }
             secs.sort_by(f64::total_cmp);
             Ok(secs[1])
         };
-        let base = cell("base", &mut samples, &mut || {
+        let base = cell(&mut || {
             Ok(ferry_query(&TqfEngine, &ledger, full)?
                 .stats
                 .wall
                 .as_secs_f64())
         })?;
-        let spans = cell("spans", &mut samples, &mut || {
+        let spans = cell(&mut || {
             let (out, _) = with_telemetry(&ledger, || ferry_query(&TqfEngine, &ledger, full));
             Ok(out?.stats.wall.as_secs_f64())
         })?;
-        let profiled = cell("profile99", &mut samples, &mut || {
+        let profiled = cell(&mut || {
             let profiler = fabric_telemetry::Profiler::start(ledger.telemetry(), 99);
             let (out, _) = with_telemetry(&ledger, || ferry_query(&TqfEngine, &ledger, full));
             profiler.stop();
@@ -439,11 +392,10 @@ pub fn run(ctx: &Ctx) -> Result<String> {
             }
             profiler.stop().samples()
         };
-        samples.push((
-            "ablation/observability/profile99/samples".to_string(),
-            MetricKind::Counter,
-            profiler_samples as f64,
-        ));
+        assert!(
+            profiler_samples > 0,
+            "the 99Hz profiler took no sample in 150ms: its sampler thread died"
+        );
         report.push_str(&format!(
             "Observability overhead (DS3 full window, TQF, median of 3): \
              base {base:.4}s, spans {spans:.4}s ({:+.1}%), \
@@ -454,10 +406,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         ));
     }
     ctx.save_result("table1.csv", &csv.to_csv());
-    samples.extend(parallel_samples);
-    if ctx.json_out.is_some() {
-        ctx.save_bench_file(&bench_file_from_samples("table1", ctx.machine(), &samples));
-    }
+    ctx.save_bench_file("table1", &samples);
     if ctx.telemetry {
         ctx.save_result("BENCH_table1.jsonl", &jsonl);
         report.push_str(&format!(

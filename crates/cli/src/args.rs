@@ -50,15 +50,6 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Every value given for a repeatable option, in order of appearance.
-    pub fn opt_all(&self, name: &str) -> Vec<&str> {
-        self.options
-            .iter()
-            .filter(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
     /// Option parsed as `u64`.
     pub fn opt_u64(&self, name: &str) -> Result<Option<u64>, String> {
         self.opt(name)
@@ -117,13 +108,6 @@ mod tests {
         assert_eq!(a.opt_u64("u").unwrap(), Some(2));
         assert_eq!(a.opt("absent"), None);
         assert!(a.pos_opt(0).is_none());
-    }
-
-    #[test]
-    fn opt_all_collects_every_occurrence_in_order() {
-        let a = Args::parse(&argv(&["--p", "a=1", "--q", "x", "--p", "b=2"])).unwrap();
-        assert_eq!(a.opt_all("p"), vec!["a=1", "b=2"]);
-        assert!(a.opt_all("absent").is_empty());
     }
 
     #[test]

@@ -51,7 +51,6 @@ const USAGE: &str = "usage: tfq <command> ...
   top     [<dir> <t1> <t2>]     [--key K] [--engine tqf|m1|m2|auto] [--u U]
                                 [--workers N] [--ingest ds1|ds2|ds3] [--scale N]
                                 [--limit N]
-  planner-report <log.jsonl>
   index   <dir> --u U [--from T1] [--to T2]
           batch M1 build over a single-partition ledger (index-daemon
           covers sharded ones)
@@ -65,8 +64,7 @@ const USAGE: &str = "usage: tfq <command> ...
   replay  <dir> <trace.csv> [--mode se|me] [--m2-u U]
   serve   <dir> [--addr H:P] [--slow-ms N] [--slow-factor F] [--slow-log PATH]
                 [--index-lag N [--u U | --adaptive EVENTS]]
-  bench-diff <baseline.json> <current.json> [--time-tol F] [--counter-tol F]
-             [--counter-tol-for PAT=F]...
+                [--addr-file PATH] [--requests N]
 read-path flags (any command taking <dir>):
   --cache-blocks N   block-cache capacity (0 = off, the paper's cost model)
   --coalesce on|off  group history reads by block (default on)
@@ -98,8 +96,6 @@ const OPTIONS: &[&str] = &[
     "backend",
     "cache-blocks",
     "coalesce",
-    "counter-tol",
-    "counter-tol-for",
     "engine",
     "export",
     "format",
@@ -120,8 +116,6 @@ const OPTIONS: &[&str] = &[
     "slow-factor",
     "slow-log",
     "slow-ms",
-    "time-slack",
-    "time-tol",
     "to",
     "u",
     "workers",
@@ -198,14 +192,12 @@ fn dispatch_to(argv: &[String], out: &mut dyn Write) -> CliResult {
         Some("trace") => trace(&args),
         Some("profile") => profile(&args),
         Some("top") => top(&args),
-        Some("planner-report") => planner_report(&args),
         Some("index") => index(&args),
         Some("index-daemon") => index_daemon(&args),
         Some("backup") => backup(&args),
         Some("export-trace") => export_trace(&args),
         Some("replay") => replay(&args),
         Some("serve") => crate::serve::serve(&args),
-        Some("bench-diff") => crate::serve::bench_diff(&args),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
         None => Err(USAGE.to_string()),
     }
@@ -898,28 +890,6 @@ fn top(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn planner_report(args: &Args) -> CliResult {
-    let path = args.pos(1, "log.jsonl")?;
-    // A planner log that was never written is an ordinary state for a
-    // fresh deployment (nothing routed through the auto engine yet), not
-    // an error: report it and exit 0 so CI report steps don't fail.
-    if !std::path::Path::new(path).exists() {
-        println!("no planner records: {path} does not exist (nothing logged yet)");
-        return Ok(());
-    }
-    let records =
-        temporal_core::PlannerLog::load(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if records.is_empty() {
-        // `load` skips unparseable lines, so this covers both a truly
-        // empty log and one holding no valid records.
-        println!("no planner records in {path}");
-        return Ok(());
-    }
-    let groups = temporal_core::calibrate::aggregate(&records);
-    print!("{}", temporal_core::calibrate::render_report(&groups));
-    Ok(())
-}
-
 /// The indexer-daemon configuration shared by `index-daemon`, `demo
 /// --index-lag` and `serve --index-lag`: `--index-lag N` bounds how many
 /// data blocks may pile up unindexed; θ comes from `--adaptive EVENTS`
@@ -1179,49 +1149,6 @@ mod tests {
         assert!(json.contains("\"name\":\"query.worker.key\""), "{json}");
         assert!(json.contains("\"name\":\"query.ferry.parallel\""), "{json}");
         assert!(run(&["trace", dir.s(), "0", "5000", "--export", "svg"]).is_err());
-    }
-
-    #[test]
-    fn planner_report_from_logged_queries() {
-        let dir = TempDir::new("plog");
-        run(&["demo", dir.s(), "ds3", "--scale", "300"]).unwrap();
-        run(&["index", dir.s(), "--u", "2000"]).unwrap();
-        let log_path = std::env::temp_dir().join(format!("tfq-plog-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&log_path);
-        {
-            let handle = open_default(&dir);
-            let ledger = handle.sole().unwrap();
-            let log = temporal_core::PlannerLog::open(&log_path).unwrap();
-            log.set_dataset("ds3");
-            let auto = temporal_core::AutoEngine::with_log(log);
-            for t2 in [2000u64, 5000] {
-                let key = EntityId::from_key(b"S00000").unwrap();
-                let mut cur = auto
-                    .events_cursor(ledger, key, Interval::new(0, t2))
-                    .unwrap();
-                while cur.next_event().unwrap().is_some() {}
-            }
-        }
-        run(&["planner-report", log_path.to_str().unwrap()]).unwrap();
-        let _ = std::fs::remove_file(&log_path);
-    }
-
-    #[test]
-    fn planner_report_is_clean_on_missing_or_empty_log() {
-        // A log that was never written (or written empty) is a normal
-        // fresh-deployment state: exit 0 with a message, not an error.
-        run(&["planner-report", "/nonexistent/x.jsonl"]).unwrap();
-        let empty =
-            std::env::temp_dir().join(format!("tfq-plog-empty-{}.jsonl", std::process::id()));
-        std::fs::write(&empty, "").unwrap();
-        run(&["planner-report", empty.to_str().unwrap()]).unwrap();
-        let _ = std::fs::remove_file(&empty);
-        // Unparseable lines are skipped by the loader, so a log with no
-        // valid records behaves like an empty one.
-        let bad = std::env::temp_dir().join(format!("tfq-plog-bad-{}.jsonl", std::process::id()));
-        std::fs::write(&bad, "this is not json\n").unwrap();
-        run(&["planner-report", bad.to_str().unwrap()]).unwrap();
-        let _ = std::fs::remove_file(&bad);
     }
 
     #[test]

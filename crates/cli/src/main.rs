@@ -10,7 +10,6 @@
 //! tfq join    <dir> <t1> <t2>      [--engine tqf|m1|m2] [--u U]
 //! tfq index   <dir> --u U [--from T1] [--to T2]      # build M1 indexes
 //! tfq serve   <dir> [--addr H:P] [--slow-ms N]       # live /metrics endpoint
-//! tfq bench-diff <baseline.json> <current.json>      # regression gate
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free.

@@ -1,5 +1,4 @@
-//! `tfq serve` — expose a ledger's live telemetry over HTTP, and
-//! `tfq bench-diff` — compare two machine-readable bench result files.
+//! `tfq serve` — expose a ledger's live telemetry over HTTP.
 //!
 //! The server wires three always-on observability pieces together:
 //!
@@ -14,7 +13,6 @@ use std::sync::Arc;
 
 use fabric_ledger::{LedgerConfig, ShardedLedger};
 use fabric_telemetry::{MetricsServer, SlowLogConfig, Telemetry};
-use temporal_bench::regress::{diff, BenchFile, DiffConfig};
 
 use crate::args::Args;
 
@@ -94,63 +92,8 @@ pub fn serve(args: &Args) -> CliResult {
     outcome
 }
 
-/// `tfq bench-diff <baseline.json> <current.json> [--time-tol F]
-/// [--time-slack SECS] [--counter-tol F] [--counter-tol-for PAT=F]...`
-///
-/// Prints a per-metric comparison; errors (non-zero exit) when any metric
-/// regressed beyond tolerance, a baseline metric vanished, or the two
-/// files are not comparable. `--counter-tol-for` may repeat: each
-/// `pattern=tolerance` pair loosens only counters whose key contains the
-/// pattern (e.g. `--counter-tol-for txs_decoded=0.05`), leaving every
-/// other counter on the exact default.
-pub fn bench_diff(args: &Args) -> CliResult {
-    let read = |i: usize, name: &str| -> Result<BenchFile, String> {
-        let path = args.pos(i, name)?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        BenchFile::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let baseline = read(1, "baseline.json")?;
-    let current = read(2, "current.json")?;
-    let mut cfg = DiffConfig::default();
-    let parse_f64 = |name: &str| -> Result<Option<f64>, String> {
-        args.opt(name)
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--{name} must be a number"))
-            })
-            .transpose()
-    };
-    if let Some(v) = parse_f64("time-tol")? {
-        cfg.time_tolerance = v;
-    }
-    if let Some(v) = parse_f64("time-slack")? {
-        cfg.time_slack = v;
-    }
-    if let Some(v) = parse_f64("counter-tol")? {
-        cfg.counter_tolerance = v;
-    }
-    for spec in args.opt_all("counter-tol-for") {
-        let (pattern, tol) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("--counter-tol-for must be pattern=tolerance, got {spec:?}"))?;
-        let tol: f64 = tol
-            .parse()
-            .map_err(|_| format!("--counter-tol-for {spec:?}: tolerance must be a number"))?;
-        cfg.counter_overrides.push((pattern.to_string(), tol));
-    }
-    let report = diff(&baseline, &current, &cfg);
-    print!("{}", report.render());
-    if report.has_regression() {
-        Err("bench regression detected".to_string())
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use temporal_bench::regress::{MachineInfo, MetricKind};
-
     use super::*;
     use crate::commands::dispatch;
 
@@ -197,74 +140,6 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-    }
-
-    fn bench_json(dir: &TempDir, name: &str, join_s: f64, blocks: f64) -> String {
-        let mut f = BenchFile::new("table1", MachineInfo::capture(100));
-        f.insert("ds3/se/tqf/join_s", join_s, MetricKind::Time);
-        f.insert("ds3/se/tqf/blocks", blocks, MetricKind::Counter);
-        let path = dir.path(name);
-        std::fs::write(&path, f.to_json()).unwrap();
-        path.to_str().unwrap().to_string()
-    }
-
-    #[test]
-    fn bench_diff_exit_codes() {
-        let dir = TempDir::new("diff");
-        let base = bench_json(&dir, "base.json", 1.0, 40.0);
-        let same = bench_json(&dir, "same.json", 1.05, 40.0);
-        let slow = bench_json(&dir, "slow.json", 2.0, 40.0);
-        let drift = bench_json(&dir, "drift.json", 1.0, 41.0);
-        assert!(run(&["bench-diff", &base, &same]).is_ok());
-        let err = run(&["bench-diff", &base, &slow]).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        assert!(run(&["bench-diff", &base, &drift]).is_err());
-        // Loosened tolerances rescue both.
-        assert!(run(&["bench-diff", &base, &slow, "--time-tol", "1.5"]).is_ok());
-        assert!(run(&["bench-diff", &base, &drift, "--counter-tol", "0.1"]).is_ok());
-        // Unreadable / malformed inputs are errors, not silent passes.
-        assert!(run(&["bench-diff", &base, "/nonexistent.json"]).is_err());
-        let garbage = dir.path("garbage.json");
-        std::fs::write(&garbage, "not json").unwrap();
-        assert!(run(&["bench-diff", &base, garbage.to_str().unwrap()]).is_err());
-        assert!(run(&["bench-diff", &base]).is_err());
-    }
-
-    #[test]
-    fn bench_diff_counter_tol_for_targets_one_family() {
-        let dir = TempDir::new("diff-for");
-        let write = |name: &str, blocks: f64, txs: f64| -> String {
-            let mut f = BenchFile::new("table1", MachineInfo::capture(100));
-            f.insert("ds3/se/tqf/blocks", blocks, MetricKind::Counter);
-            f.insert("ds3/se/tqf/txs_decoded", txs, MetricKind::Counter);
-            let path = dir.path(name);
-            std::fs::write(&path, f.to_json()).unwrap();
-            path.to_str().unwrap().to_string()
-        };
-        let base = write("base.json", 40.0, 400.0);
-        let tx_drift = write("txdrift.json", 40.0, 410.0);
-        let blk_drift = write("blkdrift.json", 41.0, 400.0);
-        assert!(run(&["bench-diff", &base, &tx_drift]).is_err());
-        assert!(run(&[
-            "bench-diff",
-            &base,
-            &tx_drift,
-            "--counter-tol-for",
-            "txs_decoded=0.05",
-        ])
-        .is_ok());
-        // The override must not rescue other counters.
-        assert!(run(&[
-            "bench-diff",
-            &base,
-            &blk_drift,
-            "--counter-tol-for",
-            "txs_decoded=0.05",
-        ])
-        .is_err());
-        // Malformed specs are hard errors.
-        assert!(run(&["bench-diff", &base, &base, "--counter-tol-for", "nope"]).is_err());
-        assert!(run(&["bench-diff", &base, &base, "--counter-tol-for", "k=x"]).is_err());
     }
 
     #[test]

@@ -55,7 +55,6 @@
 pub mod analytics;
 pub mod analyze;
 pub mod base_api;
-pub mod calibrate;
 pub mod cursor;
 pub mod daemon;
 pub mod engine;
@@ -73,7 +72,6 @@ pub mod tqf;
 
 pub use analyze::{explain_analyze, AnalyzedPlan, StepMeasurement};
 pub use base_api::M2BaseApi;
-pub use calibrate::{CalibratedCursor, CalibrationGroup, PlannerLog, PlannerRecord};
 pub use cursor::{drain, EventCursor};
 pub use daemon::{
     index_freshness, publish_m1_gauges_sharded, DaemonConfig, DaemonHandle, DaemonMeta,

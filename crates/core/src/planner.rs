@@ -187,34 +187,19 @@ struct Probes {
 /// The cost-based planning engine, exposed on the CLI as `--engine auto`.
 ///
 /// Implements [`TemporalEngine`] (and [`ExplainQuery`]) by choosing an
-/// access path per `(key, τ)` call and delegating to the corresponding
+/// access path per `(key, τ)` call and handing out the chosen engine's own
 /// cursor. Results are bit-identical to every fixed engine on the same
-/// ledger; block cost never exceeds the M1 path's.
-///
-/// Every cursor it hands out is wrapped in a
-/// [`crate::calibrate::CalibratedCursor`]: when the cursor drops, the
-/// measured I/O is compared against the certified bounds and fed to the
-/// `planner.regret.*` counters, the `planner.calibration.ratio_pct`
-/// histogram, and — when [`AutoEngine::log`] is set — a JSONL calibration
-/// log for `tfq planner-report`.
+/// ledger; the blocks that cursor deserializes never exceed the chosen
+/// path's certified bound, and so never exceed the M1 path's cost
+/// (`tests/streaming_planner.rs` measures both).
 #[derive(Debug, Clone, Default)]
 pub struct AutoEngine {
-    /// Optional calibration sink shared across queries.
-    pub log: Option<std::sync::Arc<crate::calibrate::PlannerLog>>,
     /// Occupancy-probe cache. Shared across clones so every worker thread
     /// planning on the same engine reuses — and invalidates — one cache.
     probes: Arc<Mutex<Probes>>,
 }
 
 impl AutoEngine {
-    /// An engine that writes every decision + measured outcome to `log`.
-    pub fn with_log(log: std::sync::Arc<crate::calibrate::PlannerLog>) -> AutoEngine {
-        AutoEngine {
-            log: Some(log),
-            ..AutoEngine::default()
-        }
-    }
-
     /// Exact blocks for reading the M1 EV-sets of `thetas`: the indexer
     /// writes `(k,θ)` pairs only for non-empty `EV(k,θ)`, and the query
     /// path lazily reads one block per existing pair (first historical
@@ -395,7 +380,7 @@ impl TemporalEngine for AutoEngine {
                 span.record("m1_blocks_hi", hi);
             }
         }
-        let inner: Box<dyn EventCursor + 'l> = match choice.path {
+        Ok(match choice.path {
             AccessPath::Tqf => Box::new(TqfCursor::new(ledger, key, tau)?),
             AccessPath::M1 { .. } => {
                 // The M1 engine's own cursor recomputes the residual from
@@ -403,13 +388,7 @@ impl TemporalEngine for AutoEngine {
                 M1Engine::default().events_cursor(ledger, key, tau)?
             }
             AccessPath::M2 => Box::new(M2Cursor::new(ledger, key, tau)?),
-        };
-        Ok(Box::new(crate::calibrate::CalibratedCursor::new(
-            inner,
-            ledger,
-            &choice,
-            self.log.clone(),
-        )))
+        })
     }
 }
 

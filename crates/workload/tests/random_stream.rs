@@ -4,7 +4,7 @@
 //! function of the `rand` stand-in's stream (`StdRng` is xoshiro256** seeded
 //! through splitmix64). A change to that stream, or to how the generator
 //! consumes it, fails here first. If it is deliberate, regenerate the
-//! checked-in counter files (`BENCH_baseline.json`, `BENCH_planner.jsonl`,
+//! checked-in counter files (`BENCH_baseline.json`,
 //! `BENCH_ingest.json`) and the record count `.claude/skills/verify/SKILL.md`
 //! quotes for `tfq join` on a `--scale 4` ledger (273), then update the
 //! values below.

@@ -24,9 +24,16 @@ options() {
         grep -cE '^\s+"'
 }
 
+# Commands `tfq` dispatches: the `Some("name") =>` arms of `dispatch_to`.
+commands() {
+    sed -n '/^fn dispatch_to(/,/^}/p' crates/cli/src/commands.rs |
+        grep -cE '^\s+Some\("[a-z-]+"\) =>'
+}
+
 ledger=$(fields crates/ledger/src/config.rs LedgerConfig)
 kv=$(fields crates/kvstore/src/options.rs Options)
 echo "code lines (crates/ tests/ examples/): $(code_lines crates tests examples)"
 echo "code lines (in-tree dependencies):     $(code_lines offline/proptest benchmark/offline/bytes benchmark/offline/rand) (proptest, bytes, rand)"
 echo "config knobs:                          $((ledger + kv)) (LedgerConfig $ledger + KvOptions $kv)"
 echo "tfq options (commands::OPTIONS):       $(options)"
+echo "tfq commands (commands::dispatch_to):  $(commands)"

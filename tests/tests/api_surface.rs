@@ -65,28 +65,44 @@ fn config_surface_is_sixteen_knobs() {
 }
 
 #[test]
-fn cli_option_surface_is_thirty_three_names() {
-    // `tfq` is a binary, so its option table is read from the source. A
-    // new `--name` fails here until it is listed, as a new config field
-    // does above.
+fn cli_option_surface_is_twenty_nine_names() {
+    // `tfq` is a binary, so its option table and usage text are read from
+    // the source. A new `--name` fails here until it is listed, as a new
+    // config field does above, and until the usage text says where it goes.
     let src = include_str!("../../crates/cli/src/commands.rs");
-    let table = src
-        .split("const OPTIONS: &[&str] = &[")
-        .nth(1)
-        .and_then(|rest| rest.split("];").next())
-        .expect("commands.rs declares OPTIONS");
-    let names: Vec<&str> = table
+    let between = |start: &str, end: &str| {
+        src.split(start)
+            .nth(1)
+            .and_then(|rest| rest.split(end).next())
+            .unwrap_or_else(|| panic!("commands.rs declares {start}"))
+    };
+    let names: Vec<&str> = between("const OPTIONS: &[&str] = &[", "];")
         .split(',')
         .map(|name| name.trim().trim_matches('"'))
         .filter(|name| !name.is_empty())
         .collect();
     #[rustfmt::skip]
     assert_eq!(names, [
-        "adaptive", "addr", "addr-file", "backend", "cache-blocks", "coalesce", "counter-tol",
-        "counter-tol-for", "engine", "export", "format", "from", "hz", "index-lag", "ingest",
-        "key", "limit", "m2-u", "max-u", "min-u", "mode", "out", "requests", "scale", "shards",
-        "slow-factor", "slow-log", "slow-ms", "time-slack", "time-tol", "to", "u", "workers",
+        "adaptive", "addr", "addr-file", "backend", "cache-blocks", "coalesce", "engine",
+        "export", "format", "from", "hz", "index-lag", "ingest", "key", "limit", "m2-u", "max-u",
+        "min-u", "mode", "out", "requests", "scale", "shards", "slow-factor", "slow-log",
+        "slow-ms", "to", "u", "workers",
     ]);
+    // Every `--name` the usage text shows is an option, and every option is
+    // shown there.
+    let mut usage: Vec<&str> = between("const USAGE: &str = \"", "\";")
+        .split("--")
+        .skip(1)
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .collect();
+    usage.sort_unstable();
+    usage.dedup();
+    assert_eq!(usage, names, "USAGE and OPTIONS name different options");
 }
 
 #[test]

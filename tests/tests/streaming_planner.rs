@@ -12,6 +12,8 @@
 //!    fixed engine across random windows, including windows entirely
 //!    past the data and windows aligned to index-interval edges.
 
+use std::cell::Cell;
+
 use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_workload::dataset::{generate_scaled, DatasetId};
 use fabric_workload::generator::GeneratedWorkload;
@@ -24,7 +26,7 @@ use temporal_core::m1::{M1Engine, M1Indexer};
 use temporal_core::m2::{M2Encoder, M2Engine};
 use temporal_core::partition::FixedLength;
 use temporal_core::tqf::TqfEngine;
-use temporal_core::{drain, AutoEngine, PlannerLog, TemporalEngine};
+use temporal_core::{drain, AccessPath, AutoEngine, TemporalEngine};
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -269,82 +271,90 @@ fn auto_matches_every_fixed_engine_on_random_windows() {
         .unwrap();
 }
 
+/// Plan `(key, tau)`, then drain the planned cursor: the chosen path, its
+/// certified `(lo, hi)` block bound, and the blocks the cursor read.
+fn certified_and_measured(
+    auto: &AutoEngine,
+    ledger: &Ledger,
+    key: EntityId,
+    tau: Interval,
+) -> (AccessPath, (u64, u64), u64) {
+    let choice = auto.choose(ledger, key, tau).unwrap();
+    let bound = match choice.path {
+        AccessPath::Tqf => choice.tqf_blocks,
+        AccessPath::M1 { .. } => choice.m1_blocks.expect("an M1 plan carries its bound"),
+        AccessPath::M2 => panic!("the base ledger carries M1 metadata"),
+    };
+    let before = ledger.stats();
+    let mut cursor = auto.events_cursor(ledger, key, tau).unwrap();
+    drain(cursor.as_mut()).unwrap();
+    drop(cursor);
+    (
+        choice.path,
+        bound,
+        ledger.stats().delta(&before).blocks_deserialized,
+    )
+}
+
 #[test]
-fn calibration_log_certified_bounds_dominate_actuals() {
-    // (property) Every *certified* planner decision — TQF with its
-    // closed-form block bound, M1 with its per-interval bound — must log
-    // predicted bounds that dominate the measured actuals, across random
-    // windows on a partially indexed ledger (the hybrid plan is exactly
-    // where a miscounted bound would surface). Queries run sequentially:
-    // actuals come from ledger-wide IoStats deltas, so a concurrent query
-    // would bleed blocks into another query's measurement.
-    let fx = Fixture::build("calib", IngestMode::MultiEvent, 0.6);
+fn certified_bounds_dominate_measured_blocks() {
+    // (property) Every planner decision on an M1-indexed ledger is
+    // certified — TQF by its closed-form block bound, M1 or hybrid by its
+    // per-interval bound — and the blocks the chosen cursor deserializes
+    // never exceed that bound, across random windows on a partially
+    // indexed ledger (the hybrid plan is exactly where a miscounted bound
+    // would surface). Queries run sequentially, so the ledger-wide IoStats
+    // delta is one query's cost.
+    let fx = Fixture::build("certified", IngestMode::MultiEvent, 0.6);
     let t = fx.t_max;
     let u = fx.u;
-    let log_path = std::env::temp_dir().join(format!(
-        "calib-log-{}-{:?}.jsonl",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&log_path);
-    {
-        let log = PlannerLog::open(&log_path).unwrap();
-        log.set_dataset("ds3-prop");
-        let auto = AutoEngine::with_log(log);
-        let keys = fx.keys();
-        let windows = prop_oneof![
-            (0..2 * t, 1..t).prop_map(|(s, l)| Interval::new(s, s + l)),
-            (0u64..50, 1u64..25).prop_map(move |(i, n)| Interval::new(i * u, (i + n) * u)),
-        ];
-        TestRunner::default()
-            .run(&windows, |tau| {
-                for &key in &keys {
-                    let mut cursor = auto.events_cursor(&fx.base, key, tau).unwrap();
-                    drain(cursor.as_mut()).unwrap();
-                    drop(cursor); // Drop measures actuals and appends the record.
-                }
-                Ok(())
-            })
-            .unwrap();
-        // Random windows land on M1/hybrid almost surely; degenerate
-        // leading windows force TQF certificates (at most the blocks
-        // holding a state of the key in (0, te] — which for tiny te ties
-        // or beats the M1 bound in the cost comparison).
-        for &key in &keys {
-            for te in [1u64, 2] {
-                let mut cursor = auto
-                    .events_cursor(&fx.base, key, Interval::new(0, te))
-                    .unwrap();
-                drain(cursor.as_mut()).unwrap();
-            }
+    let auto = AutoEngine::default();
+    let keys = fx.keys();
+    let (tqf_plans, m1_plans) = (Cell::new(0u32), Cell::new(0u32));
+    let check = |key: EntityId, tau: Interval| -> Result<(), TestCaseError> {
+        let (path, (lo, hi), actual) = certified_and_measured(&auto, &fx.base, key, tau);
+        prop_assert!(
+            lo <= hi,
+            "inverted bound ({}, {}) for {} over {}",
+            lo,
+            hi,
+            key,
+            tau
+        );
+        prop_assert!(
+            actual <= hi,
+            "certificate violated: {:?} for {} over {} promised ≤{} blocks, read {}",
+            path,
+            key,
+            tau,
+            hi,
+            actual
+        );
+        let plans = match path {
+            AccessPath::Tqf => &tqf_plans,
+            _ => &m1_plans,
+        };
+        plans.set(plans.get() + 1);
+        Ok(())
+    };
+    let windows = prop_oneof![
+        (0..2 * t, 1..t).prop_map(|(s, l)| Interval::new(s, s + l)),
+        (0u64..50, 1u64..25).prop_map(move |(i, n)| Interval::new(i * u, (i + n) * u)),
+    ];
+    TestRunner::default()
+        .run(&windows, |tau| {
+            keys.iter().try_for_each(|&key| check(key, tau))
+        })
+        .unwrap();
+    // Random windows land on M1/hybrid almost surely; degenerate leading
+    // windows force TQF certificates (at most the blocks holding a state of
+    // the key in (0, te] — which for tiny te ties or beats the M1 bound in
+    // the cost comparison).
+    for &key in &keys {
+        for te in [1u64, 2] {
+            check(key, Interval::new(0, te)).unwrap();
         }
     }
-    let records = PlannerLog::load(&log_path).unwrap();
-    let _ = std::fs::remove_file(&log_path);
-    assert!(!records.is_empty(), "no planner decisions were logged");
-    let certified: Vec<_> = records.iter().filter(|r| r.certified).collect();
-    assert!(
-        !certified.is_empty(),
-        "no certified plans among {} records",
-        records.len()
-    );
-    assert!(
-        certified.iter().any(|r| r.engine.contains("TQF")),
-        "property never exercised a certified TQF plan"
-    );
-    for r in &certified {
-        let (lo, hi) = r
-            .predicted
-            .expect("certified record must carry predicted bounds");
-        assert!(lo <= hi, "inverted bound ({lo}, {hi}) for {}", r.key);
-        assert!(
-            r.actual_blocks <= hi,
-            "certificate violated: {} {} over ({}, {}] predicted ≤{hi} blocks, measured {}",
-            r.engine,
-            r.key,
-            r.tau.0,
-            r.tau.1,
-            r.actual_blocks
-        );
-    }
+    assert!(tqf_plans.get() > 0, "no certified TQF plan was exercised");
+    assert!(m1_plans.get() > 0, "no certified M1 plan was exercised");
 }
