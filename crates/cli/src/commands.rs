@@ -65,9 +65,6 @@ const USAGE: &str = "usage: tfq <command> ...
   serve   <dir> [--addr H:P] [--slow-ms N] [--slow-factor F] [--slow-log PATH]
                 [--index-lag N [--u U | --adaptive EVENTS]]
                 [--addr-file PATH] [--requests N]
-read-path flags (any command taking <dir>):
-  --cache-blocks N   block-cache capacity (0 = off, the paper's cost model)
-  --coalesce on|off  group history reads by block (default on)
 write-path flags (any command taking <dir>):
   --backend lsm|log|auto     storage engine for the index and state
                              stores (default auto: resolve from the
@@ -94,8 +91,6 @@ const OPTIONS: &[&str] = &[
     "addr",
     "addr-file",
     "backend",
-    "cache-blocks",
-    "coalesce",
     "engine",
     "export",
     "format",
@@ -125,19 +120,9 @@ fn led(e: fabric_ledger::Error) -> String {
     e.to_string()
 }
 
-/// Ledger config from the read-path flags shared by every command:
-/// `--cache-blocks N` (default 0 = off, the paper's cost model) and
-/// `--coalesce on|off`.
+/// Ledger config from the flag shared by every command: `--backend`.
 fn config_from(args: &Args) -> Result<LedgerConfig, String> {
     let mut config = LedgerConfig::default();
-    if let Some(n) = args.opt_u64("cache-blocks")? {
-        config.cache_blocks = n as usize;
-    }
-    match args.opt("coalesce") {
-        None | Some("on") => {}
-        Some("off") => config.coalesce_history = false,
-        Some(other) => return Err(format!("--coalesce must be on|off, got '{other}'")),
-    }
     match args.opt("backend") {
         None | Some("auto") => {}
         Some("lsm") => config.backend = Backend::Lsm,
@@ -1211,19 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn read_path_flags_are_accepted_and_validated() {
-        let dir = TempDir::new("readpath");
-        run(&["demo", dir.s(), "ds3", "--scale", "400"]).unwrap();
-        // Cached + coalesced (the overhaul path).
-        run(&["join", dir.s(), "0", "5000", "--cache-blocks", "64"]).unwrap();
-        // Seed read path: coalescing off, no cache.
-        run(&["join", dir.s(), "0", "5000", "--coalesce", "off"]).unwrap();
-        run(&["history", dir.s(), "S00000", "--coalesce", "off"]).unwrap();
-        assert!(run(&["join", dir.s(), "0", "5000", "--coalesce", "maybe"]).is_err());
-        assert!(run(&["join", dir.s(), "0", "5000", "--cache-blocks", "x"]).is_err());
-    }
-
-    #[test]
     fn stats_and_bad_format_are_reported() {
         let dir = TempDir::new("statsfmt");
         run(&["demo", dir.s(), "ds3", "--scale", "400"]).unwrap();
@@ -1536,6 +1508,8 @@ mod tests {
             ("info", "--cache-block", "4"),
             ("demo", "--pipeline", "on"),
             ("demo", concat!("--wal-group", "-commit"), "on"),
+            ("join", concat!("--cache", "-blocks"), "64"),
+            ("history", concat!("--coal", "esce"), "off"),
         ] {
             let err = run(&[cmd, dir.s(), flag, value]).unwrap_err();
             assert!(

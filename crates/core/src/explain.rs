@@ -1,13 +1,14 @@
 //! Query-plan introspection: what would each engine *do* for a query,
 //! before doing it — an `EXPLAIN` for temporal queries.
 //!
-//! Plans are computed from index metadata only (state-db scans and, for
-//! TQF, the history index), so explaining a query is cheap and never
-//! deserializes blocks. The predicted block counts are upper bounds that
-//! the engines' actual runs must respect — asserted in the tests here and
-//! usable as a planning heuristic (e.g. choose M1 vs M2 per query).
+//! Plans are computed from index metadata only (state-db reads and
+//! history-index profiles), so explaining a query is cheap: it never
+//! deserializes a block or issues a GHFK call. The predicted block counts
+//! are upper bounds that the engines' actual runs must respect — asserted
+//! in the tests here and usable as a planning heuristic (e.g. choose M1 vs
+//! M2 per query).
 
-use fabric_ledger::{Ledger, Result};
+use fabric_ledger::{HistoryEntryMeta, Ledger, Result};
 use fabric_workload::EntityId;
 
 use crate::interval::Interval;
@@ -106,66 +107,92 @@ pub trait ExplainQuery {
 
 impl ExplainQuery for TqfEngine {
     fn explain(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<QueryPlan> {
-        // TQF scans history from t=0; the block upper bound is the number
-        // of distinct blocks holding states of the key, which the history
-        // index counts cheaply.
-        let blocks = ledger.get_history_for_key(&key.key())?.blocks_hint() as u64;
-        Ok(QueryPlan {
-            engine: "TQF".to_string(),
-            key,
-            tau,
-            steps: vec![
-                PlanStep::Ghfk {
-                    key: key.to_string(),
-                    max_blocks: blocks,
-                    first_state_only: false,
-                },
-                PlanStep::Filter,
-            ],
+        Ok(tqf_plan(key, tau, &ledger.history_profile(&key.key())?))
+    }
+}
+
+/// Distinct blocks among history-profile `entries`, in profile order (a
+/// block's entries are consecutive, because history keys sort by block).
+pub(crate) fn distinct_blocks<'a>(entries: impl IntoIterator<Item = &'a HistoryEntryMeta>) -> u64 {
+    let mut blocks = 0u64;
+    let mut prev = None;
+    for e in entries {
+        if prev != Some(e.location.block_num) {
+            blocks += 1;
+            prev = Some(e.location.block_num);
+        }
+    }
+    blocks
+}
+
+/// TQF's plan from the key's history profile: one scan from t=0, bounded
+/// by the distinct blocks holding states of the key.
+pub(crate) fn tqf_plan(key: EntityId, tau: Interval, profile: &[HistoryEntryMeta]) -> QueryPlan {
+    QueryPlan {
+        engine: "TQF".to_string(),
+        key,
+        tau,
+        steps: vec![
+            PlanStep::Ghfk {
+                key: key.to_string(),
+                max_blocks: distinct_blocks(profile),
+                first_state_only: false,
+            },
+            PlanStep::Filter,
+        ],
+    }
+}
+
+/// M1's plan: one first-state GHFK per overlapping θ in `thetas`, then,
+/// when `residual` is set, the hybrid fringe: a base-data scan bounded
+/// below by the indexed horizon, which skips the profile entries stamped
+/// at or before the window start.
+pub(crate) fn m1_plan(
+    key: EntityId,
+    tau: Interval,
+    thetas: &[Interval],
+    residual: Option<Interval>,
+    profile: &[HistoryEntryMeta],
+) -> QueryPlan {
+    let mut steps: Vec<PlanStep> = thetas
+        .iter()
+        .map(|theta| PlanStep::Ghfk {
+            key: String::from_utf8_lossy(&theta.composite_key(&key.key())).into_owned(),
+            max_blocks: 1,
+            first_state_only: true,
         })
+        .collect();
+    if let Some(window) = residual {
+        steps.push(PlanStep::Ghfk {
+            key: key.to_string(),
+            max_blocks: distinct_blocks(profile.iter().filter(|e| e.may_follow(window.start))),
+            first_state_only: false,
+        });
+    }
+    steps.push(PlanStep::Filter);
+    QueryPlan {
+        engine: "M1".to_string(),
+        key,
+        tau,
+        steps,
     }
 }
 
 impl ExplainQuery for M1Engine {
     fn explain(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<QueryPlan> {
-        let mut steps = Vec::new();
         let Some(meta) = read_meta(ledger)? else {
             return Ok(QueryPlan {
                 engine: "M1 (no indexes)".to_string(),
                 key,
                 tau,
-                steps,
+                steps: Vec::new(),
             });
         };
-        for theta in crate::m1::overlapping_thetas(ledger, key, tau, &meta)? {
-            steps.push(PlanStep::Ghfk {
-                key: String::from_utf8_lossy(&theta.composite_key(&key.key())).into_owned(),
-                max_blocks: 1,
-                first_state_only: true,
-            });
-        }
-        if self.scan_unindexed_tail {
-            if let Some(residual) = crate::m1::residual_window(tau, meta.indexed_to()) {
-                // The hybrid fringe: a base-data scan bounded below by the
-                // indexed horizon (entries stamped at or before it are
-                // skipped via the history index's timestamps).
-                let blocks = ledger
-                    .get_history_for_key_from(&key.key(), residual.start)?
-                    .blocks_hint() as u64;
-                steps.push(PlanStep::Ghfk {
-                    key: key.to_string(),
-                    max_blocks: blocks,
-                    first_state_only: false,
-                });
-            }
-        }
-        steps.push(PlanStep::Filter);
-        Ok(QueryPlan {
-            engine: "M1".to_string(),
-            key,
-            tau,
-            steps,
-        })
+        let thetas = crate::m1::overlapping_thetas(ledger, key, tau, &meta)?;
+        let residual =
+            crate::m1::residual_window(tau, meta.indexed_to()).filter(|_| self.scan_unindexed_tail);
+        let profile = ledger.history_profile(&key.key())?;
+        Ok(m1_plan(key, tau, &thetas, residual, &profile))
     }
 }
 
@@ -183,7 +210,7 @@ impl ExplainQuery for M2Engine {
             };
             if theta.overlaps(&tau) {
                 // Bound: the history entries of this interval key.
-                let max_blocks = ledger.get_history_for_key(&composite)?.remaining_hint() as u64;
+                let max_blocks = ledger.history_profile(&composite)?.len() as u64;
                 steps.push(PlanStep::Ghfk {
                     key: String::from_utf8_lossy(&composite).into_owned(),
                     max_blocks,

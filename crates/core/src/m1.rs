@@ -89,8 +89,12 @@ impl M1Meta {
 }
 
 /// Read the on-chain indexing metadata (`None` before the first epoch).
+/// Index bookkeeping, not a query's `GetState`: it moves no [`IoStats`]
+/// counter, so planning a query costs nothing the query is charged for.
+///
+/// [`IoStats`]: fabric_ledger::IoStats
 pub fn read_meta(ledger: &Ledger) -> Result<Option<M1Meta>> {
-    match ledger.get_state(M1_META_KEY)? {
+    match ledger.state_db().get(M1_META_KEY)? {
         Some(vv) => Ok(Some(M1Meta::decode(&vv.value)?)),
         None => Ok(None),
     }
@@ -505,7 +509,7 @@ pub(crate) fn read_index(
 /// Θ(k) ∩ τ: the index intervals a query for `(key, tau)` must consult,
 /// ascending. For fixed-`u` metadata the intervals are computed
 /// arithmetically; catalog strategies read the on-chain per-key catalog
-/// (one `GetState`).
+/// (one uncounted state read, like [`read_meta`]).
 pub(crate) fn overlapping_thetas(
     ledger: &Ledger,
     key: EntityId,
@@ -526,7 +530,7 @@ pub(crate) fn overlapping_thetas(
         // Catalog-based strategies: Θ(k) comes from the on-chain
         // per-key catalog.
         let ckey = catalog_key(key);
-        if let Some(vv) = ledger.get_state(&ckey)? {
+        if let Some(vv) = ledger.state_db().get(&ckey)? {
             for theta in decode_catalog(&vv.value)? {
                 if theta.overlaps(&tau) {
                     thetas.push(theta);

@@ -36,11 +36,10 @@ use fabric_workload::EntityId;
 
 use crate::cursor::{EventCursor, M2Cursor, TqfCursor};
 use crate::engine::TemporalEngine;
-use crate::explain::{ExplainQuery, QueryPlan};
+use crate::explain::{distinct_blocks, m1_plan, tqf_plan, ExplainQuery, QueryPlan};
 use crate::interval::Interval;
 use crate::m1::{self, M1Engine};
 use crate::m2::M2Engine;
-use crate::tqf::TqfEngine;
 
 /// The access path the planner settled on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,23 +148,9 @@ fn scan_block_bounds(profile: &[HistoryEntryMeta], te: u64) -> (u64, u64) {
         }
     }
     (
-        distinct_blocks(profile, lower_entries.min(upper_entries)),
-        distinct_blocks(profile, upper_entries),
+        distinct_blocks(&profile[..lower_entries.min(upper_entries)]),
+        distinct_blocks(&profile[..upper_entries]),
     )
-}
-
-/// Distinct blocks among the first `entries` profile entries (the profile
-/// is ordered by block, so runs are consecutive).
-fn distinct_blocks(profile: &[HistoryEntryMeta], entries: usize) -> u64 {
-    let mut blocks = 0u64;
-    let mut prev = None;
-    for e in profile.iter().take(entries) {
-        if prev != Some(e.location.block_num) {
-            blocks += 1;
-            prev = Some(e.location.block_num);
-        }
-    }
-    blocks
 }
 
 /// Index state the occupancy cache is valid under: `(interval regime,
@@ -249,9 +234,12 @@ impl AutoEngine {
     pub fn choose(&self, ledger: &Ledger, key: EntityId, tau: Interval) -> Result<PlanChoice> {
         let meta = m1::read_meta(ledger)?;
         let profile = ledger.history_profile(&key.key())?;
+        let thetas = match &meta {
+            Some(meta) => m1::overlapping_thetas(ledger, key, tau, meta)?,
+            None => Vec::new(),
+        };
         let (path, reason, tqf_blocks, m1_blocks) = if let Some(meta) = &meta {
             let tqf_blocks = scan_block_bounds(&profile, tau.end);
-            let thetas = m1::overlapping_thetas(ledger, key, tau, meta)?;
             let stamp = (meta.u, meta.indexed_to(), meta.epochs.len() as u64);
             let occupied = self.occupied_theta_blocks(ledger, key, &thetas, stamp)?;
             let (mut m1_lo, mut m1_hi) = (occupied, occupied);
@@ -261,10 +249,7 @@ impl AutoEngine {
                 // window start; bound it on that sub-profile.
                 let fringe: Vec<HistoryEntryMeta> = profile
                     .iter()
-                    .filter(|e| match e.timestamp {
-                        Some(ts) => ts > window.start,
-                        None => true,
-                    })
+                    .filter(|e| e.may_follow(window.start))
                     .cloned()
                     .collect();
                 let (lo, hi) = scan_block_bounds(&fringe, tau.end);
@@ -323,10 +308,12 @@ impl AutoEngine {
                 )
             }
         };
+        // The chosen engine's plan, from the profile and θs already read:
+        // planning issues no GHFK call.
         let plan = match path {
-            AccessPath::Tqf => relabel(TqfEngine.explain(ledger, key, tau)?, "TQF"),
+            AccessPath::Tqf => relabel(tqf_plan(key, tau, &profile), "TQF"),
             AccessPath::M1 { residual } => relabel(
-                M1Engine::default().explain(ledger, key, tau)?,
+                m1_plan(key, tau, &thetas, residual, &profile),
                 if residual.is_some() {
                     "M1+residual"
                 } else {

@@ -50,20 +50,7 @@ impl QueryStats {
     pub fn merge(&self, other: &QueryStats) -> QueryStats {
         QueryStats {
             wall: self.wall + other.wall,
-            io: IoStatsSnapshot {
-                blocks_written: self.io.blocks_written + other.io.blocks_written,
-                blocks_deserialized: self.io.blocks_deserialized + other.io.blocks_deserialized,
-                txs_decoded: self.io.txs_decoded + other.io.txs_decoded,
-                block_bytes_read: self.io.block_bytes_read + other.io.block_bytes_read,
-                block_bytes_written: self.io.block_bytes_written + other.io.block_bytes_written,
-                cache_hits: self.io.cache_hits + other.io.cache_hits,
-                ghfk_calls: self.io.ghfk_calls + other.io.ghfk_calls,
-                get_state_calls: self.io.get_state_calls + other.io.get_state_calls,
-                range_scan_calls: self.io.range_scan_calls + other.io.range_scan_calls,
-                txs_committed: self.io.txs_committed + other.io.txs_committed,
-                blocks_committed: self.io.blocks_committed + other.io.blocks_committed,
-                events_committed: self.io.events_committed + other.io.events_committed,
-            },
+            io: self.io.merge(&other.io),
         }
     }
 }

@@ -1,8 +1,13 @@
 //! Property-based tests for the temporal-core invariants.
 
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
 use proptest::prelude::*;
 
-use fabric_ledger::{Ledger, LedgerConfig};
+use fabric_ledger::{
+    HistoricalState, KvRead, KvWrite, Ledger, LedgerConfig, Transaction, TxNum, ValidationCode,
+};
 use fabric_workload::generator::{EventDistribution, GeneratedWorkload, WorkloadParams};
 use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
 use temporal_core::evset::{EvSet, TemporalEvent};
@@ -243,13 +248,13 @@ proptest! {
     }
 }
 
-// ---------- read-path overhaul: coalescing must be invisible ----------
+// ---------- GHFK oracle: history equals a block walk ----------
 
 fn unique_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static N: AtomicUsize = AtomicUsize::new(0);
     let p = std::env::temp_dir().join(format!(
-        "props-coalesce-{}-{}",
+        "props-history-{}-{}",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
@@ -258,18 +263,50 @@ fn unique_dir() -> std::path::PathBuf {
     p
 }
 
+/// Every key's history rebuilt from the blocks alone, plus the number of
+/// invalid transactions skipped: walk blocks `0..height` through
+/// `get_block` and keep each valid tx's write as `(value, timestamp,
+/// block, tx)`. It never reads the history index.
+fn history_by_block_walk(ledger: &Ledger) -> (BTreeMap<Bytes, Vec<HistoricalState>>, usize) {
+    let mut history: BTreeMap<Bytes, Vec<HistoricalState>> = BTreeMap::new();
+    let mut invalid = 0;
+    for block_num in 0..ledger.height() {
+        let block = ledger.get_block(block_num).unwrap();
+        for (i, tx) in block.txs.iter().enumerate() {
+            if block.validation[i] != ValidationCode::Valid {
+                invalid += 1;
+                continue;
+            }
+            for w in &tx.writes {
+                history
+                    .entry(w.key.clone())
+                    .or_default()
+                    .push(HistoricalState {
+                        value: w.value.clone(),
+                        timestamp: tx.timestamp,
+                        block_num,
+                        tx_num: i as TxNum,
+                    });
+            }
+        }
+    }
+    (history, invalid)
+}
+
 proptest! {
-    // Each case builds and M1-indexes two ledgers; keep the count modest.
+    // Each case builds and M1-indexes a ledger; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `Ledger::history` must be byte-identical with coalescing on vs. off,
-    /// across MultiEvent/SingleEvent ingest and the M1 write-then-delete
-    /// (null tombstone) composite-key layout, cached or not.
+    /// `get_history_for_key` equals the block walk for every key the ledger
+    /// holds: base keys under MultiEvent/SingleEvent ingest, the M1
+    /// write-then-delete (null tombstone) composite keys, the index
+    /// metadata, and keys an MVCC-invalid tx also wrote. One full scan of
+    /// each key deserializes exactly the distinct blocks of its history
+    /// profile and decodes exactly its entries.
     #[test]
-    fn history_is_identical_with_coalescing_on_or_off(
+    fn history_equals_a_block_walk(
         seed in 0u64..10_000,
         multi_event in any::<bool>(),
-        cache_blocks in prop::sample::select(vec![0usize, 4, 64]),
     ) {
         let workload = GeneratedWorkload::generate(WorkloadParams {
             shipments: 3,
@@ -282,41 +319,43 @@ proptest! {
         });
         let mode = if multi_event { IngestMode::MultiEvent } else { IngestMode::SingleEvent };
         let dir = unique_dir();
+        let ledger = Ledger::open(&dir, LedgerConfig::small_for_tests()).unwrap();
+        ingest(&ledger, &workload.events, mode, &IdentityEncoder).unwrap();
         let u = 100u64;
-        let open = |sub: &str, coalesce: bool| -> Ledger {
-            // The coalesced ledger also exercises the cache (when enabled);
-            // the per-location ledger is the seed baseline: no cache.
-            let config = LedgerConfig::small_for_tests()
-                .with_coalesce_history(coalesce)
-                .with_cache_blocks(if coalesce { cache_blocks } else { 0 });
-            let ledger = Ledger::open(dir.join(sub), config).unwrap();
-            ingest(&ledger, &workload.events, mode, &IdentityEncoder).unwrap();
-            let strategy = FixedLength { u };
-            M1Indexer::fixed(&strategy)
-                .run_epoch(&ledger, &workload.keys(), Interval::new(0, 400))
-                .unwrap();
-            ledger
-        };
-        let on = open("coalesce-on", true);
-        let off = open("coalesce-off", false);
+        M1Indexer::fixed(&FixedLength { u })
+            .run_epoch(&ledger, &workload.keys(), Interval::new(0, 400))
+            .unwrap();
+        // Two writers per key read the same version: the second fails MVCC
+        // validation, so no history may show its write.
         for key in workload.keys() {
-            let a = on.get_history_for_key(&key.key()).unwrap().collect_all().unwrap();
-            let b = off.get_history_for_key(&key.key()).unwrap().collect_all().unwrap();
-            prop_assert_eq!(a, b, "base key {} history diverged", key);
+            let key = key.key();
+            let read = KvRead {
+                key: key.clone(),
+                version: ledger.get_state(&key).unwrap().map(|v| v.version),
+            };
+            for value in [&b"late-a"[..], b"late-b"] {
+                let write = KvWrite { key: key.clone(), value: Some(Bytes::from_static(value)) };
+                ledger.submit(Transaction::new(401, vec![read.clone()], vec![write]).unwrap()).unwrap();
+            }
         }
-        // M1 composite keys were written then deleted: their history ends in
-        // a null tombstone, and both read paths must agree on it.
+        ledger.cut_block().unwrap();
+
+        let (walk, invalid) = history_by_block_walk(&ledger);
+        prop_assert_eq!(invalid, workload.keys().len());
         let mut tombstones = 0usize;
-        for key in workload.keys() {
-            for i in 0..4u64 {
-                let theta = Interval::new(i * u, (i + 1) * u);
-                let composite = theta.composite_key(&key.key());
-                let a = on.get_history_for_key(&composite).unwrap().collect_all().unwrap();
-                let b = off.get_history_for_key(&composite).unwrap().collect_all().unwrap();
-                if a.last().is_some_and(|s| s.value.is_none()) {
-                    tombstones += 1;
-                }
-                prop_assert_eq!(a, b, "composite key history diverged for {} {}", key, theta);
+        for (key, want) in &walk {
+            let profile = ledger.history_profile(key).unwrap();
+            let mut blocks: Vec<u64> = profile.iter().map(|e| e.location.block_num).collect();
+            blocks.dedup();
+            let before = ledger.stats();
+            let got = ledger.get_history_for_key(key).unwrap().collect_all().unwrap();
+            let d = ledger.stats().delta(&before);
+            let name = String::from_utf8_lossy(key);
+            prop_assert_eq!(&got, want, "history of {} diverged from the block walk", name);
+            prop_assert_eq!(d.blocks_deserialized, blocks.len() as u64, "blocks read for {}", name);
+            prop_assert_eq!(d.txs_decoded, profile.len() as u64, "txs decoded for {}", name);
+            if Interval::split_composite_key(key).is_some() && got.last().is_some_and(|s| s.value.is_none()) {
+                tombstones += 1;
             }
         }
         prop_assert!(tombstones > 0, "expected at least one M1 tombstone layout");

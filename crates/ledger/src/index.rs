@@ -61,6 +61,16 @@ pub struct HistoryEntryMeta {
     pub timestamp: Option<Timestamp>,
 }
 
+impl HistoryEntryMeta {
+    /// Whether this entry can carry an event later than `after_ts`: its
+    /// recorded timestamp (an upper bound on its events) is past it, or
+    /// unknown. Bounded scans skip exactly the entries for which this is
+    /// false.
+    pub fn may_follow(&self, after_ts: Timestamp) -> bool {
+        self.timestamp.is_none_or(|ts| ts > after_ts)
+    }
+}
+
 /// Persistent chain tip recorded in the metadata keyspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainTip {
@@ -161,21 +171,11 @@ impl LedgerIndex {
         }
     }
 
-    /// All `(block, tx)` positions that wrote `key`, oldest first.
-    ///
-    /// This is an index scan (cheap, ordered); the expensive part of a
-    /// history read is deserializing the blocks these point at.
-    pub fn history_locations(&self, key: &[u8]) -> Result<Vec<HistoryLocation>> {
-        Ok(self
-            .history_profile(key)?
-            .into_iter()
-            .map(|e| e.location)
-            .collect())
-    }
-
-    /// All history entries for `key` with their stored timestamps, oldest
-    /// first. Like [`LedgerIndex::history_locations`] this touches only the
-    /// index, never the block files.
+    /// All history entries for `key` (the `(block, tx)` positions that
+    /// wrote it) with their stored timestamps, oldest first. This is an
+    /// index scan (cheap, ordered) that never touches the block files; the
+    /// expensive part of a history read is deserializing the blocks these
+    /// point at.
     pub fn history_profile(&self, key: &[u8]) -> Result<Vec<HistoryEntryMeta>> {
         let prefix = history_prefix(key);
         let mut iter = self.db.prefix(&prefix)?;
@@ -287,6 +287,11 @@ mod tests {
         ))
     }
 
+    fn history_locations(idx: &LedgerIndex, key: &[u8]) -> Vec<HistoryLocation> {
+        let profile = idx.history_profile(key).unwrap();
+        profile.into_iter().map(|e| e.location).collect()
+    }
+
     fn loc(n: u32) -> BlockLocation {
         BlockLocation {
             file_num: n,
@@ -334,7 +339,7 @@ mod tests {
             tip(11),
         )
         .unwrap();
-        let locs = idx.history_locations(b"ship-1").unwrap();
+        let locs = history_locations(&idx, b"ship-1");
         assert_eq!(
             locs,
             vec![
@@ -375,9 +380,9 @@ mod tests {
             tip,
         )
         .unwrap();
-        assert_eq!(idx.history_locations(b"ship").unwrap().len(), 1);
-        assert_eq!(idx.history_locations(b"ship-1").unwrap().len(), 1);
-        assert_eq!(idx.history_locations(b"shi").unwrap().len(), 0);
+        assert_eq!(history_locations(&idx, b"ship").len(), 1);
+        assert_eq!(history_locations(&idx, b"ship-1").len(), 1);
+        assert_eq!(history_locations(&idx, b"shi").len(), 0);
     }
 
     #[test]
@@ -407,7 +412,7 @@ mod tests {
             .unwrap();
         idx.index_block(255, loc(1), &[(key.clone(), 0, 255)], &[], tip)
             .unwrap();
-        let locs = idx.history_locations(b"k").unwrap();
+        let locs = history_locations(&idx, b"k");
         assert_eq!(locs[0].block_num, 255);
         assert_eq!(locs[1].block_num, 256);
     }

@@ -15,7 +15,7 @@ pub struct IoStats {
     /// Blocks appended to block files.
     pub blocks_written: AtomicU64,
     /// Blocks read *and decoded* from block files (the paper's unit of
-    /// query cost). Cache hits do not count.
+    /// query cost).
     pub blocks_deserialized: AtomicU64,
     /// Transactions actually decoded while reading blocks. A full
     /// [`read_block`](crate::blockfile::BlockFileManager::read_block)
@@ -29,8 +29,6 @@ pub struct IoStats {
     pub block_bytes_read: AtomicU64,
     /// Bytes appended to block files.
     pub block_bytes_written: AtomicU64,
-    /// Block-cache hits (reads served without deserialization).
-    pub cache_hits: AtomicU64,
     /// `GetHistoryForKey` calls issued.
     pub ghfk_calls: AtomicU64,
     /// `GetState` calls issued.
@@ -70,7 +68,7 @@ impl IoStats {
             txs_decoded: self.txs_decoded.load(Ordering::Relaxed),
             block_bytes_read: self.block_bytes_read.load(Ordering::Relaxed),
             block_bytes_written: self.block_bytes_written.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_hits: 0,
             ghfk_calls: self.ghfk_calls.load(Ordering::Relaxed),
             get_state_calls: self.get_state_calls.load(Ordering::Relaxed),
             range_scan_calls: self.range_scan_calls.load(Ordering::Relaxed),
@@ -94,7 +92,8 @@ pub struct IoStatsSnapshot {
     pub block_bytes_read: u64,
     /// See [`IoStats::block_bytes_written`].
     pub block_bytes_written: u64,
-    /// See [`IoStats::cache_hits`].
+    /// Always 0: the ledger has no block cache, so every block a scan
+    /// needs is deserialized. Kept because the benchmark harness reads it.
     pub cache_hits: u64,
     /// See [`IoStats::ghfk_calls`].
     pub ghfk_calls: u64,
@@ -131,7 +130,7 @@ impl IoStatsSnapshot {
             block_bytes_written: self
                 .block_bytes_written
                 .saturating_sub(earlier.block_bytes_written),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
+            cache_hits: 0,
             ghfk_calls: self.ghfk_calls.saturating_sub(earlier.ghfk_calls),
             get_state_calls: self.get_state_calls.saturating_sub(earlier.get_state_calls),
             range_scan_calls: self
@@ -160,7 +159,7 @@ impl IoStatsSnapshot {
             block_bytes_written: self
                 .block_bytes_written
                 .saturating_add(other.block_bytes_written),
-            cache_hits: self.cache_hits.saturating_add(other.cache_hits),
+            cache_hits: 0,
             ghfk_calls: self.ghfk_calls.saturating_add(other.ghfk_calls),
             get_state_calls: self.get_state_calls.saturating_add(other.get_state_calls),
             range_scan_calls: self.range_scan_calls.saturating_add(other.range_scan_calls),
@@ -184,8 +183,8 @@ impl std::fmt::Display for IoStatsSnapshot {
         )?;
         writeln!(
             f,
-            "blocks_deserialized {}  txs_decoded {}  block_bytes_read {}  cache_hits {}",
-            self.blocks_deserialized, self.txs_decoded, self.block_bytes_read, self.cache_hits
+            "blocks_deserialized {}  txs_decoded {}  block_bytes_read {}",
+            self.blocks_deserialized, self.txs_decoded, self.block_bytes_read
         )?;
         write!(
             f,
@@ -225,7 +224,6 @@ mod tests {
             "blocks_deserialized",
             "txs_decoded",
             "block_bytes_read",
-            "cache_hits",
             "ghfk_calls",
             "get_state_calls",
             "range_scan_calls",

@@ -27,11 +27,10 @@ use fabric_telemetry::{SpanGuard, Telemetry};
 
 use crate::block::Block;
 use crate::blockfile::BlockFileManager;
-use crate::cache::BlockCache;
 use crate::config::LedgerConfig;
 use crate::error::{Error, Result};
 use crate::hash::Digest;
-use crate::index::{ChainTip, HistoryLocation, LedgerIndex};
+use crate::index::{ChainTip, LedgerIndex};
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::orderer::BlockCutter;
 use crate::sharded::{holds_sharded_layout, SHARDS_META};
@@ -62,10 +61,6 @@ pub struct Ledger {
     blockfiles: BlockFileManager,
     index: LedgerIndex,
     state: StateDb,
-    cache: Option<BlockCache>,
-    /// Group history locations into per-block runs (see
-    /// [`crate::config::LedgerConfig::coalesce_history`]).
-    coalesce_history: bool,
     chain: Mutex<ChainTip>,
     cutter: Mutex<BlockCutter>,
     /// Senders of the live [`Ledger::subscribe`] channels.
@@ -139,7 +134,6 @@ impl Ledger {
         let state_db = open_engine(dir.join("state"), state_opts, tel.clone())?;
         let index = LedgerIndex::new(index_db);
         let state = StateDb::new(state_db);
-        let cache = (config.cache_blocks > 0).then(|| BlockCache::new(config.cache_blocks));
         let tip = index.chain_tip()?.unwrap_or(ChainTip {
             height: 0,
             last_hash: Digest::ZERO,
@@ -151,8 +145,6 @@ impl Ledger {
             blockfiles,
             index,
             state,
-            cache,
-            coalesce_history: config.coalesce_history,
             chain: Mutex::new(tip),
             cutter: Mutex::new(BlockCutter::new(
                 config.block_max_txs,
@@ -401,24 +393,16 @@ impl Ledger {
             .pending_len()
     }
 
-    /// Fetch a committed block by number (cache-aware).
-    pub fn get_block(&self, num: BlockNum) -> Result<Arc<Block>> {
-        if let Some(cache) = &self.cache {
-            if let Some(block) = cache.get(num) {
-                IoStats::incr(&self.stats.cache_hits);
-                self.tel.count("ledger.cache.hits", 1);
-                return Ok(block);
-            }
-        }
-        let location = self
-            .index
+    /// Fetch and deserialize a committed block by number.
+    pub fn get_block(&self, num: BlockNum) -> Result<Block> {
+        self.blockfiles.read_block(self.location_of(num)?)
+    }
+
+    /// Where block `num` lives in the block files.
+    fn location_of(&self, num: BlockNum) -> Result<crate::blockfile::BlockLocation> {
+        self.index
             .block_location(num)?
-            .ok_or_else(|| Error::NotFound(format!("block {num}")))?;
-        let block = Arc::new(self.blockfiles.read_block(location)?);
-        if let Some(cache) = &self.cache {
-            cache.put(num, block.clone());
-        }
-        Ok(block)
+            .ok_or_else(|| Error::NotFound(format!("block {num}")))
     }
 
     /// `GetTransactionByID`: fetch a committed transaction and its
@@ -465,14 +449,10 @@ impl Ledger {
     /// iterator advances — stopping early skips the remaining blocks, which
     /// is precisely the behaviour the paper's Model M1 exploits.
     ///
-    /// With [`LedgerConfig::coalesce_history`] on (the default) the
-    /// iterator groups the key's history locations into per-block runs, so
-    /// each block is read and decoded at most once per scan even when the
-    /// key's entries revisit a block non-consecutively; without a block
-    /// cache the run is fetched through the selective
-    /// [`BlockFileManager::read_block_txs`] path, decoding only the txs
-    /// the scan needs. Laziness is preserved run-by-run: a block is not
-    /// touched until its first entry is consumed.
+    /// History keys sort by `(block, tx)`, so the key's entries in one
+    /// block form one run. Each run is one block read through the
+    /// selective [`BlockFileManager::read_block_txs`], decoding only the
+    /// run's txs; a block is not touched until its first entry is consumed.
     pub fn get_history_for_key(&self, key: &[u8]) -> Result<HistoryIterator<'_>> {
         self.history_iterator(key, None)
     }
@@ -514,52 +494,22 @@ impl Ledger {
             .tel
             .span("ghfk")
             .with_label(String::from_utf8_lossy(key).into_owned());
-        let locations: Vec<HistoryLocation> = match after_ts {
-            None => self.index.history_locations(key)?,
-            Some(bound) => self
-                .index
-                .history_profile(key)?
-                .into_iter()
-                .filter(|e| match e.timestamp {
-                    Some(ts) => ts > bound,
-                    None => true,
-                })
-                .map(|e| e.location)
-                .collect(),
-        };
-        let remaining = locations.len();
-        let mut blocks_hint = 0usize;
-        let mut prev_block = None;
-        for loc in &locations {
-            if prev_block != Some(loc.block_num) {
-                blocks_hint += 1;
-                prev_block = Some(loc.block_num);
+        let mut runs: Vec<(BlockNum, Vec<TxNum>)> = Vec::new();
+        for entry in self.index.history_profile(key)? {
+            if after_ts.is_some_and(|bound| !entry.may_follow(bound)) {
+                continue;
+            }
+            let loc = entry.location;
+            match runs.last_mut() {
+                Some((num, txs)) if *num == loc.block_num => txs.push(loc.tx_num),
+                _ => runs.push((loc.block_num, vec![loc.tx_num])),
             }
         }
-        let source = if self.coalesce_history {
-            let mut runs: Vec<(BlockNum, Vec<TxNum>)> = Vec::new();
-            for loc in locations {
-                match runs.last_mut() {
-                    Some((num, txs)) if *num == loc.block_num => txs.push(loc.tx_num),
-                    _ => runs.push((loc.block_num, vec![loc.tx_num])),
-                }
-            }
-            HistorySource::Coalesced {
-                runs: runs.into_iter(),
-                pending: VecDeque::new(),
-            }
-        } else {
-            HistorySource::PerLocation {
-                locations: locations.into_iter(),
-                current_block: None,
-            }
-        };
         Ok(HistoryIterator {
             ledger: self,
             key: Bytes::copy_from_slice(key),
-            source,
-            remaining,
-            blocks_hint,
+            runs: runs.into_iter(),
+            pending: VecDeque::new(),
             span,
         })
     }
@@ -630,35 +580,12 @@ impl Ledger {
     }
 
     /// Refresh occupancy gauges on the shared telemetry registry: chain
-    /// height, block-cache residency and the storage shape (SSTable count,
-    /// WAL bytes, memtable occupancy) of the state and index stores. Cheap
-    /// enough to call on every metrics scrape.
+    /// height and the storage shape (SSTable count, WAL bytes, memtable
+    /// occupancy) of the state and index stores. Cheap enough to call on
+    /// every metrics scrape.
     pub fn publish_gauges(&self) {
         let reg = self.tel.registry();
         reg.gauge("ledger.height").set(self.height() as i64);
-        if let Some(cache) = &self.cache {
-            let stats = cache.stats();
-            reg.gauge("ledger.cache.blocks")
-                .set(stats.total.blocks as i64);
-            reg.gauge("ledger.cache.hit_total")
-                .set(stats.total.hits as i64);
-            reg.gauge("ledger.cache.miss_total")
-                .set(stats.total.misses as i64);
-            reg.gauge("ledger.cache.eviction_total")
-                .set(stats.total.evictions as i64);
-            reg.gauge("ledger.cache.shards")
-                .set(stats.shards.len() as i64);
-            for (i, shard) in stats.shards.iter().enumerate() {
-                let set = |metric: &str, v: u64| {
-                    reg.gauge_owned(format!("ledger.cache.shard{i}.{metric}"))
-                        .set(v as i64)
-                };
-                set("blocks", shard.blocks);
-                set("hits", shard.hits);
-                set("misses", shard.misses);
-                set("evictions", shard.evictions);
-            }
-        }
         let set = |name: &'static str, v: u64| reg.gauge(name).set(v as i64);
         let state = self.state.store().storage_stats();
         set("statedb.sstables", state.sstables);
@@ -761,44 +688,19 @@ pub struct HistoricalState {
     pub tx_num: TxNum,
 }
 
-/// Where the iterator draws its entries from.
-enum HistorySource {
-    /// Seed read path: one index location at a time, reusing the last
-    /// fetched block only across *consecutive* same-block entries.
-    PerLocation {
-        locations: std::vec::IntoIter<HistoryLocation>,
-        /// The most recently deserialized block, reused while consecutive
-        /// history entries fall in the same block.
-        current_block: Option<(BlockNum, Arc<Block>)>,
-    },
-    /// Coalesced read path: locations grouped into per-block runs; each
-    /// block is fetched exactly once, when its first entry is consumed.
-    Coalesced {
-        runs: std::vec::IntoIter<(BlockNum, Vec<TxNum>)>,
-        /// Entries of the current run, already extracted from the block.
-        pending: VecDeque<HistoricalState>,
-    },
-}
-
 /// Lazy history cursor: deserializes blocks only as entries are consumed.
 pub struct HistoryIterator<'l> {
     ledger: &'l Ledger,
     key: Bytes,
-    source: HistorySource,
-    /// Entries not yet yielded.
-    remaining: usize,
-    /// Distinct blocks the full scan would touch (fixed at construction).
-    blocks_hint: usize,
+    /// The key's history locations as per-block runs, oldest first; a
+    /// run's block is read when its first entry is consumed.
+    runs: std::vec::IntoIter<(BlockNum, Vec<TxNum>)>,
+    /// States of the current run not yet yielded.
+    pending: VecDeque<HistoricalState>,
     /// Open `ghfk` span; per-block `block.deserialize` spans nest under
     /// it until the iterator is dropped. Each consumed entry bumps the
     /// span's `entries` metric.
     span: SpanGuard,
-}
-
-fn stale_index_error(block_num: BlockNum, tx_num: TxNum) -> Error {
-    Error::NotFound(format!(
-        "tx {tx_num} in block {block_num} (history index stale?)"
-    ))
 }
 
 /// Project one transaction onto `key`'s historical state.
@@ -828,65 +730,19 @@ impl<'l> HistoryIterator<'l> {
     /// Next historical state, oldest first.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<HistoricalState>> {
-        let ledger = self.ledger;
-        let key = &self.key;
-        let state = match &mut self.source {
-            HistorySource::PerLocation {
-                locations,
-                current_block,
-            } => {
-                let Some(loc) = locations.next() else {
-                    return Ok(None);
-                };
-                let block = match current_block {
-                    Some((num, block)) if *num == loc.block_num => block.clone(),
-                    _ => {
-                        let block = ledger.get_block(loc.block_num)?;
-                        *current_block = Some((loc.block_num, block.clone()));
-                        block
-                    }
-                };
-                let tx = block
-                    .txs
-                    .get(loc.tx_num as usize)
-                    .ok_or_else(|| stale_index_error(loc.block_num, loc.tx_num))?;
-                state_from_tx(key, tx, loc.block_num, loc.tx_num)?
+        while self.pending.is_empty() {
+            let Some((block_num, tx_nums)) = self.runs.next() else {
+                return Ok(None);
+            };
+            let location = self.ledger.location_of(block_num)?;
+            let partial = self.ledger.blockfiles.read_block_txs(location, &tx_nums)?;
+            for (t, tx) in &partial.txs {
+                let state = state_from_tx(&self.key, tx, block_num, *t)?;
+                self.pending.push_back(state);
             }
-            HistorySource::Coalesced { runs, pending } => {
-                while pending.is_empty() {
-                    let Some((block_num, tx_nums)) = runs.next() else {
-                        return Ok(None);
-                    };
-                    if ledger.cache.is_some() {
-                        // Cached path: fetch (or reuse) the whole block so
-                        // the cache can serve later scans.
-                        let block = ledger.get_block(block_num)?;
-                        for &t in &tx_nums {
-                            let tx = block
-                                .txs
-                                .get(t as usize)
-                                .ok_or_else(|| stale_index_error(block_num, t))?;
-                            pending.push_back(state_from_tx(key, tx, block_num, t)?);
-                        }
-                    } else {
-                        // Uncached path: selective decode of just this
-                        // run's txs through the block's offset table.
-                        let location = ledger
-                            .index
-                            .block_location(block_num)?
-                            .ok_or_else(|| Error::NotFound(format!("block {block_num}")))?;
-                        let partial = ledger.blockfiles.read_block_txs(location, &tx_nums)?;
-                        for (t, tx) in &partial.txs {
-                            pending.push_back(state_from_tx(key, tx, block_num, *t)?);
-                        }
-                    }
-                }
-                pending.pop_front().expect("pending run is non-empty")
-            }
-        };
+        }
         self.span.record("entries", 1);
-        self.remaining = self.remaining.saturating_sub(1);
-        Ok(Some(state))
+        Ok(self.pending.pop_front())
     }
 
     /// Drain the remaining history into a vector.
@@ -896,19 +752,6 @@ impl<'l> HistoryIterator<'l> {
             out.push(state);
         }
         Ok(out)
-    }
-
-    /// How many history entries remain (index entries, not blocks).
-    pub fn remaining_hint(&self) -> usize {
-        self.remaining
-    }
-
-    /// How many **distinct blocks** the full scan would deserialize at
-    /// most, fixed at construction. A tighter planning bound than
-    /// [`HistoryIterator::remaining_hint`] whenever a block holds several
-    /// of the key's writes.
-    pub fn blocks_hint(&self) -> usize {
-        self.blocks_hint
     }
 }
 
@@ -1186,30 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_reads_without_deserializing() {
-        let dir = TempDir::new("cache");
-        let config = LedgerConfig::small_for_tests().with_cache_blocks(8);
-        let ledger = Ledger::open(&dir.0, config).unwrap();
-        for i in 0..3 {
-            ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
-        }
-        let before = ledger.stats();
-        ledger
-            .get_history_for_key(b"k")
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        ledger
-            .get_history_for_key(b"k")
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        let d = ledger.stats().delta(&before);
-        assert_eq!(d.blocks_deserialized, 1, "second read should hit cache");
-        assert!(d.cache_hits >= 1);
-    }
-
-    #[test]
     fn get_transaction_by_id() {
         let dir = TempDir::new("txid");
         let ledger = open(&dir);
@@ -1299,20 +1118,18 @@ mod tests {
     }
 
     #[test]
-    fn publish_gauges_reports_height_cache_and_storage_shape() {
+    fn publish_gauges_reports_height_and_storage_shape() {
         let dir = TempDir::new("gauges");
         let tel = Telemetry::enabled();
-        let config = LedgerConfig::small_for_tests().with_cache_blocks(8);
-        let ledger = Ledger::open_with_telemetry(&dir.0, config, tel.clone()).unwrap();
+        let ledger =
+            Ledger::open_with_telemetry(&dir.0, LedgerConfig::small_for_tests(), tel.clone())
+                .unwrap();
         for i in 0..6 {
             ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
         }
-        // Warm the block cache so the residency gauge is non-zero.
-        ledger.get_block(1).unwrap();
         ledger.publish_gauges();
         let snap = tel.snapshot();
         assert_eq!(snap.gauge("ledger.height"), Some(2));
-        assert!(snap.gauge("ledger.cache.blocks").unwrap_or(0) >= 1);
         for name in [
             "statedb.sstables",
             "statedb.wal_bytes",
@@ -1455,170 +1272,83 @@ mod tests {
         assert_eq!(tel.snapshot().counter("ledger.blocks.deserialized"), 0);
     }
 
-    #[test]
-    fn coalescing_off_returns_identical_history() {
-        let dir_on = TempDir::new("coalesce-on");
-        let dir_off = TempDir::new("coalesce-off");
-        let on = Ledger::open(&dir_on.0, LedgerConfig::small_for_tests()).unwrap();
-        let off = Ledger::open(
-            &dir_off.0,
-            LedgerConfig::small_for_tests().with_coalesce_history(false),
-        )
-        .unwrap();
-        // Interleave three keys so blocks hold a mix of txs.
-        for ledger in [&on, &off] {
-            for i in 0..12u64 {
-                let key = ["a", "b", "c"][(i % 3) as usize];
-                ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
+    /// Every key's history, rebuilt by walking blocks `0..height` and
+    /// keeping each valid tx's write to the key: a reference that never
+    /// reads the history index.
+    fn history_by_block_walk(ledger: &Ledger) -> HashMap<Bytes, Vec<HistoricalState>> {
+        let mut out: HashMap<Bytes, Vec<HistoricalState>> = HashMap::new();
+        for block_num in 0..ledger.height() {
+            let block = ledger.get_block(block_num).unwrap();
+            for (i, tx) in block.txs.iter().enumerate() {
+                if block.validation[i] != ValidationCode::Valid {
+                    continue;
+                }
+                for w in &tx.writes {
+                    out.entry(w.key.clone()).or_default().push(HistoricalState {
+                        value: w.value.clone(),
+                        timestamp: tx.timestamp,
+                        block_num,
+                        tx_num: i as TxNum,
+                    });
+                }
             }
-            ledger.cut_block().unwrap();
         }
-        for key in [b"a".as_slice(), b"b", b"c"] {
-            let h_on = on.get_history_for_key(key).unwrap().collect_all().unwrap();
-            let h_off = off.get_history_for_key(key).unwrap().collect_all().unwrap();
-            assert_eq!(h_on, h_off, "key {:?}", String::from_utf8_lossy(key));
-            assert_eq!(h_on.len(), 4);
+        out
+    }
+
+    #[test]
+    fn history_matches_a_block_walk() {
+        let dir = TempDir::new("block-walk");
+        let ledger = open(&dir);
+        // Interleave three keys so blocks hold a mix of txs.
+        for i in 0..12u64 {
+            let key = ["a", "b", "c"][(i % 3) as usize];
+            ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
         }
-        // A single scan touches each block once either way: coalescing
-        // never changes the paper's blocks_deserialized for one pass.
-        let b_on = on.stats();
-        let b_off = off.stats();
-        on.get_history_for_key(b"a").unwrap().collect_all().unwrap();
-        off.get_history_for_key(b"a")
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        assert_eq!(
-            on.stats().delta(&b_on).blocks_deserialized,
-            off.stats().delta(&b_off).blocks_deserialized
-        );
+        // Two writers of "a" read the same version: the second is invalid
+        // and must appear in neither history.
+        let read = KvRead {
+            key: Bytes::from_static(b"a"),
+            version: Some(ledger.get_state(b"a").unwrap().unwrap().version),
+        };
+        for value in ["x", "y"] {
+            let writes = put_tx(20, "a", value).writes;
+            ledger
+                .submit(Transaction::new(20, vec![read.clone()], writes).unwrap())
+                .unwrap();
+        }
+        ledger.cut_block().unwrap();
+        let expected = history_by_block_walk(&ledger);
+        assert_eq!(expected[&Bytes::from_static(b"a")].len(), 5);
+        for (key, want) in &expected {
+            let got = ledger
+                .get_history_for_key(key)
+                .unwrap()
+                .collect_all()
+                .unwrap();
+            assert_eq!(&got, want, "key {:?}", String::from_utf8_lossy(key));
+        }
     }
 
     #[test]
     fn selective_decode_skips_unrelated_txs() {
-        let dir_on = TempDir::new("selective-on");
-        let dir_off = TempDir::new("selective-off");
-        let on = Ledger::open(&dir_on.0, LedgerConfig::small_for_tests()).unwrap();
-        let off = Ledger::open(
-            &dir_off.0,
-            LedgerConfig::small_for_tests().with_coalesce_history(false),
-        )
-        .unwrap();
+        let dir = TempDir::new("selective");
+        let ledger = open(&dir);
         // Each block (3 txs) holds exactly one tx for key "a".
-        for ledger in [&on, &off] {
-            for i in 0..12u64 {
-                let key = ["a", "b", "c"][(i % 3) as usize];
-                ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
-            }
-            ledger.cut_block().unwrap();
+        for i in 0..12u64 {
+            let key = ["a", "b", "c"][(i % 3) as usize];
+            ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
         }
-        let before = on.stats();
-        on.get_history_for_key(b"a").unwrap().collect_all().unwrap();
-        let d = on.stats().delta(&before);
-        assert_eq!(d.blocks_deserialized, 4);
-        assert_eq!(d.txs_decoded, 4, "only key-a txs decoded");
-        let before = off.stats();
-        off.get_history_for_key(b"a")
+        ledger.cut_block().unwrap();
+        let before = ledger.stats();
+        ledger
+            .get_history_for_key(b"a")
             .unwrap()
             .collect_all()
             .unwrap();
-        let d = off.stats().delta(&before);
+        let d = ledger.stats().delta(&before);
         assert_eq!(d.blocks_deserialized, 4);
-        assert_eq!(d.txs_decoded, 12, "per-location path decodes full blocks");
-    }
-
-    #[test]
-    fn coalesced_cached_ghfk_reduces_blocks_vs_seed_path() {
-        // The acceptance-criteria ablation, as a test: repeated GHFK scans
-        // with the overhaul on (coalescing + sharded cache) deserialize
-        // fewer blocks than the seed read path, with identical results.
-        let dir_seed = TempDir::new("overhaul-seed");
-        let dir_new = TempDir::new("overhaul-new");
-        let seed = Ledger::open(
-            &dir_seed.0,
-            LedgerConfig::small_for_tests().with_coalesce_history(false),
-        )
-        .unwrap();
-        let new = Ledger::open(
-            &dir_new.0,
-            LedgerConfig::small_for_tests().with_cache_blocks(64),
-        )
-        .unwrap();
-        for ledger in [&seed, &new] {
-            for i in 0..18u64 {
-                ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
-            }
-            ledger.cut_block().unwrap();
-        }
-        let (b_seed, b_new) = (seed.stats(), new.stats());
-        let mut h_seed = Vec::new();
-        let mut h_new = Vec::new();
-        for _ in 0..3 {
-            h_seed = seed
-                .get_history_for_key(b"k")
-                .unwrap()
-                .collect_all()
-                .unwrap();
-            h_new = new
-                .get_history_for_key(b"k")
-                .unwrap()
-                .collect_all()
-                .unwrap();
-        }
-        assert_eq!(h_seed, h_new, "results must be bit-identical");
-        assert_eq!(h_new.len(), 18);
-        let d_seed = seed.stats().delta(&b_seed);
-        let d_new = new.stats().delta(&b_new);
-        // Seed: 6 blocks × 3 scans. Overhaul: 6 blocks once, then cache.
-        assert_eq!(d_seed.blocks_deserialized, 18);
-        assert_eq!(d_new.blocks_deserialized, 6);
-        assert!(d_new.cache_hits >= 12);
-    }
-
-    #[test]
-    fn remaining_hint_tracks_consumption() {
-        let dir = TempDir::new("hint");
-        let ledger = open(&dir);
-        for i in 0..5u64 {
-            ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
-        }
-        ledger.cut_block().unwrap();
-        let mut iter = ledger.get_history_for_key(b"k").unwrap();
-        assert_eq!(iter.remaining_hint(), 5);
-        iter.next().unwrap().unwrap();
-        assert_eq!(iter.remaining_hint(), 4);
-        while iter.next().unwrap().is_some() {}
-        assert_eq!(iter.remaining_hint(), 0);
-    }
-
-    #[test]
-    fn publish_gauges_exports_cache_shard_counters() {
-        let dir = TempDir::new("gauges-shards");
-        let tel = Telemetry::enabled();
-        // 32 blocks is the smallest capacity that derives two shards.
-        let config = LedgerConfig::small_for_tests().with_cache_blocks(32);
-        let ledger = Ledger::open_with_telemetry(&dir.0, config, tel.clone()).unwrap();
-        for i in 0..6 {
-            ledger.submit(put_tx(i, "k", &format!("v{i}"))).unwrap();
-        }
-        ledger.get_block(0).unwrap();
-        ledger.get_block(0).unwrap(); // second read: a hit
-        ledger.publish_gauges();
-        let snap = tel.snapshot();
-        assert_eq!(snap.gauge("ledger.cache.shards"), Some(2));
-        assert!(snap.gauge("ledger.cache.hit_total").unwrap() >= 1);
-        assert!(snap.gauge("ledger.cache.blocks").unwrap() >= 1);
-        for name in [
-            "ledger.cache.shard0.blocks",
-            "ledger.cache.shard0.hits",
-            "ledger.cache.shard0.misses",
-            "ledger.cache.shard0.evictions",
-            "ledger.cache.shard1.blocks",
-        ] {
-            assert!(snap.gauge(name).is_some(), "missing gauge {name}");
-        }
-        // Block 0 lives in shard 0: its hit landed there.
-        assert!(snap.gauge("ledger.cache.shard0.hits").unwrap() >= 1);
+        assert_eq!(d.txs_decoded, 4, "only key-a txs decoded");
     }
 
     #[test]

@@ -18,13 +18,11 @@
 //!   MVCC validation at commit.
 //! * **Lazy `GetHistoryForKey`** ([`ledger::HistoryIterator`]): blocks are
 //!   deserialized one at a time as the iterator advances; abandoning the
-//!   iterator early skips the remaining blocks. History locations are
-//!   coalesced into per-block runs by default, and uncached reads decode
-//!   only the needed transactions through the block's per-tx offset table
-//!   ([`Block::decode_txs`]).
-//! * **Block cache** ([`cache`]): opt-in sharded clock-LRU cache of
-//!   deserialized blocks (off by default to match Fabric v1.0 and the
-//!   paper's cost model).
+//!   iterator early skips the remaining blocks. The key's history locations
+//!   form per-block runs, and each run is read once, decoding only its
+//!   transactions through the block's per-tx offset table
+//!   ([`Block::decode_txs`]). There is no block cache: as in Fabric v1.0
+//!   and the paper's cost model, every scan deserializes its blocks.
 //! * **MVCC validation** ([`validate`]): Fabric's serial, order-sensitive
 //!   scan of each block's read sets.
 //! * **One synchronous commit path** ([`ledger`]): validate → append →
@@ -63,7 +61,6 @@
 
 pub mod block;
 pub mod blockfile;
-pub mod cache;
 pub mod codec;
 pub mod config;
 pub mod error;
@@ -80,7 +77,6 @@ pub mod validate;
 
 pub use block::{Block, BlockHeader, PartialBlock};
 pub use blockfile::{BlockFileManager, BlockLocation};
-pub use cache::{BlockCache, CacheShardStats, CacheStats};
 pub use config::LedgerConfig;
 pub use error::{Error, Result};
 pub use fabric_telemetry::Telemetry;

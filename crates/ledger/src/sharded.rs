@@ -392,7 +392,7 @@ impl ShardedLedger {
 
     /// Fetch a block by *global* number (see the [module docs](self) for
     /// the numbering scheme).
-    pub fn get_block(&self, global: BlockNum) -> Result<std::sync::Arc<Block>> {
+    pub fn get_block(&self, global: BlockNum) -> Result<Block> {
         let n = self.shards.len() as u64;
         self.shards[(global % n) as usize].get_block(global / n)
     }
@@ -491,8 +491,8 @@ impl ShardedLedger {
                 .set(shard.stats().events_committed as i64);
         }
         // One partition publishes the totals itself, with its store-shape
-        // gauges (`statedb.*`, `indexdb.*`, `ledger.cache.*`); those carry
-        // no partition in their names, so several partitions publish none.
+        // gauges (`statedb.*`, `indexdb.*`); those carry no partition in
+        // their names, so several partitions publish none.
         if let [only] = self.shards.as_slice() {
             return only.publish_gauges();
         }

@@ -109,8 +109,8 @@ impl Registry {
         get_or_create(&self.gauges, Name::Borrowed(name))
     }
 
-    /// A gauge with a runtime-constructed name (e.g. the per-shard block
-    /// cache gauges `ledger.cache.shard3.hits`). Allocates on first use of
+    /// A gauge with a runtime-constructed name (e.g. the per-partition
+    /// gauges `ledger.shard.3.blocks`). Allocates on first use of
     /// each name; callers on hot paths should cache the handle.
     pub fn gauge_owned(&self, name: impl Into<String>) -> Arc<Gauge> {
         get_or_create(&self.gauges, Name::Owned(name.into()))

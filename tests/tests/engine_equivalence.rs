@@ -168,83 +168,6 @@ fn u_larger_than_t_max_equivalence() {
     );
 }
 
-#[test]
-fn read_path_overhaul_keeps_engines_bit_identical() {
-    // The read-path overhaul (coalesced history runs + selective tx decode
-    // + sharded block cache) must be invisible to every engine: identical
-    // join records and event counts with the overhaul on vs. the seed
-    // per-location, uncached path.
-    let workload = generate_scaled(DatasetId::Ds3, 40);
-    let t_max = workload.params.t_max;
-    let u = t_max / 25;
-    let dir = TempDir::new("overhaul");
-
-    let overhaul_cfg = || LedgerConfig::default().with_cache_blocks(256);
-    let seed_cfg = || LedgerConfig::default().with_coalesce_history(false);
-
-    let build_base = |sub: &str, config: LedgerConfig| -> Ledger {
-        let ledger = Ledger::open(dir.0.join(sub), config).unwrap();
-        ingest(
-            &ledger,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        let strategy = FixedLength { u };
-        M1Indexer::fixed(&strategy)
-            .run_epoch(&ledger, &workload.keys(), Interval::new(0, t_max))
-            .unwrap();
-        ledger
-    };
-    let build_m2 = |sub: &str, config: LedgerConfig| -> Ledger {
-        let ledger = Ledger::open(dir.0.join(sub), config).unwrap();
-        ingest(
-            &ledger,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &M2Encoder { u },
-        )
-        .unwrap();
-        ledger
-    };
-
-    let base_on = build_base("base-on", overhaul_cfg());
-    let base_off = build_base("base-off", seed_cfg());
-    let m2_on = build_m2("m2-on", overhaul_cfg());
-    let m2_off = build_m2("m2-off", seed_cfg());
-
-    let m1_engine = M1Engine::default();
-    let m2_engine = M2Engine { u };
-    for tau in windows(t_max) {
-        // Run each window twice so the second pass hits the warm cache on
-        // the overhaul ledgers — results must not depend on cache state.
-        for pass in 0..2 {
-            for (name, ledger_on, ledger_off) in [
-                ("tqf", &base_on, &base_off),
-                ("m1", &base_on, &base_off),
-                ("m2", &m2_on, &m2_off),
-            ] {
-                let engine: &dyn TemporalEngine = match name {
-                    "tqf" => &TqfEngine,
-                    "m1" => &m1_engine,
-                    _ => &m2_engine,
-                };
-                let a = ferry_query(engine, ledger_on, tau).unwrap();
-                let b = ferry_query(engine, ledger_off, tau).unwrap();
-                assert_eq!(
-                    a.records, b.records,
-                    "{name} records diverged over {tau} (pass {pass})"
-                );
-                assert_eq!(
-                    a.events_scanned, b.events_scanned,
-                    "{name} events_scanned diverged over {tau} (pass {pass})"
-                );
-            }
-        }
-    }
-}
-
 /// Every `blockfile_*` under `dir`, name-sorted, with its exact bytes.
 fn read_blockfiles(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();

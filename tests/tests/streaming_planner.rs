@@ -1,6 +1,7 @@
 //! Streaming-cursor and cost-based-planner integration tests.
 //!
-//! Three invariants from the streaming query core:
+//! Invariants from the streaming query core (the planner's certificates
+//! and its free planning are checked below these three):
 //!
 //! 1. Draining a cursor costs exactly what the eager call costs (the
 //!    eager path *is* a drained cursor), and partial consumption costs
@@ -269,6 +270,40 @@ fn auto_matches_every_fixed_engine_on_random_windows() {
             Ok(())
         })
         .unwrap();
+}
+
+#[test]
+fn planning_moves_no_io_counter() {
+    // `choose` runs on every `AutoEngine` cursor. It reads index metadata
+    // and history profiles only, so it must leave every query counter
+    // where it was: no GHFK call, no block, no counted state read.
+    let fx = Fixture::build("plan-counters", IngestMode::MultiEvent, 0.6);
+    let auto = AutoEngine::default();
+    let windows = [
+        Interval::new(0, 1),               // degenerate: certified TQF
+        Interval::new(0, fx.indexed_to),   // inside the index: M1
+        Interval::new(0, fx.t_max),        // crosses the horizon: hybrid
+        Interval::new(fx.u, 2 * fx.u + 7), // θ-aligned start, inside
+    ];
+    let mut labels = std::collections::BTreeSet::new();
+    for tau in windows {
+        for key in fx.keys() {
+            let before = fx.base.stats();
+            let choice = auto.choose(&fx.base, key, tau).unwrap();
+            assert_eq!(
+                fx.base.stats(),
+                before,
+                "planning {key} over {tau} ({}) moved a counter",
+                choice.path_label()
+            );
+            labels.insert(choice.path_label());
+        }
+    }
+    assert_eq!(
+        labels.into_iter().collect::<Vec<_>>(),
+        ["M1", "TQF", "hybrid"],
+        "every base-ledger path must be planned"
+    );
 }
 
 /// Plan `(key, tau)`, then drain the planned cursor: the chosen path, its
