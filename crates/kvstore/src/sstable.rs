@@ -16,9 +16,20 @@
 //! opened (those regions are read eagerly). `data_crc` covers the data
 //! region and is verified on demand by [`SsTableReader::verify`] — per-read
 //! validation would double I/O on the hot path for no benefit at this scale.
+//!
+//! The data region is read in sparse-index segments (one per
+//! `sparse_interval` entries) with positioned reads on the file opened
+//! once by [`SsTableReader::open`]. A point read reads the one segment that
+//! could hold its key; a scan reads its first segment alone, then up to
+//! 64 KiB of whole segments at a time. Decoded keys and values are views of
+//! the segment buffer, so a value pins its segment (about 1 KB at the
+//! default interval) until dropped: a view never outlives a query, and
+//! whatever keeps data longer (compaction's writer, the memtable, the
+//! state database's value decode) copies it.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -64,31 +75,14 @@ fn get_uvarint(data: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Streaming uvarint read from a buffered reader.
-fn read_uvarint(r: &mut impl Read) -> std::io::Result<Option<u64>> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof && first => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        first = false;
-        if shift >= 64 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "overlong varint",
-            ));
-        }
-        v |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(Some(v));
-        }
-        shift += 7;
-    }
+/// A uvarint length followed by that many bytes: the bytes' range in
+/// `data`. `None` when the varint or the bytes run past the end.
+fn get_len_prefixed(data: &[u8], pos: &mut usize) -> Option<std::ops::Range<usize>> {
+    let len = usize::try_from(get_uvarint(data, pos)?).ok()?;
+    let start = *pos;
+    let end = start.checked_add(len).filter(|&end| end <= data.len())?;
+    *pos = end;
+    Some(start..end)
 }
 
 /// Builds an SSTable from entries added in strictly ascending key order.
@@ -265,9 +259,8 @@ pub struct SsEntry {
 
 /// An open, immutable SSTable.
 ///
-/// Cheap to share: wrap in `Arc` (the store does). Point reads use
-/// positioned reads on the file descriptor; range scans stream through a
-/// dedicated buffered reader.
+/// Shared as an `Arc` (the store does, and every scan holds one): all
+/// reads are positioned reads on the one file descriptor opened here.
 #[derive(Debug)]
 pub struct SsTableReader {
     path: PathBuf,
@@ -311,14 +304,18 @@ impl SsTableReader {
         if magic != MAGIC {
             return Err(Error::corruption(&path, "bad magic"));
         }
-        let tail_len = index_len + bloom_len + meta_len;
+        // Checked: a corrupt footer must not overflow the arithmetic.
         if index_off != data_len
-            || bloom_off != index_off + index_len
-            || meta_off != bloom_off + bloom_len
-            || meta_off + meta_len + FOOTER_LEN as u64 != file_len
+            || index_off.checked_add(index_len) != Some(bloom_off)
+            || bloom_off.checked_add(bloom_len) != Some(meta_off)
+            || meta_off
+                .checked_add(meta_len)
+                .and_then(|end| end.checked_add(FOOTER_LEN as u64))
+                != Some(file_len)
         {
             return Err(Error::corruption(&path, "inconsistent region offsets"));
         }
+        let tail_len = file_len - FOOTER_LEN as u64 - index_off;
         let mut tail = vec![0u8; tail_len as usize];
         file.read_exact_at(&mut tail, index_off)
             .map_err(|e| Error::io(format!("reading tail of {}", path.display()), e))?;
@@ -327,20 +324,24 @@ impl SsTableReader {
         }
         // Parse sparse index.
         let index_bytes = &tail[..index_len as usize];
-        let mut index = Vec::new();
+        let mut index: Vec<IndexEntry> = Vec::new();
         let mut pos = 0usize;
         while pos < index_bytes.len() {
-            let klen = get_uvarint(index_bytes, &mut pos)
-                .ok_or_else(|| Error::corruption(&path, "bad index key len"))?
-                as usize;
-            let key = index_bytes
-                .get(pos..pos + klen)
+            let key = get_len_prefixed(index_bytes, &mut pos)
                 .ok_or_else(|| Error::corruption(&path, "truncated index key"))?;
-            pos += klen;
             let offset = get_uvarint(index_bytes, &mut pos)
                 .ok_or_else(|| Error::corruption(&path, "bad index offset"))?;
+            // Segments start at 0 and ascend strictly inside the data
+            // region, so every segment read is non-empty and in bounds.
+            let in_order = match index.last() {
+                None => offset == 0,
+                Some(prev) => offset > prev.offset,
+            };
+            if !in_order || offset >= data_len {
+                return Err(Error::corruption(&path, "sparse index offset out of order"));
+            }
             index.push(IndexEntry {
-                key: Bytes::copy_from_slice(key),
+                key: Bytes::copy_from_slice(&index_bytes[key]),
                 offset,
             });
         }
@@ -352,19 +353,22 @@ impl SsTableReader {
         let meta_bytes = &tail[(index_len + bloom_len) as usize..];
         let mut pos = 0usize;
         let read_key = |pos: &mut usize| -> Result<Bytes> {
-            let len = get_uvarint(meta_bytes, pos)
-                .ok_or_else(|| Error::corruption(&path, "bad meta key len"))?
-                as usize;
-            let key = meta_bytes
-                .get(*pos..*pos + len)
+            let key = get_len_prefixed(meta_bytes, pos)
                 .ok_or_else(|| Error::corruption(&path, "truncated meta key"))?;
-            *pos += len;
-            Ok(Bytes::copy_from_slice(key))
+            Ok(Bytes::copy_from_slice(&meta_bytes[key]))
         };
         let min_key = read_key(&mut pos)?;
         let max_key = read_key(&mut pos)?;
         let entry_count = get_uvarint(meta_bytes, &mut pos)
             .ok_or_else(|| Error::corruption(&path, "bad meta count"))?;
+        // An empty table has no data, no segments and a zero count; any
+        // other table has all three, so a read always finds a segment.
+        if index.is_empty() != (data_len == 0) || (entry_count == 0) != (data_len == 0) {
+            return Err(Error::corruption(
+                &path,
+                "sparse index or entry count disagrees with the data region",
+            ));
+        }
 
         Ok(Arc::new(SsTableReader {
             path,
@@ -408,24 +412,86 @@ impl SsTableReader {
         !self.bloom.may_contain(key)
     }
 
-    /// Offset of the sparse-index segment that could contain `key`.
-    fn segment_start(&self, key: &[u8]) -> u64 {
-        // Greatest index entry with key <= target.
+    /// `false` when no key of `[start, end)` can be in this table: it is
+    /// empty, or its `[min_key, max_key]` span misses the range. A range
+    /// scan skips such a table, as a point read skips it through
+    /// [`SsTableReader::definitely_absent`].
+    pub(crate) fn overlaps(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> bool {
+        let min = &self.min_key[..];
+        let max = &self.max_key[..];
+        let after_start = match start {
+            Bound::Included(s) => max >= s,
+            Bound::Excluded(s) => max > s,
+            Bound::Unbounded => true,
+        };
+        let before_end = match end {
+            Bound::Included(e) => min <= e,
+            Bound::Excluded(e) => min < e,
+            Bound::Unbounded => true,
+        };
+        self.entry_count > 0 && after_start && before_end
+    }
+
+    /// The sparse-index segment that could contain `key`: the last one
+    /// whose first key is `<= key`, or the first.
+    fn segment_of(&self, key: &[u8]) -> usize {
         match self.index.binary_search_by(|e| e.key[..].cmp(key)) {
-            Ok(i) => self.index[i].offset,
-            Err(0) => 0,
-            Err(i) => self.index[i - 1].offset,
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
         }
     }
 
+    /// End offset of segment `seg`: the next segment's start, or the end
+    /// of the data region.
+    fn segment_end(&self, seg: usize) -> u64 {
+        self.index.get(seg + 1).map_or(self.data_len, |e| e.offset)
+    }
+
+    /// Read segments `first..=last` with one positioned read on the open
+    /// file. The caller keeps `first <= last < index.len()`.
+    fn read_segments(&self, first: usize, last: usize) -> Result<Bytes> {
+        let start = self.index[first].offset;
+        let mut buf = vec![0u8; (self.segment_end(last) - start) as usize];
+        self.file
+            .read_exact_at(&mut buf, start)
+            .map_err(|e| Error::io(format!("reading sstable {}", self.path.display()), e))?;
+        Ok(Bytes::from(buf))
+    }
+
+    /// Decode the entry at `pos` of a segment buffer. Key and value are
+    /// views of `buf`, not copies.
+    fn decode_entry(&self, buf: &Bytes, pos: &mut usize) -> Result<SsEntry> {
+        let corrupt = |d: &str| Error::corruption(&self.path, d);
+        let tag = *buf
+            .get(*pos)
+            .ok_or_else(|| corrupt("truncated entry tag"))?;
+        *pos += 1;
+        let key = get_len_prefixed(buf, pos).ok_or_else(|| corrupt("truncated key"))?;
+        let slot = match tag {
+            TAG_VALUE => {
+                let value = get_len_prefixed(buf, pos).ok_or_else(|| corrupt("truncated value"))?;
+                Slot::Value(buf.slice(value))
+            }
+            TAG_TOMBSTONE => Slot::Tombstone,
+            _ => return Err(corrupt("unknown entry tag")),
+        };
+        Ok(SsEntry {
+            key: buf.slice(key),
+            slot,
+        })
+    }
+
     /// Point lookup. Returns `None` when the key is not in this table.
+    /// Reads the one segment that could hold `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Slot>> {
         if self.definitely_absent(key) {
             return Ok(None);
         }
-        let start = self.segment_start(key);
-        let mut iter = self.scan_from(start)?;
-        while let Some(entry) = iter.next_entry()? {
+        let seg = self.segment_of(key);
+        let buf = self.read_segments(seg, seg)?;
+        let mut pos = 0;
+        while pos < buf.len() {
+            let entry = self.decode_entry(&buf, &mut pos)?;
             match entry.key[..].cmp(key) {
                 std::cmp::Ordering::Less => continue,
                 std::cmp::Ordering::Equal => return Ok(Some(entry.slot)),
@@ -435,32 +501,29 @@ impl SsTableReader {
         Ok(None)
     }
 
-    /// Stream entries starting at absolute data offset `offset`.
-    pub fn scan_from(&self, offset: u64) -> Result<SsTableIter> {
-        let file = File::open(&self.path)
-            .map_err(|e| Error::io(format!("re-opening sstable {}", self.path.display()), e))?;
-        let mut reader = BufReader::with_capacity(64 << 10, file);
-        reader
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| Error::io(format!("seeking sstable {}", self.path.display()), e))?;
-        Ok(SsTableIter {
-            path: self.path.clone(),
-            reader,
-            pos: offset,
-            data_len: self.data_len,
-        })
+    /// Stream entries from the start of segment `seg`.
+    fn scan_from(self: &Arc<Self>, seg: usize) -> SsTableIter {
+        SsTableIter {
+            table: Arc::clone(self),
+            next_seg: seg,
+            filled: false,
+            buf: Bytes::new(),
+            pos: 0,
+        }
     }
 
     /// Stream all entries in key order.
-    pub fn iter(&self) -> Result<SsTableIter> {
+    pub fn iter(self: &Arc<Self>) -> SsTableIter {
         self.scan_from(0)
     }
 
-    /// Stream entries with key `>= start`, using the sparse index to skip
-    /// ahead. The caller must still discard leading entries `< start`
-    /// (the iterator begins at a segment boundary).
-    pub fn seek(&self, start: &[u8]) -> Result<SsTableIter> {
-        self.scan_from(self.segment_start(start))
+    /// Stream entries with key `>= start`: the sparse index names the one
+    /// segment that can hold the first of them, and the entries before it
+    /// are skipped here, so the cursor is positioned on return.
+    pub fn seek(self: &Arc<Self>, start: &[u8]) -> Result<SsTableIter> {
+        let mut iter = self.scan_from(self.segment_of(start));
+        iter.skip_below(start)?;
+        Ok(iter)
     }
 
     /// Recompute the data-region checksum and compare with the footer.
@@ -486,67 +549,72 @@ impl SsTableReader {
 }
 
 /// Streaming cursor over an SSTable's data region.
+///
+/// Holds the table, so a table that compaction unlinks stays readable
+/// through the open file for as long as the cursor lives. The first read
+/// is exactly one segment, and so is the read that finishes positioning a
+/// seek; a seek usually needs no more. Later reads take up to
+/// [`READ_AHEAD`] bytes of whole segments, so full scans stay sequential.
 #[derive(Debug)]
 pub struct SsTableIter {
-    path: PathBuf,
-    reader: BufReader<File>,
-    pos: u64,
-    data_len: u64,
+    table: Arc<SsTableReader>,
+    /// Next segment to read once `buf` is consumed.
+    next_seg: usize,
+    /// Whether a segment was read before: later reads read ahead.
+    filled: bool,
+    buf: Bytes,
+    pos: usize,
 }
+
+/// Largest read a scan past its first segment issues (unless a single
+/// segment is larger).
+const READ_AHEAD: u64 = 64 << 10;
 
 impl SsTableIter {
     /// Decode the next entry, or `None` at end of data.
     pub fn next_entry(&mut self) -> Result<Option<SsEntry>> {
-        if self.pos >= self.data_len {
+        if self.pos >= self.buf.len() && !self.fill(self.filled)? {
             return Ok(None);
         }
-        let corrupt = |d: &str| Error::corruption(self.path.clone(), d.to_string());
-        let mut tag = [0u8; 1];
-        self.reader
-            .read_exact(&mut tag)
-            .map_err(|_| corrupt("truncated entry tag"))?;
-        self.pos += 1;
-        let klen = read_uvarint(&mut self.reader)
-            .map_err(|_| corrupt("bad key varint"))?
-            .ok_or_else(|| corrupt("truncated key len"))?;
-        self.pos += uvarint_len(klen);
-        let mut key = vec![0u8; klen as usize];
-        self.reader
-            .read_exact(&mut key)
-            .map_err(|_| corrupt("truncated key"))?;
-        self.pos += klen;
-        let slot = match tag[0] {
-            TAG_VALUE => {
-                let vlen = read_uvarint(&mut self.reader)
-                    .map_err(|_| corrupt("bad value varint"))?
-                    .ok_or_else(|| corrupt("truncated value len"))?;
-                self.pos += uvarint_len(vlen);
-                let mut value = vec![0u8; vlen as usize];
-                self.reader
-                    .read_exact(&mut value)
-                    .map_err(|_| corrupt("truncated value"))?;
-                self.pos += vlen;
-                Slot::Value(Bytes::from(value))
-            }
-            TAG_TOMBSTONE => Slot::Tombstone,
-            _ => return Err(corrupt("unknown entry tag")),
-        };
-        Ok(Some(SsEntry {
-            key: Bytes::from(key),
-            slot,
-        }))
+        self.table.decode_entry(&self.buf, &mut self.pos).map(Some)
     }
-}
 
-fn uvarint_len(v: u64) -> u64 {
-    match v {
-        0..=0x7F => 1,
-        0x80..=0x3FFF => 2,
-        0x4000..=0x1F_FFFF => 3,
-        0x20_0000..=0x0FFF_FFFF => 4,
-        _ => {
-            let bits = 64 - v.leading_zeros() as u64;
-            bits.div_ceil(7)
+    /// Replace the consumed buffer with the next segment, or with `wide`
+    /// the next whole segments up to [`READ_AHEAD`] bytes. `false` at the
+    /// end of the data.
+    fn fill(&mut self, wide: bool) -> Result<bool> {
+        let table = &self.table;
+        let first = self.next_seg;
+        if first >= table.index.len() {
+            return Ok(false);
+        }
+        let mut last = first;
+        if wide {
+            let start = table.index[first].offset;
+            while last + 1 < table.index.len() && table.segment_end(last + 1) - start <= READ_AHEAD
+            {
+                last += 1;
+            }
+        }
+        self.buf = table.read_segments(first, last)?;
+        self.pos = 0;
+        self.next_seg = last + 1;
+        self.filled = true;
+        Ok(true)
+    }
+
+    /// Advance past the entries with key `< start`. They lie in the first
+    /// segment; if all of it does, the next segment starts past `start`.
+    fn skip_below(&mut self, start: &[u8]) -> Result<()> {
+        loop {
+            if self.pos >= self.buf.len() && !self.fill(false)? {
+                return Ok(());
+            }
+            let mut pos = self.pos;
+            if self.table.decode_entry(&self.buf, &mut pos)?.key[..] >= *start {
+                return Ok(());
+            }
+            self.pos = pos;
         }
     }
 }
@@ -631,7 +699,7 @@ mod tests {
             &dir.file("i.sst"),
             &[("a", Some("1")), ("m", None), ("z", Some("26"))],
         );
-        let mut it = t.iter().unwrap();
+        let mut it = t.iter();
         let mut keys = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
             keys.push(e.key);
@@ -653,12 +721,30 @@ mod tests {
         let mut it = t.seek(b"k025").unwrap();
         let mut found = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
-            if e.key[..] >= b"k025"[..] {
-                found.push(e.key);
-            }
+            found.push(e.key);
         }
         assert_eq!(found.len(), 25);
         assert_eq!(&found[0][..], b"k025");
+    }
+
+    #[test]
+    fn seek_between_segments_lands_on_the_next_key() {
+        let dir = TempDir::new("seek-gap");
+        let entries: Vec<String> = (0..20).map(|i| format!("k{i:03}")).collect();
+        let refs: Vec<(&str, Option<&str>)> =
+            entries.iter().map(|k| (k.as_str(), Some("v"))).collect();
+        let t = build_table(&dir.file("g.sst"), &refs); // 4 entries per segment
+                                                        // Past every key of the segment the index names; between two keys
+                                                        // of one segment; past the end.
+        for (start, first) in [
+            ("k0035", Some("k004")),
+            ("k0015", Some("k002")),
+            ("k1", None),
+        ] {
+            let mut it = t.seek(start.as_bytes()).unwrap();
+            let got = it.next_entry().unwrap().map(|e| e.key);
+            assert_eq!(got.as_deref(), first.map(str::as_bytes), "seek {start}");
+        }
     }
 
     #[test]
@@ -678,7 +764,7 @@ mod tests {
         let t = SsTableReader::open(dir.file("e.sst")).unwrap();
         assert_eq!(t.entry_count(), 0);
         assert!(t.get(b"anything").unwrap().is_none());
-        let mut it = t.iter().unwrap();
+        let mut it = t.iter();
         assert!(it.next_entry().unwrap().is_none());
     }
 
@@ -757,25 +843,5 @@ mod tests {
         t.verify().unwrap();
         let got = t.get(b"key5").unwrap().unwrap();
         assert_eq!(got.as_value().unwrap().len(), 300_000);
-    }
-
-    #[test]
-    fn uvarint_len_matches_encoding() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16383,
-            16384,
-            1 << 21,
-            1 << 28,
-            1 << 35,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_uvarint(&mut buf, v);
-            assert_eq!(buf.len() as u64, uvarint_len(v), "v={v}");
-        }
     }
 }

@@ -369,9 +369,12 @@ impl KvStore {
             .collect();
         sources.push(Box::new(VecSource::new(mem_entries)));
         for table in inner.tables.iter().rev() {
+            if !table.overlaps(start, end) {
+                continue;
+            }
             let iter = match start {
                 Bound::Included(k) | Bound::Excluded(k) => table.seek(k)?,
-                Bound::Unbounded => table.iter()?,
+                Bound::Unbounded => table.iter(),
             };
             sources.push(Box::new(iter));
         }
@@ -496,8 +499,8 @@ impl KvStore {
             let sources: Vec<Box<dyn EntrySource + Send>> = snap_tables
                 .iter()
                 .rev()
-                .map(|t| t.iter().map(|i| Box::new(i) as Box<dyn EntrySource + Send>))
-                .collect::<Result<_>>()?;
+                .map(|t| Box::new(t.iter()) as Box<dyn EntrySource + Send>)
+                .collect();
             let mut merge = MergeIter::new(sources)?;
             while let Some((key, value)) = merge.next_live()? {
                 writer.add(&key, &Slot::Value(value))?;
@@ -682,7 +685,7 @@ impl RangeIter {
         }
         while let Some((key, value)) = self.merge.next_live()? {
             if !self.within_start(&key) {
-                continue; // sstable seek may land slightly before start
+                continue; // an excluded start: tables seek to the key itself
             }
             if !self.within_end(&key) {
                 self.done = true;
@@ -1379,5 +1382,63 @@ mod tests {
                 assert!(db.get(key.as_bytes()).unwrap().is_some(), "{key} missing");
             }
         }
+    }
+
+    /// The `.sst` files in the store's directory.
+    fn sst_files(dir: &TempDir) -> std::collections::BTreeSet<PathBuf> {
+        std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect()
+    }
+
+    #[test]
+    fn a_range_iter_keeps_its_snapshot_across_flush_and_compaction() {
+        let dir = TempDir::new("range-snapshot");
+        let mut opts = Options::small_for_tests();
+        opts.compaction_trigger = 0; // manual compaction only
+        let db = KvStore::open(&dir.0, opts).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        for round in 0..4 {
+            for i in (round..120).step_by(3) {
+                let (k, v) = (format!("key{i:04}"), format!("r{round}-{i}"));
+                db.put(k.clone(), v.clone()).unwrap();
+                model.insert(k, v);
+            }
+            db.flush().unwrap();
+        }
+        db.put(&b"key0001"[..], &b"in-memtable"[..]).unwrap();
+        model.insert("key0001".into(), "in-memtable".into());
+        let tables_at_open = sst_files(&dir);
+        assert!(tables_at_open.len() >= 4);
+        let mut iter = db.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        let mut got = vec![iter.next().unwrap().unwrap()];
+        // Overwrite, delete and add, flush, then merge every table: each
+        // table the iterator reads is unlinked.
+        for i in 0..120 {
+            match i % 3 {
+                0 => db.put(format!("key{i:04}"), "later").unwrap(),
+                1 => db.delete(format!("key{i:04}")).unwrap(),
+                _ => db.put(format!("new{i:04}"), "later").unwrap(),
+            }
+        }
+        db.flush().unwrap();
+        db.compact().unwrap();
+        assert!(tables_at_open.is_disjoint(&sst_files(&dir)));
+        while let Some(pair) = iter.next().unwrap() {
+            got.push(pair);
+        }
+        let got: Vec<(String, String)> = got
+            .into_iter()
+            .map(|(k, v)| {
+                (
+                    String::from_utf8(k.to_vec()).unwrap(),
+                    String::from_utf8(v.to_vec()).unwrap(),
+                )
+            })
+            .collect();
+        let want: Vec<(String, String)> = model.into_iter().collect();
+        assert_eq!(got, want);
     }
 }

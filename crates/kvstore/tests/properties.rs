@@ -139,32 +139,89 @@ proptest! {
 
     #[test]
     fn range_bounds_match_model(
-        entries in prop::collection::btree_map(key_strategy(), value_strategy(), 0..30),
-        start in key_strategy(),
-        end in key_strategy(),
+        tables in prop::collection::vec(
+            prop::collection::btree_map(key_strategy(), value_strategy(), 0..12),
+            1..4,
+        ),
+        empty_table in any::<bool>(),
+        random_keys in prop::collection::vec(key_strategy(), 2),
         seed in any::<u64>(),
     ) {
+        // Each table is one flush, its keys behind their own letter, so the
+        // tables' spans are disjoint with gaps below, between and above
+        // them. Manual compaction only, so the tables stay apart.
         let dir = TempDir::new(seed.wrapping_add(1_000_000));
-        let db = KvStore::open(&dir.0, Options::small_for_tests()).unwrap();
-        for (k, v) in &entries {
-            db.put(k.clone(), v.clone()).unwrap();
+        let db = KvStore::open(
+            &dir.0,
+            Options { compaction_trigger: 0, ..Options::small_for_tests() },
+        )
+        .unwrap();
+        if empty_table {
+            // A value and its tombstone in two tables: compacting them
+            // leaves one table with no entries and an empty key span.
+            db.put(&b"m"[..], &b"gone"[..]).unwrap();
+            db.flush().unwrap();
+            db.delete(&b"m"[..]).unwrap();
+            db.flush().unwrap();
+            db.compact().unwrap();
+            prop_assert_eq!(db.table_count(), 1);
         }
-        db.flush().unwrap();
-        let got = db
-            .range(Bound::Included(start.as_slice()), Bound::Excluded(end.as_slice()))
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        let got: Vec<Vec<u8>> = got.into_iter().map(|(k, _)| k.to_vec()).collect();
-        let want: Vec<Vec<u8>> = if start >= end {
-            Vec::new() // inverted range: the store must return empty
-        } else {
-            entries
-                .range::<Vec<u8>, _>((Bound::Included(&start), Bound::Excluded(&end)))
-                .map(|(k, _)| k.clone())
-                .collect()
-        };
-        prop_assert_eq!(got, want);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // Bounds: every table's min and max key, keys below, between and
+        // above every span, and random keys, each included and excluded.
+        let mut candidates: Vec<Vec<u8>> = vec![b"".to_vec(), b"c".to_vec(), b"{".to_vec()];
+        candidates.extend(random_keys);
+        for (entries, letter) in tables.iter().zip([b'b', b'd', b'z']) {
+            let table: BTreeMap<Vec<u8>, Vec<u8>> = entries
+                .iter()
+                .map(|(k, v)| ([&[letter], &k[..]].concat(), v.clone()))
+                .collect();
+            for (k, v) in &table {
+                db.put(k.clone(), v.clone()).unwrap();
+            }
+            db.flush().unwrap();
+            if let (Some((min, _)), Some((max, _))) = (table.first_key_value(), table.last_key_value()) {
+                candidates.push(min.clone());
+                candidates.push(max.clone());
+            }
+            model.extend(table);
+        }
+        let mut bounds = vec![Bound::Unbounded];
+        for key in &candidates {
+            bounds.push(Bound::Included(key.as_slice()));
+            bounds.push(Bound::Excluded(key.as_slice()));
+        }
+        for &start in &bounds {
+            for &end in &bounds {
+                let got: Vec<(Vec<u8>, Vec<u8>)> = db
+                    .range(start, end)
+                    .unwrap()
+                    .collect_all()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                    .collect();
+                let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                    .iter()
+                    .filter(|(k, _)| {
+                        let k = k.as_slice();
+                        let after_start = match start {
+                            Bound::Included(s) => k >= s,
+                            Bound::Excluded(s) => k > s,
+                            Bound::Unbounded => true,
+                        };
+                        let before_end = match end {
+                            Bound::Included(e) => k <= e,
+                            Bound::Excluded(e) => k < e,
+                            Bound::Unbounded => true,
+                        };
+                        after_start && before_end
+                    })
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                prop_assert_eq!(got, want, "range {:?}..{:?}", start, end);
+            }
+        }
     }
 
     #[test]

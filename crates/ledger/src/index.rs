@@ -18,7 +18,7 @@
 //! Fabric's history database does.
 
 use bytes::Bytes;
-use fabric_kvstore::{SharedEngine, StorageEngine, WriteBatch};
+use fabric_kvstore::{EngineIter, SharedEngine, StorageEngine, WriteBatch};
 
 use crate::blockfile::BlockLocation;
 use crate::error::{Error, Result};
@@ -68,6 +68,54 @@ impl HistoryEntryMeta {
     /// false.
     pub fn may_follow(&self, after_ts: Timestamp) -> bool {
         self.timestamp.is_none_or(|ts| ts > after_ts)
+    }
+}
+
+/// One key's history-index entries, oldest first, parsed as they are
+/// pulled (see [`LedgerIndex::history_entries`]).
+pub(crate) struct HistoryEntries {
+    iter: Box<dyn EngineIter>,
+    prefix_len: usize,
+}
+
+impl HistoryEntries {
+    fn parse(&self, k: &[u8], v: &[u8]) -> Result<HistoryEntryMeta> {
+        let suffix = &k[self.prefix_len..];
+        if suffix.len() != 12 {
+            return Err(Error::InvalidArgument(format!(
+                "malformed history index key (suffix len {})",
+                suffix.len()
+            )));
+        }
+        let timestamp = match v.len() {
+            // Pre-timestamp index versions stored empty values.
+            0 => None,
+            8 => Some(Timestamp::from_le_bytes(v[..8].try_into().unwrap())),
+            n => {
+                return Err(Error::InvalidArgument(format!(
+                    "malformed history index value ({n} bytes)"
+                )));
+            }
+        };
+        Ok(HistoryEntryMeta {
+            location: HistoryLocation {
+                block_num: u64::from_be_bytes(suffix[..8].try_into().unwrap()),
+                tx_num: u32::from_be_bytes(suffix[8..12].try_into().unwrap()),
+            },
+            timestamp,
+        })
+    }
+}
+
+impl Iterator for HistoryEntries {
+    type Item = Result<HistoryEntryMeta>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.iter.next() {
+            Ok(Some((k, v))) => Some(self.parse(&k, &v)),
+            Ok(None) => None,
+            Err(e) => Some(Err(e.into())),
+        }
     }
 }
 
@@ -177,36 +225,19 @@ impl LedgerIndex {
     /// expensive part of a history read is deserializing the blocks these
     /// point at.
     pub fn history_profile(&self, key: &[u8]) -> Result<Vec<HistoryEntryMeta>> {
+        self.history_entries(key)?.collect()
+    }
+
+    /// The entries of [`LedgerIndex::history_profile`] as a stream, parsed
+    /// one at a time as they are pulled. The stream reads a snapshot of
+    /// the index taken now: writes, flushes and compactions after this
+    /// call do not change what it yields.
+    pub(crate) fn history_entries(&self, key: &[u8]) -> Result<HistoryEntries> {
         let prefix = history_prefix(key);
-        let mut iter = self.db.prefix(&prefix)?;
-        let mut out = Vec::new();
-        while let Some((k, v)) = iter.next()? {
-            let suffix = &k[prefix.len()..];
-            if suffix.len() != 12 {
-                return Err(Error::InvalidArgument(format!(
-                    "malformed history index key (suffix len {})",
-                    suffix.len()
-                )));
-            }
-            let timestamp = match v.len() {
-                // Pre-timestamp index versions stored empty values.
-                0 => None,
-                8 => Some(Timestamp::from_le_bytes(v[..8].try_into().unwrap())),
-                n => {
-                    return Err(Error::InvalidArgument(format!(
-                        "malformed history index value ({n} bytes)"
-                    )));
-                }
-            };
-            out.push(HistoryEntryMeta {
-                location: HistoryLocation {
-                    block_num: u64::from_be_bytes(suffix[..8].try_into().unwrap()),
-                    tx_num: u32::from_be_bytes(suffix[8..12].try_into().unwrap()),
-                },
-                timestamp,
-            });
-        }
-        Ok(out)
+        Ok(HistoryEntries {
+            iter: self.db.prefix(&prefix)?,
+            prefix_len: prefix.len(),
+        })
     }
 
     /// Where the transaction with `id` was committed, if anywhere.
@@ -260,7 +291,106 @@ impl LedgerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabric_kvstore::Options;
+    use crate::Telemetry;
+    use fabric_kvstore::{MetricsSnapshot, Options, StorageStats};
+    use std::ops::Bound;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A storage engine that counts every pair its iterators yield: the
+    /// index entries a reader pulls.
+    #[derive(Debug)]
+    struct Counting {
+        inner: SharedEngine,
+        pulls: Arc<AtomicU64>,
+    }
+
+    struct CountingIter {
+        inner: Box<dyn EngineIter>,
+        pulls: Arc<AtomicU64>,
+    }
+
+    impl EngineIter for CountingIter {
+        fn next(&mut self) -> fabric_kvstore::Result<Option<(Bytes, Bytes)>> {
+            let pair = self.inner.next()?;
+            if pair.is_some() {
+                self.pulls.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(pair)
+        }
+    }
+
+    impl Counting {
+        fn wrap(&self, inner: Box<dyn EngineIter>) -> Box<dyn EngineIter> {
+            Box::new(CountingIter {
+                inner,
+                pulls: self.pulls.clone(),
+            })
+        }
+    }
+
+    impl StorageEngine for Counting {
+        fn backend(&self) -> fabric_kvstore::Backend {
+            self.inner.backend()
+        }
+        fn put(&self, key: Bytes, value: Bytes) -> fabric_kvstore::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: Bytes) -> fabric_kvstore::Result<()> {
+            self.inner.delete(key)
+        }
+        fn write(&self, batch: WriteBatch) -> fabric_kvstore::Result<()> {
+            self.inner.write(batch)
+        }
+        fn get(&self, key: &[u8]) -> fabric_kvstore::Result<Option<Bytes>> {
+            self.inner.get(key)
+        }
+        fn range(
+            &self,
+            start: Bound<&[u8]>,
+            end: Bound<&[u8]>,
+        ) -> fabric_kvstore::Result<Box<dyn EngineIter>> {
+            Ok(self.wrap(self.inner.range(start, end)?))
+        }
+        fn prefix(&self, prefix: &[u8]) -> fabric_kvstore::Result<Box<dyn EngineIter>> {
+            Ok(self.wrap(self.inner.prefix(prefix)?))
+        }
+        fn flush(&self) -> fabric_kvstore::Result<()> {
+            self.inner.flush()
+        }
+        fn compact(&self) -> fabric_kvstore::Result<()> {
+            self.inner.compact()
+        }
+        fn checkpoint(&self, dest: &Path) -> fabric_kvstore::Result<()> {
+            self.inner.checkpoint(dest)
+        }
+        fn storage_stats(&self) -> StorageStats {
+            self.inner.storage_stats()
+        }
+        fn metrics(&self) -> MetricsSnapshot {
+            self.inner.metrics()
+        }
+        fn telemetry(&self) -> &Telemetry {
+            self.inner.telemetry()
+        }
+        fn dir(&self) -> &Path {
+            self.inner.dir()
+        }
+    }
+
+    impl LedgerIndex {
+        /// This index over the same store, counting the entries pulled
+        /// through it into the returned cell.
+        pub(crate) fn counted(&self) -> (LedgerIndex, Arc<AtomicU64>) {
+            let pulls = Arc::new(AtomicU64::new(0));
+            let engine = Counting {
+                inner: self.db.clone(),
+                pulls: pulls.clone(),
+            };
+            (LedgerIndex::new(Arc::new(engine)), pulls)
+        }
+    }
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -415,5 +545,34 @@ mod tests {
         let locs = history_locations(&idx, b"k");
         assert_eq!(locs[0].block_num, 255);
         assert_eq!(locs[1].block_num, 256);
+    }
+
+    #[test]
+    fn history_entries_are_pulled_on_demand() {
+        let dir = TempDir::new("on-demand");
+        let idx = index(&dir);
+        let key = Bytes::from_static(b"k");
+        for b in 0..40u64 {
+            let tip = ChainTip {
+                height: b + 1,
+                last_hash: Digest::ZERO,
+            };
+            idx.index_block(b, loc(b as u32), &[(key.clone(), 0, b)], &[], tip)
+                .unwrap();
+        }
+        // Most of the history in tables, the rest in the memtable.
+        idx.flush().unwrap();
+        let (counted, pulls) = idx.counted();
+        let mut entries = counted.history_entries(b"k").unwrap();
+        assert_eq!(pulls.load(Ordering::Relaxed), 0, "opening pulls nothing");
+        for k in 1..=5u64 {
+            let entry = entries.next().unwrap().unwrap();
+            assert_eq!(entry.location.block_num, k - 1);
+            assert_eq!(pulls.load(Ordering::Relaxed), k);
+        }
+        drop(entries);
+        pulls.store(0, Ordering::Relaxed);
+        assert_eq!(counted.history_profile(b"k").unwrap().len(), 40);
+        assert_eq!(pulls.load(Ordering::Relaxed), 40, "a profile pulls all");
     }
 }

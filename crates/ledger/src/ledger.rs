@@ -30,7 +30,7 @@ use crate::blockfile::BlockFileManager;
 use crate::config::LedgerConfig;
 use crate::error::{Error, Result};
 use crate::hash::Digest;
-use crate::index::{ChainTip, LedgerIndex};
+use crate::index::{ChainTip, HistoryEntries, HistoryLocation, LedgerIndex};
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::orderer::BlockCutter;
 use crate::sharded::{holds_sharded_layout, SHARDS_META};
@@ -445,9 +445,12 @@ impl Ledger {
     }
 
     /// `GetHistoryForKey`: a **lazy** iterator over all persisted states of
-    /// `key`, oldest first. Blocks are deserialized one at a time as the
-    /// iterator advances — stopping early skips the remaining blocks, which
-    /// is precisely the behaviour the paper's Model M1 exploits.
+    /// `key`, oldest first. The history index is read and blocks are
+    /// deserialized one run at a time as the iterator advances — stopping
+    /// early skips the remaining index entries and blocks, which is
+    /// precisely the behaviour the paper's Model M1 exploits. The iterator
+    /// reads the index as it was at this call: later commits, flushes and
+    /// compactions do not change what it yields.
     ///
     /// History keys sort by `(block, tx)`, so the key's entries in one
     /// block form one run. Each run is one block read through the
@@ -494,21 +497,12 @@ impl Ledger {
             .tel
             .span("ghfk")
             .with_label(String::from_utf8_lossy(key).into_owned());
-        let mut runs: Vec<(BlockNum, Vec<TxNum>)> = Vec::new();
-        for entry in self.index.history_profile(key)? {
-            if after_ts.is_some_and(|bound| !entry.may_follow(bound)) {
-                continue;
-            }
-            let loc = entry.location;
-            match runs.last_mut() {
-                Some((num, txs)) if *num == loc.block_num => txs.push(loc.tx_num),
-                _ => runs.push((loc.block_num, vec![loc.tx_num])),
-            }
-        }
         Ok(HistoryIterator {
             ledger: self,
             key: Bytes::copy_from_slice(key),
-            runs: runs.into_iter(),
+            entries: self.index.history_entries(key)?,
+            after_ts,
+            lookahead: None,
             pending: VecDeque::new(),
             span,
         })
@@ -688,13 +682,20 @@ pub struct HistoricalState {
     pub tx_num: TxNum,
 }
 
-/// Lazy history cursor: deserializes blocks only as entries are consumed.
+/// Lazy history cursor: reads the history index and deserializes blocks
+/// only as entries are consumed.
 pub struct HistoryIterator<'l> {
     ledger: &'l Ledger,
     key: Bytes,
-    /// The key's history locations as per-block runs, oldest first; a
-    /// run's block is read when its first entry is consumed.
-    runs: std::vec::IntoIter<(BlockNum, Vec<TxNum>)>,
+    /// The key's history-index entries, oldest first, as of the call that
+    /// opened this iterator. They are pulled one per-block run at a time:
+    /// a run's block is read when its first entry is consumed.
+    entries: HistoryEntries,
+    /// Entries whose recorded timestamp is `<=` this are skipped.
+    after_ts: Option<Timestamp>,
+    /// The first kept entry past the current run, pulled to find where
+    /// the run ends.
+    lookahead: Option<HistoryLocation>,
     /// States of the current run not yet yielded.
     pending: VecDeque<HistoricalState>,
     /// Open `ghfk` span; per-block `block.deserialize` spans nest under
@@ -731,7 +732,7 @@ impl<'l> HistoryIterator<'l> {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<HistoricalState>> {
         while self.pending.is_empty() {
-            let Some((block_num, tx_nums)) = self.runs.next() else {
+            let Some((block_num, tx_nums)) = self.next_run()? else {
                 return Ok(None);
             };
             let location = self.ledger.location_of(block_num)?;
@@ -743,6 +744,38 @@ impl<'l> HistoryIterator<'l> {
         }
         self.span.record("entries", 1);
         Ok(self.pending.pop_front())
+    }
+
+    /// The next run of kept entries that share a block: its block number
+    /// and tx numbers. Pulls one entry past the run (the lookahead).
+    fn next_run(&mut self) -> Result<Option<(BlockNum, Vec<TxNum>)>> {
+        let first = match self.lookahead.take() {
+            Some(loc) => loc,
+            None => match self.next_kept()? {
+                Some(loc) => loc,
+                None => return Ok(None),
+            },
+        };
+        let mut tx_nums = vec![first.tx_num];
+        while let Some(loc) = self.next_kept()? {
+            if loc.block_num != first.block_num {
+                self.lookahead = Some(loc);
+                break;
+            }
+            tx_nums.push(loc.tx_num);
+        }
+        Ok(Some((first.block_num, tx_nums)))
+    }
+
+    /// The next index entry the `after_ts` bound keeps.
+    fn next_kept(&mut self) -> Result<Option<HistoryLocation>> {
+        for entry in &mut self.entries {
+            let entry = entry?;
+            if self.after_ts.is_none_or(|bound| entry.may_follow(bound)) {
+                return Ok(Some(entry.location));
+            }
+        }
+        Ok(None)
     }
 
     /// Drain the remaining history into a vector.
@@ -1363,5 +1396,141 @@ mod tests {
         let keys: Vec<&[u8]> = rows.iter().map(|(k, _)| &k[..]).collect();
         assert_eq!(keys, vec![b"s1", b"s2", b"s3"]);
         assert_eq!(ledger.stats().range_scan_calls, 1);
+    }
+
+    /// Commit `n` txs writing `key`, each in a block of its own with two
+    /// txs for other keys, timestamped 0, 1, 2, ...
+    fn one_write_per_block(ledger: &Ledger, key: &str, n: u64) {
+        for i in 0..n {
+            ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
+            ledger.submit(put_tx(i, "other-a", "x")).unwrap();
+            ledger.submit(put_tx(i, "other-b", "x")).unwrap();
+        }
+    }
+
+    /// The `.sst` files of the index store.
+    fn index_tables(ledger: &Ledger) -> std::collections::BTreeSet<PathBuf> {
+        std::fs::read_dir(ledger.dir().join("index"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect()
+    }
+
+    #[test]
+    fn history_iterator_pulls_one_index_entry_past_what_it_consumes() {
+        let dir = TempDir::new("pulls");
+        let mut ledger = open(&dir);
+        one_write_per_block(&ledger, "k", 30);
+        ledger.flush_stores().unwrap();
+        let (counted, pulls) = ledger.index.counted();
+        ledger.index = counted;
+        let before = ledger.stats();
+        let mut iter = ledger.get_history_for_key(b"k").unwrap();
+        assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        for k in 1..=5u64 {
+            let state = iter.next().unwrap().unwrap();
+            assert_eq!(state.timestamp, k - 1);
+            let pulled = pulls.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(
+                pulled <= k + 1,
+                "{k} states consumed, {pulled} entries pulled"
+            );
+            assert_eq!(ledger.stats().delta(&before).blocks_deserialized, k);
+        }
+        // A profile still reads the whole history.
+        drop(iter);
+        pulls.store(0, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(ledger.history_profile(b"k").unwrap().len(), 30);
+        assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), 30);
+    }
+
+    #[test]
+    fn a_scan_stopped_past_its_window_pulls_only_the_runs_it_read() {
+        // The TQF cursor's stop rule: consume states up to the first one
+        // past the window's end, then drop the iterator. Runs of one and
+        // of two entries per block.
+        let dir = TempDir::new("stop");
+        let mut ledger = open(&dir);
+        for i in 0..40u64 {
+            let key = if i % 3 == 2 && i % 2 == 0 {
+                "other"
+            } else {
+                "k"
+            };
+            ledger.submit(put_tx(i, key, &format!("v{i}"))).unwrap();
+        }
+        ledger.flush_stores().unwrap();
+        let profile = ledger.history_profile(b"k").unwrap();
+        let (counted, pulls) = ledger.index.counted();
+        ledger.index = counted;
+        for end in [0u64, 7, 20] {
+            pulls.store(0, std::sync::atomic::Ordering::Relaxed);
+            let before = ledger.stats();
+            let mut iter = ledger.get_history_for_key(b"k").unwrap();
+            while let Some(state) = iter.next().unwrap() {
+                if state.timestamp > end {
+                    break;
+                }
+            }
+            drop(iter);
+            let runs_read = ledger.stats().delta(&before).blocks_deserialized as usize;
+            let mut blocks: Vec<BlockNum> = profile.iter().map(|e| e.location.block_num).collect();
+            blocks.dedup();
+            let in_runs = profile
+                .iter()
+                .filter(|e| blocks[..runs_read].contains(&e.location.block_num))
+                .count() as u64;
+            let pulled = pulls.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(
+                pulled <= in_runs + 1,
+                "end {end}: {runs_read} runs of {in_runs} entries read, {pulled} pulled"
+            );
+            assert!(pulled < profile.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_live_history_iterator_keeps_its_view_across_flush_and_compaction() {
+        let dir = TempDir::new("view");
+        let ledger = open(&dir);
+        // One table holding the whole history. A 2 KB key makes each index
+        // entry about as long, so the history outgrows one 64 KiB scan read
+        // and the iterator must read the table again after the unlink.
+        let key = format!("k{}", "-".repeat(2000));
+        one_write_per_block(&ledger, &key, 60);
+        ledger.flush_stores().unwrap();
+        ledger.index.store().compact().unwrap();
+        let history = |ledger: &Ledger| {
+            ledger
+                .get_history_for_key(key.as_bytes())
+                .unwrap()
+                .collect_all()
+                .unwrap()
+        };
+        let want = history(&ledger);
+        assert_eq!(want.len(), 60);
+        let tables_at_open = index_tables(&ledger);
+        let mut iter = ledger.get_history_for_key(key.as_bytes()).unwrap();
+        let mut got = vec![iter.next().unwrap().unwrap()];
+        // New writes to the key, flushed, then one merge of every table:
+        // each table the iterator reads is unlinked.
+        for i in 60..66 {
+            ledger.submit(put_tx(i, &key, &format!("v{i}"))).unwrap();
+        }
+        ledger.cut_block().unwrap();
+        ledger.flush_stores().unwrap();
+        ledger.index.store().compact().unwrap();
+        let tables_now = index_tables(&ledger);
+        assert!(
+            tables_at_open.is_disjoint(&tables_now),
+            "compaction left a table in place: {tables_at_open:?} / {tables_now:?}"
+        );
+        while let Some(state) = iter.next().unwrap() {
+            got.push(state);
+        }
+        assert_eq!(got, want, "the iterator's view moved");
+        // A new iterator sees the new writes.
+        assert_eq!(history(&ledger).len(), 66);
     }
 }
