@@ -340,7 +340,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
     report.push_str(&table.to_markdown());
     report.push('\n');
 
-    // ── Section 4: commit-path ablation (validation × shards) ───────────
+    // ── Section 4: commit-path contention check ─────────────────────────
     // Lives in its own module; its samples join this table's bench file
     // so one `BENCH_ingest.json` covers the whole write path.
     report.push_str(&crate::tables::commit::run(ctx, &mut samples)?);

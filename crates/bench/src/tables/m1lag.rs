@@ -56,7 +56,7 @@ fn queries(t_max: u64) -> [Interval; 3] {
 /// Blocks deserialized answering `tau` for `key` via the hybrid M1 path.
 fn query_blocks(ledger: &Ledger, key: fabric_workload::EntityId, tau: Interval) -> Result<u64> {
     let before = ledger.stats();
-    M1Engine::default().events_for_key(ledger, key, tau)?;
+    M1Engine.events_for_key(ledger, key, tau)?;
     Ok(ledger.stats().delta(&before).blocks_deserialized)
 }
 
@@ -197,7 +197,7 @@ pub fn run(ctx: &Ctx, samples: &mut Vec<(String, f64)>) -> Result<String> {
             );
             // And the daemon answers stay bit-identical to the raw scan.
             for &tau in &taus {
-                let via_m1 = M1Engine::default().events_for_key(&ledger, key, tau)?;
+                let via_m1 = M1Engine.events_for_key(&ledger, key, tau)?;
                 let via_tqf = TqfEngine.events_for_key(&ledger, key, tau)?;
                 assert!(
                     via_m1 == via_tqf,

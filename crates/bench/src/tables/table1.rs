@@ -5,7 +5,7 @@
 //! across the timeline, on DS1 (ME ingestion, with M2 at u=2K and u=50K),
 //! DS2 (ME) and DS3 (SE).
 
-use fabric_ledger::{Ledger, LedgerConfig, Result, ShardedLedger};
+use fabric_ledger::{Ledger, Result};
 use fabric_workload::dataset::DatasetId;
 use fabric_workload::ingest::IngestMode;
 use temporal_core::join::ferry_query;
@@ -183,7 +183,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
                 ));
             };
 
-            let (m1, snap) = run_engine(ctx, &M1Engine::default(), &m1_ledger, tau)?;
+            let (m1, snap) = run_engine(ctx, &M1Engine, &m1_ledger, tau)?;
             if let Some(snap) = snap {
                 jsonl.push_str(&telemetry_line(snap, id, mode, "M1", tau, &m1));
                 jsonl.push('\n');
@@ -311,11 +311,8 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         // in-flight buffering within the per-slot channel bound.
         let full = temporal_core::Interval::new(0, ctx.t_max(id));
         let key_count = ctx.workload(id).keys().len();
-        let serial = ferry_query(&M1Engine::default(), &m1_ledger, full)?;
-        let m1_dir = m1_ledger.dir().to_path_buf();
-        drop(m1_ledger);
-        let m1_handle = ShardedLedger::open(m1_dir, LedgerConfig::default())?;
-        let par = ferry_query_parallel(&M1Engine::default(), &m1_handle, full, PARALLEL_WORKERS)?;
+        let serial = ferry_query(&M1Engine, &m1_ledger, full)?;
+        let par = ferry_query_parallel(&M1Engine, &m1_ledger, full, PARALLEL_WORKERS)?;
         assert_eq!(
             serial.records, par.records,
             "parallel join diverged from serial on {id}"

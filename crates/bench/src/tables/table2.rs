@@ -48,7 +48,7 @@ pub fn run(ctx: &Ctx) -> Result<String> {
         let ledger = ctx.m1_ledger(id, IngestMode::MultiEvent, u)?;
         let mut row = vec![format!("{u_paper} (scaled {u})")];
         for tau in taus {
-            let outcome = ferry_query(&M1Engine::default(), &ledger, tau)?;
+            let outcome = ferry_query(&M1Engine, &ledger, tau)?;
             row.push(format!(
                 "{} (sim {:.1}s)",
                 fmt_secs(outcome.stats.wall),

@@ -1,9 +1,9 @@
 //! Command implementations for `tfq`.
 
 use fabric_kvstore::Backend;
-use fabric_ledger::{LedgerConfig, ShardedLedger};
+use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_workload::dataset::{self, DatasetId};
-use fabric_workload::ingest::{ingest_sharded, IdentityEncoder, IngestMode};
+use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
 use fabric_workload::{EntityId, Event};
 use temporal_core::interval::Interval;
 use temporal_core::m1::{read_meta, M1Engine, M1Indexer};
@@ -27,7 +27,7 @@ macro_rules! outln {
 }
 
 const USAGE: &str = "usage: tfq <command> ...
-  demo    <dir> [ds1|ds2|ds3] [--scale N] [--mode se|me] [--m2-u U] [--shards N]
+  demo    <dir> [ds1|ds2|ds3] [--scale N] [--mode se|me] [--m2-u U]
           [--index-lag N [--u U | --adaptive EVENTS]]
   info    <dir>
   verify  <dir>
@@ -52,8 +52,7 @@ const USAGE: &str = "usage: tfq <command> ...
                                 [--workers N] [--ingest ds1|ds2|ds3] [--scale N]
                                 [--limit N]
   index   <dir> --u U [--from T1] [--to T2]
-          batch M1 build over a single-partition ledger (index-daemon
-          covers sharded ones)
+          batch M1 build over the ledger
   index-daemon <dir> [--index-lag N] [--u U | --adaptive EVENTS]
                [--min-u U] [--max-u U]
           one-shot online M1 maintenance: consume committed blocks from the
@@ -71,10 +70,6 @@ write-path flags (any command taking <dir>):
                              directory's on-disk ENGINE marker, falling
                              back to lsm; the choice is persisted and
                              checked on reopen)
-  --shards N                 demo only: create the ledger as N key-range
-                             partitions. The count is persisted in
-                             <dir>/SHARDS and every other command reads
-                             the layout from there
   --index-lag N              demo/serve/index-daemon: run the M1 indexer
                              daemon, cutting an epoch whenever more than N
                              data blocks are unindexed (default 0)
@@ -107,7 +102,6 @@ const OPTIONS: &[&str] = &[
     "out",
     "requests",
     "scale",
-    "shards",
     "slow-factor",
     "slow-log",
     "slow-ms",
@@ -134,10 +128,9 @@ fn config_from(args: &Args) -> Result<LedgerConfig, String> {
     Ok(config)
 }
 
-/// Open `<dir>` through the one ledger handle: the layout (a plain
-/// ledger, or N partitions) is read from the directory.
-fn open(args: &Args, dir: &str) -> Result<ShardedLedger, String> {
-    ShardedLedger::open(dir, config_from(args)?).map_err(led)
+/// Open (or create) the ledger at `<dir>`.
+fn open(args: &Args, dir: &str) -> Result<Ledger, String> {
+    Ledger::open(dir, config_from(args)?).map_err(led)
 }
 
 /// Route `argv` to a command.
@@ -152,14 +145,6 @@ fn dispatch_to(argv: &[String], out: &mut dyn Write) -> CliResult {
     let args = Args::parse(argv)?;
     if let Some(name) = args.unknown_option(OPTIONS) {
         return Err(format!("unknown option '--{name}'\n{USAGE}"));
-    }
-    // The layout belongs to the directory: `demo` may create one, every
-    // other command reads it back.
-    if args.opt("shards").is_some() && args.pos_opt(0) != Some("demo") {
-        return Err(format!(
-            "--shards is accepted by 'demo' only: the shard count is read from {}/SHARDS",
-            args.pos_opt(1).unwrap_or("<dir>")
-        ));
     }
     match args.pos_opt(0) {
         Some("demo") => demo(&args),
@@ -207,34 +192,27 @@ fn demo(args: &Args) -> CliResult {
     } else {
         dataset::generate_scaled(id, scale)
     };
-    let config = config_from(args)?;
-    let ledger = std::sync::Arc::new(
-        match args.opt_u64("shards")? {
-            Some(n) => ShardedLedger::create(dir, config, n as usize),
-            None => ShardedLedger::open(dir, config),
-        }
-        .map_err(led)?,
-    );
-    // With --index-lag the M1 indexer daemons chase the ingest live: they
-    // are spawned before the first block commits and stopped (with a final
+    let ledger = std::sync::Arc::new(open(args, dir)?);
+    // With --index-lag the M1 indexer daemon chases the ingest live: it is
+    // spawned before the first block commits and stopped (with a final
     // flush) after the last, so the demo ends fully indexed.
     let daemon = match args.opt("index-lag") {
         Some(_) => Some(
-            temporal_core::ShardedDaemon::spawn(&ledger, daemon_config_from(args)?).map_err(led)?,
+            temporal_core::IndexerDaemon::new(ledger.clone(), daemon_config_from(args)?)
+                .map_err(led)?
+                .spawn(),
         ),
         None => None,
     };
     let report = match args.opt_u64("m2-u")? {
-        Some(u) => ingest_sharded(&ledger, &workload.events, mode, &M2Encoder { u }),
-        None => ingest_sharded(&ledger, &workload.events, mode, &IdentityEncoder),
+        Some(u) => ingest(&ledger, &workload.events, mode, &M2Encoder { u }),
+        None => ingest(&ledger, &workload.events, mode, &IdentityEncoder),
     }
     .map_err(led)?;
     if let Some(daemon) = daemon {
-        for (i, r) in daemon.stop().map_err(led)?.iter().enumerate() {
-            print_daemon_report(&format!("shard {i:>2} daemon: "), r);
-        }
+        print_daemon_report("daemon: ", &daemon.stop().map_err(led)?);
     }
-    println!("shard heights: {:?}", ledger.heights());
+    println!("height: {}", ledger.height());
     println!(
         "ingested {id} (scale 1/{scale}, {mode}): {} events, {} txs, {} blocks in {:?}",
         report.events, report.txs, report.blocks, report.wall
@@ -246,30 +224,26 @@ fn demo(args: &Args) -> CliResult {
 fn info(args: &Args) -> CliResult {
     let ledger = open(args, args.pos(1, "dir")?)?;
     let stats = ledger.stats();
-    println!("shards:      {}", ledger.shard_count());
-    println!("height:      {} (global)", ledger.height());
-    for (i, shard) in ledger.shards().iter().enumerate() {
-        println!(
-            "shard {i:>2}:    {} block(s), tip {}, {} state key(s), {} pending tx(s)",
-            shard.height(),
-            shard.last_hash(),
-            shard.state_db().key_count().map_err(led)?,
-            shard.pending_txs()
-        );
-        match read_meta(shard).map_err(led)? {
-            Some(meta) => println!(
-                "  M1 indexes: u={}, {} epoch(s), indexed through t={}",
-                meta.u,
-                meta.epochs.len(),
-                meta.indexed_to()
-            ),
-            None => println!("  M1 indexes: none"),
-        }
-        if let Some(f) = temporal_core::index_freshness(shard).map_err(led)? {
-            println!("  M1 horizon: {}", f.render());
-        }
+    println!("height:      {}", ledger.height());
+    println!("tip:         {}", ledger.last_hash());
+    println!(
+        "state keys:  {}",
+        ledger.state_db().key_count().map_err(led)?
+    );
+    println!("pending txs: {}", ledger.pending_txs());
+    match read_meta(&ledger).map_err(led)? {
+        Some(meta) => println!(
+            "M1 indexes:  u={}, {} epoch(s), indexed through t={}",
+            meta.u,
+            meta.epochs.len(),
+            meta.indexed_to()
+        ),
+        None => println!("M1 indexes:  none"),
     }
-    println!("I/O since open (all shards):");
+    if let Some(f) = temporal_core::index_freshness(&ledger).map_err(led)? {
+        println!("M1 horizon:  {}", f.render());
+    }
+    println!("I/O since open:");
     for line in stats.to_string().lines() {
         println!("  {line}");
     }
@@ -279,18 +253,14 @@ fn info(args: &Args) -> CliResult {
 fn verify(args: &Args, out: &mut dyn Write) -> CliResult {
     let started = std::time::Instant::now();
     let ledger = open(args, args.pos(1, "dir")?)?;
-    let tips = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
+    let tip = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
     outln!(
         out,
-        "ok: {} blocks across {} shard(s), every hash chain link, data hash \
-         and tx id verified in {:?}",
+        "ok: {} blocks, every hash chain link, data hash and tx id verified in {:?}",
         ledger.height(),
-        ledger.shard_count(),
         started.elapsed()
     );
-    for (i, tip) in tips.iter().enumerate() {
-        outln!(out, "shard {i:>2} tip: {tip}");
-    }
+    outln!(out, "tip: {tip}");
     Ok(())
 }
 
@@ -328,7 +298,6 @@ fn block(args: &Args) -> CliResult {
 
 fn history(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = args.pos(2, "key")?;
-    // A key's entire history lives on its owning shard.
     let ledger = open(args, args.pos(1, "dir")?)?;
     let mut iter = ledger.get_history_for_key(key.as_bytes()).map_err(led)?;
     let mut n = 0;
@@ -361,9 +330,8 @@ fn backup(args: &Args) -> CliResult {
     let ledger = open(args, args.pos(1, "dir")?)?;
     ledger.backup(dest).map_err(led)?;
     println!(
-        "backed up {} block(s) across {} shard(s) to {dest} in {:?}",
+        "backed up {} block(s) to {dest} in {:?}",
         ledger.height(),
-        ledger.shard_count(),
         started.elapsed()
     );
     Ok(())
@@ -400,8 +368,8 @@ fn replay(args: &Args) -> CliResult {
     events.sort_by_key(|e| (e.time, e.subject));
     let ledger = open(args, dir)?;
     let report = match args.opt_u64("m2-u")? {
-        Some(u) => ingest_sharded(&ledger, &events, mode, &M2Encoder { u }),
-        None => ingest_sharded(&ledger, &events, mode, &IdentityEncoder),
+        Some(u) => ingest(&ledger, &events, mode, &M2Encoder { u }),
+        None => ingest(&ledger, &events, mode, &IdentityEncoder),
     }
     .map_err(led)?;
     println!(
@@ -417,32 +385,26 @@ fn tx_lookup(args: &Args) -> CliResult {
     let digest = fabric_ledger::Digest::from_hex(id_hex)
         .ok_or_else(|| "txid must be 64 hex chars".to_string())?;
     let id = fabric_ledger::TxId(digest);
-    for (i, shard) in ledger.shards().iter().enumerate() {
-        let Some((tx, block_num, tx_num, code)) = shard.get_transaction(&id).map_err(led)? else {
-            continue;
+    let Some((tx, block_num, tx_num, code)) = ledger.get_transaction(&id).map_err(led)? else {
+        return Err("transaction not found".to_string());
+    };
+    println!("found in block {block_num}, position {tx_num} [{code:?}]");
+    println!("  timestamp: {}", tx.timestamp);
+    println!("  reads:     {}", tx.reads.len());
+    for w in &tx.writes {
+        let desc = match &w.value {
+            Some(v) => format!("{} bytes", v.len()),
+            None => "delete".to_string(),
         };
-        println!(
-            "found in block {}, position {tx_num} [{code:?}]",
-            ledger.global_block_num(i, block_num)
-        );
-        println!("  timestamp: {}", tx.timestamp);
-        println!("  reads:     {}", tx.reads.len());
-        for w in &tx.writes {
-            let desc = match &w.value {
-                Some(v) => format!("{} bytes", v.len()),
-                None => "delete".to_string(),
-            };
-            println!("  write {} = {desc}", String::from_utf8_lossy(&w.key));
-        }
-        return Ok(());
+        println!("  write {} = {desc}", String::from_utf8_lossy(&w.key));
     }
-    Err("transaction not found".to_string())
+    Ok(())
 }
 
 fn pick_engine(args: &Args) -> Result<Box<dyn TemporalEngine + Sync>, String> {
     match args.opt("engine").unwrap_or("tqf") {
         "tqf" => Ok(Box::new(TqfEngine)),
-        "m1" => Ok(Box::new(M1Engine::default())),
+        "m1" => Ok(Box::new(M1Engine)),
         "m2" => {
             let u = args
                 .opt_u64("u")?
@@ -474,13 +436,10 @@ fn events(args: &Args, out: &mut dyn Write) -> CliResult {
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
     let engine = pick_engine(args)?;
-    // A key's events live wholly on its owning shard, so the query runs
-    // against that one partition.
-    let handle = open(args, args.pos(1, "dir")?)?;
-    let ledger = handle.shard_for_key(&key.key());
+    let ledger = open(args, args.pos(1, "dir")?)?;
     let before = ledger.stats();
     let started = std::time::Instant::now();
-    let events = engine.events_for_key(ledger, key, tau).map_err(led)?;
+    let events = engine.events_for_key(&ledger, key, tau).map_err(led)?;
     let wall = started.elapsed();
     for ev in &events {
         outln!(out, "t={:>8} {:?} {}", ev.time, ev.kind, ev.target);
@@ -528,14 +487,13 @@ fn join(args: &Args, out: &mut dyn Write) -> CliResult {
 
 fn explain(args: &Args) -> CliResult {
     use temporal_core::explain::ExplainQuery;
-    let handle = open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args, args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
-    let ledger = handle.shard_for_key(&key.key());
     let tau = parse_tau(args, 3)?;
     let plan = match args.opt("engine").unwrap_or("tqf") {
         "tqf" => TqfEngine.explain(ledger, key, tau),
-        "m1" => M1Engine::default().explain(ledger, key, tau),
+        "m1" => M1Engine.explain(ledger, key, tau),
         "m2" => {
             let u = args
                 .opt_u64("u")?
@@ -556,14 +514,13 @@ fn explain(args: &Args) -> CliResult {
 }
 
 fn analyze(args: &Args) -> CliResult {
-    let handle = open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args, args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
-    let ledger = handle.shard_for_key(&key.key());
     let tau = parse_tau(args, 3)?;
     let analyzed = match args.opt("engine").unwrap_or("tqf") {
         "tqf" => explain_analyze(&TqfEngine, ledger, key, tau),
-        "m1" => explain_analyze(&M1Engine::default(), ledger, key, tau),
+        "m1" => explain_analyze(&M1Engine, ledger, key, tau),
         "m2" => {
             let u = args
                 .opt_u64("u")?
@@ -585,8 +542,7 @@ fn plan(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
-    let handle = open(args, args.pos(1, "dir")?)?;
-    let ledger = handle.shard_for_key(&key.key());
+    let ledger = &open(args, args.pos(1, "dir")?)?;
     let choice = AutoEngine::default()
         .choose(ledger, key, tau)
         .map_err(led)?;
@@ -641,7 +597,7 @@ struct Recorded {
 
 /// The one-process workload driver shared by `trace`, `profile` and
 /// `top`: optional in-process ingest (`--ingest ds --scale N`) followed
-/// by one query (`--key`, or the join on `--workers` threads per shard;
+/// by one query (`--key`, or the join on `--workers` threads;
 /// `--engine`), all under span
 /// recording with queue-depth track points on.
 ///
@@ -649,7 +605,7 @@ struct Recorded {
 /// window" and requires `--ingest`.
 fn record_workload(
     args: &Args,
-    ledger: &ShardedLedger,
+    ledger: &Ledger,
     tau: Option<Interval>,
 ) -> Result<Recorded, String> {
     let engine = pick_engine(args)?;
@@ -685,7 +641,7 @@ fn record_workload(
         } else {
             dataset::generate_scaled(id, scale)
         };
-        let report = ingest_sharded(
+        let report = ingest(
             ledger,
             &workload.events,
             IngestMode::MultiEvent,
@@ -704,9 +660,7 @@ fn record_workload(
 
     let query_summary = match key {
         Some(k) => {
-            let events = engine
-                .events_for_key(ledger.shard_for_key(&k.key()), k, tau)
-                .map_err(led)?;
+            let events = engine.events_for_key(ledger, k, tau).map_err(led)?;
             format!(
                 "{} event(s) for {k} via {} over {tau}",
                 events.len(),
@@ -789,9 +743,7 @@ impl Drop for ScratchDir {
 /// like `trace`, or — with `--ingest` and no positional dir — a scratch
 /// ledger living only for this invocation, queried over the dataset's
 /// full window.
-fn open_session(
-    args: &Args,
-) -> Result<(ShardedLedger, Option<Interval>, Option<ScratchDir>), String> {
+fn open_session(args: &Args) -> Result<(Ledger, Option<Interval>, Option<ScratchDir>), String> {
     match args.pos_opt(1) {
         Some(dir) => Ok((open(args, dir)?, Some(parse_tau(args, 2)?), None)),
         None => {
@@ -921,19 +873,15 @@ fn index_daemon(args: &Args) -> CliResult {
     let dir = args.pos(1, "dir")?;
     let cfg = daemon_config_from(args)?;
     let ledger = std::sync::Arc::new(open(args, dir)?);
-    for i in 0..ledger.shard_count() {
-        let mut daemon =
-            temporal_core::IndexerDaemon::for_shard(ledger.clone(), i, cfg).map_err(led)?;
-        daemon.catch_up().map_err(led)?;
-        daemon.flush().map_err(led)?;
-        print_daemon_report(&format!("shard {i:>2}: "), &daemon.report());
-    }
+    let mut daemon = temporal_core::IndexerDaemon::new(ledger, cfg).map_err(led)?;
+    daemon.catch_up().map_err(led)?;
+    daemon.flush().map_err(led)?;
+    print_daemon_report("", &daemon.report());
     Ok(())
 }
 
 fn index(args: &Args) -> CliResult {
-    let handle = open(args, args.pos(1, "dir")?)?;
-    let ledger = handle.sole().map_err(led)?;
+    let ledger = &open(args, args.pos(1, "dir")?)?;
     let u = args
         .opt_u64("u")?
         .ok_or_else(|| "index requires --u".to_string())?;
@@ -999,8 +947,8 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
-    fn open_default(dir: &TempDir) -> ShardedLedger {
-        ShardedLedger::open(dir.s(), LedgerConfig::default()).unwrap()
+    fn open_default(dir: &TempDir) -> Ledger {
+        Ledger::open(dir.s(), LedgerConfig::default()).unwrap()
     }
 
     struct TempDir(std::path::PathBuf);
@@ -1241,38 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lifecycle_through_dispatch() {
-        let dir = TempDir::new("sharded");
-        run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
-        run(&["info", dir.s()]).unwrap();
-        run(&["events", dir.s(), "S00001", "0", "5000"]).unwrap();
-        run(&["join", dir.s(), "0", "5000"]).unwrap();
-        run(&["plan", dir.s(), "S00001", "0", "5000"]).unwrap();
-        // Every dir-taking read command accepts the sharded layout.
-        run(&["history", dir.s(), "S00001"]).unwrap();
-        run(&["verify", dir.s()]).unwrap();
-        // Reopening with a different partition count is rejected.
-        assert!(run(&["demo", dir.s(), "ds3", "--shards", "3"]).is_err());
-        assert!(run(&["demo", dir.s(), "ds3", "--shards", "0"]).is_err());
-        // The layout is the directory's: read commands refuse the flag.
-        let err = run(&["block", dir.s(), "0", "--shards", "2"]).unwrap_err();
-        assert!(err.contains("/SHARDS"), "{err}");
-    }
-
-    #[test]
-    fn sharded_backup_through_dispatch() {
-        let dir = TempDir::new("shbk-src");
-        let dst = TempDir::new("shbk-dst");
-        run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "4"]).unwrap();
-        run(&["backup", dir.s(), dst.s()]).unwrap();
-        // The backup is a full sharded ledger: verifiable and queryable.
-        run(&["verify", dst.s()]).unwrap();
-        run(&["events", dst.s(), "S00001", "0", "5000"]).unwrap();
-        // Wrong count against the backup's SHARDS meta is rejected.
-        assert!(run(&["demo", dst.s(), "ds3", "--shards", "2"]).is_err());
-    }
-
-    #[test]
     fn index_daemon_through_dispatch() {
         let dir = TempDir::new("idxd");
         run(&["demo", dir.s(), "ds3", "--scale", "300"]).unwrap();
@@ -1293,9 +1209,9 @@ mod tests {
     }
 
     #[test]
-    fn index_daemon_sharded_and_adaptive_through_dispatch() {
-        let dir = TempDir::new("idxd-sh");
-        run(&["demo", dir.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
+    fn index_daemon_adaptive_through_dispatch() {
+        let dir = TempDir::new("idxd-adaptive");
+        run(&["demo", dir.s(), "ds3", "--scale", "4"]).unwrap();
         run(&["index-daemon", dir.s(), "--adaptive", "8"]).unwrap();
         run(&["info", dir.s()]).unwrap();
         run(&["events", dir.s(), "S00001", "0", "5000"]).unwrap();
@@ -1324,138 +1240,119 @@ mod tests {
         run(&["verify", dir.s()]).unwrap();
     }
 
-    /// Every `<dir>` command against a plain and a 2-shard directory, with
-    /// no layout flag: it answers what the library computes for that
-    /// directory, or refuses the multi-shard one by name.
+    /// Every `<dir>` command against a ledger directory answers what the
+    /// library computes for it and leaves the listing alone; against a
+    /// directory a sharded build left behind, every one refuses by name and
+    /// writes nothing.
     #[test]
     fn every_command_reads_the_layout_from_the_directory() {
         let plain = TempDir::new("table-plain");
         let sharded = TempDir::new("table-sharded");
         run(&["demo", plain.s(), "ds3", "--scale", "4"]).unwrap();
-        run(&["demo", sharded.s(), "ds3", "--scale", "4", "--shards", "2"]).unwrap();
+        std::fs::create_dir_all(sharded.0.join("shard-00")).unwrap();
+        std::fs::write(sharded.0.join("SHARDS"), "2\n").unwrap();
         assert_eq!(plain.ls(), ["blocks", "index", "state"]);
-        assert_eq!(sharded.ls(), ["SHARDS", "shard-00", "shard-01"]);
         let csv = std::env::temp_dir().join(format!("tfq-table-{}.csv", std::process::id()));
         let csv = csv.to_str().unwrap();
         run(&["export-trace", csv, "ds3", "--scale", "300"]).unwrap();
 
-        for (dir, shards) in [(&plain, 1usize), (&sharded, 2)] {
-            let ls = dir.ls();
-            let tau = Interval::new(0, 5000);
-            let key = EntityId::from_key(b"S00001").unwrap();
-            // What the compared commands must print, from the library.
-            let ledger = open_default(dir);
-            let shard = ledger.shard_for_key(&key.key());
-            let join = ferry_query_parallel(&TqfEngine, &ledger, tau, 1).unwrap();
-            assert!(!join.records.is_empty());
-            let before = shard.stats();
-            let events = TqfEngine.events_for_key(shard, key, tau).unwrap().len();
-            let cost = shard.stats().delta(&before);
-            let history = shard.get_history_for_key(&key.key()).unwrap();
-            let history = history.collect_all().unwrap().len();
-            let choice = AutoEngine::default().choose(shard, key, tau).unwrap();
-            let tips = ledger.verify_chain().unwrap();
-            let tips = tips.iter().enumerate();
-            let txid = ledger.get_block(1).unwrap().txs[0].id.0.to_string();
-            drop(ledger);
+        let ls = plain.ls();
+        let tau = Interval::new(0, 5000);
+        let key = EntityId::from_key(b"S00001").unwrap();
+        // What the compared commands must print, from the library.
+        let ledger = open_default(&plain);
+        let join = ferry_query_parallel(&TqfEngine, &ledger, tau, 1).unwrap();
+        assert!(!join.records.is_empty());
+        let before = ledger.stats();
+        let events = TqfEngine.events_for_key(&ledger, key, tau).unwrap().len();
+        let cost = ledger.stats().delta(&before);
+        let history = ledger.get_history_for_key(&key.key()).unwrap();
+        let history = history.collect_all().unwrap().len();
+        let choice = AutoEngine::default().choose(&ledger, key, tau).unwrap();
+        let tip = ledger.verify_chain().unwrap();
+        let txid = ledger.get_block(1).unwrap().txs[0].id.0.to_string();
+        drop(ledger);
 
-            // (arguments after `<dir>`, text the output must hold; `{}`
-            // stands for a wall time, the one part that varies).
-            let compared = [
-                (
-                    "verify",
-                    tips.map(|(i, tip)| format!("shard {i:>2} tip: {tip}\n"))
-                        .collect(),
+        // (arguments after `<dir>`, text the output must hold; `{}`
+        // stands for a wall time, the one part that varies).
+        let compared = [
+            ("verify", format!("tip: {tip}\n")),
+            ("history S00001", format!("{history} state(s)")),
+            (
+                "events S00001 0 5000",
+                format!(
+                    "{events} event(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
+                    cost.ghfk_calls, cost.blocks_deserialized
                 ),
-                ("history S00001", format!("{history} state(s)")),
-                (
-                    "events S00001 0 5000",
-                    format!(
-                        "{events} event(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
-                        cost.ghfk_calls, cost.blocks_deserialized
-                    ),
+            ),
+            (
+                "join 0 5000",
+                format!(
+                    "{} record(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
+                    join.records.len(),
+                    join.stats.ghfk_calls(),
+                    join.stats.blocks_deserialized()
                 ),
-                (
-                    "join 0 5000",
-                    format!(
-                        "{} record(s) via TQF in {{}} — {} GHFK call(s), {} block(s) deserialized",
-                        join.records.len(),
-                        join.stats.ghfk_calls(),
-                        join.stats.blocks_deserialized()
-                    ),
-                ),
-                ("plan S00001 0 5000", choice.render()),
-            ];
-            let tx = format!("tx {txid}");
-            let ran = ["info", "block 1", &tx, "explain S00001 0 5000"];
-            let ran = ran.into_iter().chain([
-                "analyze S00001 0 5000",
-                "stats 0 5000",
-                "trace 0 5000",
-                "profile 0 5000",
-                "top 0 5000",
-            ]);
-            let lines = compared.iter().map(|(line, want)| (*line, want.as_str()));
-            for (line, want) in lines.chain(ran.map(|line| (line, ""))) {
-                let mut argv: Vec<&str> = line.split(' ').collect();
-                argv.insert(1, dir.s());
-                let out = printed(&argv).unwrap_or_else(|e| panic!("{line}: {e}"));
-                let mut rest = out.as_str();
-                for piece in want.split("{}") {
-                    let at = rest.find(piece).unwrap_or_else(|| {
-                        panic!("{line} on {shards} shard(s): no {want:?} in:\n{out}")
-                    });
-                    rest = &rest[at + piece.len()..];
-                }
-                assert_eq!(dir.ls(), ls, "{line} is read-only");
-                // The layout is never a flag outside `demo`.
-                argv.extend(["--shards", "2"]);
-                let err = run(&argv).unwrap_err();
-                assert!(err.contains("/SHARDS"), "{line} --shards: {err}");
+            ),
+            ("plan S00001 0 5000", choice.render()),
+        ];
+        let tx = format!("tx {txid}");
+        let ran = ["info", "block 1", &tx, "explain S00001 0 5000"];
+        let ran = ran.into_iter().chain([
+            "analyze S00001 0 5000",
+            "stats 0 5000",
+            "trace 0 5000",
+            "profile 0 5000",
+            "top 0 5000",
+        ]);
+        let lines = compared.iter().map(|(line, want)| (*line, want.as_str()));
+        let sharded_ls = sharded.ls();
+        for (line, want) in lines.chain(ran.map(|line| (line, ""))) {
+            let mut argv: Vec<&str> = line.split(' ').collect();
+            argv.insert(1, plain.s());
+            let out = printed(&argv).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let mut rest = out.as_str();
+            for piece in want.split("{}") {
+                let at = rest
+                    .find(piece)
+                    .unwrap_or_else(|| panic!("{line}: no {want:?} in:\n{out}"));
+                rest = &rest[at + piece.len()..];
             }
-
-            // Commands that write: whole-ledger ones run per shard, the
-            // single-partition one refuses a sharded directory by name.
-            match run(&["index", dir.s(), "--u", "2000"]) {
-                Ok(()) => assert_eq!(shards, 1),
-                Err(e) => assert!(shards == 2 && e.contains("has 2 shards"), "{e}"),
-            }
-            run(&["index-daemon", dir.s(), "--u", "2000"]).unwrap();
-            let dest = TempDir::new(&format!("table-backup-{shards}"));
-            run(&["backup", dir.s(), dest.s()]).unwrap();
-            assert_eq!(dest.ls(), ls, "a backup keeps the layout");
-            run(&["verify", dest.s()]).unwrap();
-            run(&["replay", dir.s(), csv]).unwrap();
-            run(&["demo", dir.s(), "ds3", "--scale", "300"]).unwrap();
-            run(&["verify", dir.s()]).unwrap();
-            assert_eq!(dir.ls(), ls, "no command changes the layout");
+            assert_eq!(plain.ls(), ls, "{line} is read-only");
+            argv[1] = sharded.s();
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains("SHARDS"), "{line}: {err}");
+            assert_eq!(sharded.ls(), sharded_ls, "{line} on a sharded directory");
         }
-        // `demo --shards` creates a layout; it cannot convert a plain one
-        // or change the count of a sharded one.
-        let err = run(&["demo", plain.s(), "ds3", "--shards", "2"]).unwrap_err();
-        assert!(err.contains("plain ledger"), "{err}");
-        assert_eq!(plain.ls(), ["blocks", "index", "state"]);
-        assert!(run(&["demo", sharded.s(), "ds3", "--shards", "3"]).is_err());
-        let _ = std::fs::remove_file(csv);
-    }
 
-    #[test]
-    fn sharded_join_matches_single_shard() {
-        let plain = TempDir::new("parity-plain");
-        let sharded = TempDir::new("parity-sharded");
-        run(&["demo", plain.s(), "ds3", "--scale", "4"]).unwrap();
-        run(&["demo", sharded.s(), "ds3", "--scale", "4", "--shards", "4"]).unwrap();
-        // The same command line on either layout prints the same records.
-        let records = |dir: &str| {
-            let out = printed(&["join", dir, "0", "5000"]).unwrap();
-            out.split_once(" in ").unwrap().0.to_string()
-        };
-        let plain_records = records(plain.s());
-        assert!(
-            plain_records.ends_with("record(s) via TQF"),
-            "{plain_records}"
-        );
-        assert_eq!(records(sharded.s()), plain_records);
+        // Commands that write.
+        run(&["index", plain.s(), "--u", "2000"]).unwrap();
+        run(&["index-daemon", plain.s(), "--u", "2000"]).unwrap();
+        let dest = TempDir::new("table-backup");
+        run(&["backup", plain.s(), dest.s()]).unwrap();
+        assert_eq!(dest.ls(), ls, "a backup keeps the layout");
+        run(&["verify", dest.s()]).unwrap();
+        run(&["replay", plain.s(), csv]).unwrap();
+        run(&["demo", plain.s(), "ds3", "--scale", "300"]).unwrap();
+        run(&["verify", plain.s()]).unwrap();
+        assert_eq!(plain.ls(), ls, "no command changes the layout");
+        for argv in [
+            vec!["index", sharded.s(), "--u", "2000"],
+            vec!["index-daemon", sharded.s()],
+            vec!["backup", sharded.s(), dest.s()],
+            vec!["replay", sharded.s(), csv],
+            vec!["demo", sharded.s(), "ds3", "--scale", "300"],
+        ] {
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains("SHARDS"), "{}: {err}", argv[0]);
+            assert_eq!(
+                sharded.ls(),
+                sharded_ls,
+                "{} on a sharded directory",
+                argv[0]
+            );
+        }
+        let _ = std::fs::remove_file(csv);
     }
 
     #[test]
@@ -1505,6 +1402,7 @@ mod tests {
             // finds nothing.
             ("index", concat!("--m1-index", "-threads"), "4"),
             ("join", "--cache-shards", "4"),
+            ("demo", "--shards", "2"),
             ("info", "--cache-block", "4"),
             ("demo", "--pipeline", "on"),
             ("demo", concat!("--wal-group", "-commit"), "on"),

@@ -3,7 +3,7 @@
 //! The server wires three always-on observability pieces together:
 //!
 //! * every scrape of `/metrics` refreshes the ledger's occupancy gauges
-//!   ([`fabric_ledger::ShardedLedger::publish_gauges`]) and renders the
+//!   ([`fabric_ledger::Ledger::publish_gauges`]) and renders the
 //!   registry in Prometheus text format;
 //! * `/flight` dumps the flight recorder (recently completed spans);
 //! * `--slow-ms` / `--slow-factor` install a slow-query log whose JSONL
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use fabric_ledger::{LedgerConfig, ShardedLedger};
+use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_telemetry::{MetricsServer, SlowLogConfig, Telemetry};
 
 use crate::args::Args;
@@ -26,8 +26,7 @@ type CliResult = Result<(), String>;
 pub fn serve(args: &Args) -> CliResult {
     let dir = args.pos(1, "dir")?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:9464");
-    let ledger =
-        Arc::new(ShardedLedger::open(dir, LedgerConfig::default()).map_err(|e| e.to_string())?);
+    let ledger = Arc::new(Ledger::open(dir, LedgerConfig::default()).map_err(|e| e.to_string())?);
     let tel: Telemetry = ledger.telemetry().clone();
     tel.enable();
 
@@ -55,23 +54,22 @@ pub fn serve(args: &Args) -> CliResult {
         tel.install_slow_log(config, sink);
     }
 
-    // With --index-lag one M1 indexer daemon per shard chases the chain
-    // tip for the server's lifetime, stopped with a final flush when the
-    // server exits.
+    // With --index-lag an M1 indexer daemon chases the chain tip for the
+    // server's lifetime, stopped with a final flush when the server exits.
     let daemon = if args.opt("index-lag").is_some() {
         let cfg = crate::commands::daemon_config_from(args)?;
-        Some(temporal_core::ShardedDaemon::spawn(&ledger, cfg).map_err(|e| e.to_string())?)
+        let daemon = temporal_core::IndexerDaemon::new(Arc::clone(&ledger), cfg);
+        Some(daemon.map_err(|e| e.to_string())?.spawn())
     } else {
         None
     };
 
-    // Every scrape refreshes the occupancy gauges (totals plus per-shard
-    // `ledger.shard.<i>.blocks` / `.events`) and the M1 freshness gauges
-    // (`m1.indexed_horizon` / `m1.lag_blocks` / `m1.theta_generations`)
-    // from the on-chain watermark records.
+    // Every scrape refreshes the occupancy gauges and the M1 freshness
+    // gauges (`m1.indexed_horizon` / `m1.lag_blocks` /
+    // `m1.theta_generations`) from the on-chain watermark records.
     let collect: Box<dyn Fn(&Telemetry) + Send + Sync> = Box::new(move |_tel| {
         ledger.publish_gauges();
-        let _ = temporal_core::publish_m1_gauges_sharded(&ledger);
+        let _ = temporal_core::publish_m1_gauges(&ledger);
     });
     let mut server = MetricsServer::bind(addr, tel, Some(collect))
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -140,54 +138,6 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-    }
-
-    #[test]
-    fn serve_sharded_publishes_per_shard_gauges() {
-        let dir = TempDir::new("serve-sharded");
-        let ledger_dir = dir.path("ledger");
-        run(&[
-            "demo",
-            ledger_dir.to_str().unwrap(),
-            "ds3",
-            "--scale",
-            "4",
-            "--shards",
-            "2",
-        ])
-        .unwrap();
-        let addr_file = dir.path("addr");
-        let argv: Vec<String> = [
-            "serve",
-            ledger_dir.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--addr-file",
-            addr_file.to_str().unwrap(),
-            "--requests",
-            "1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let server = std::thread::spawn(move || dispatch(&argv));
-        let addr = bound_addr(&addr_file);
-        let (code, metrics) = fabric_telemetry::http_get(addr, "/metrics").unwrap();
-        assert_eq!(code, 200);
-        for g in [
-            "tf_ledger_height",
-            "tf_ledger_shards 2",
-            "tf_ledger_shard_0_blocks",
-            "tf_ledger_shard_1_blocks",
-            "tf_ledger_shard_0_events",
-            "tf_ledger_shard_1_events",
-        ] {
-            assert!(metrics.contains(g), "missing {g}: {metrics}");
-        }
-        server.join().unwrap().unwrap();
-        // The layout comes from the directory, never from a flag.
-        let err = run(&["serve", ledger_dir.to_str().unwrap(), "--shards", "2"]).unwrap_err();
-        assert!(err.contains("/SHARDS"), "{err}");
     }
 
     #[test]

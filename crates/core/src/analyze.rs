@@ -341,7 +341,7 @@ mod tests {
         assert!(tqf.measured_blocks() <= tqf.plan.max_blocks());
         assert_eq!(tqf.events, 20);
 
-        let m1 = explain_analyze(&crate::m1::M1Engine::default(), &base, key, tau).unwrap();
+        let m1 = explain_analyze(&crate::m1::M1Engine, &base, key, tau).unwrap();
         assert!(m1.within_bounds(), "{}", m1.render());
         // M1 reads exactly one block per overlapping interval.
         assert_eq!(m1.measured_blocks(), 2);
@@ -379,7 +379,7 @@ mod tests {
 
         // M1: one key-level operator with one nested m1.theta operator per
         // overlapping interval, each costing exactly one block.
-        let m1 = explain_analyze(&crate::m1::M1Engine::default(), &base, key, tau).unwrap();
+        let m1 = explain_analyze(&crate::m1::M1Engine, &base, key, tau).unwrap();
         let key_ops: Vec<_> = m1.operators.iter().filter(|o| o.name == "m1.key").collect();
         assert_eq!(key_ops.len(), 1, "{:?}", m1.operators);
         assert_eq!(key_ops[0].depth, 0);

@@ -59,7 +59,7 @@ use bytes::Bytes;
 use fabric_ledger::codec::{put_bytes, put_u64, put_uvarint, Cursor};
 use fabric_ledger::ledger::CommitEvent;
 use fabric_ledger::tx::ValidationCode;
-use fabric_ledger::{Error, Ledger, Result, ShardedLedger};
+use fabric_ledger::{Error, Ledger, Result};
 use fabric_workload::EntityId;
 
 use crate::engine::decode_event;
@@ -238,23 +238,6 @@ pub struct DaemonReport {
     pub horizon_block: u64,
 }
 
-/// Where a daemon's ledger lives: a standalone ledger, or one shard of a
-/// [`ShardedLedger`] (each shard gets its own daemon chasing its own
-/// tip; keys are striped, so shards index disjoint key sets).
-enum LedgerSource {
-    Single(Arc<Ledger>),
-    Shard(Arc<ShardedLedger>, usize),
-}
-
-impl LedgerSource {
-    fn ledger(&self) -> &Ledger {
-        match self {
-            LedgerSource::Single(l) => l,
-            LedgerSource::Shard(s, i) => s.shard(*i),
-        }
-    }
-}
-
 /// One event waiting for its epoch, remembering the block it came from so
 /// the resume watermark never skips a block with unconsumed content.
 struct Buffered {
@@ -269,10 +252,9 @@ struct Buffered {
 /// benchmarks interleave these with ingest for exact lag control), or
 /// hand it a thread with [`IndexerDaemon::spawn`].
 pub struct IndexerDaemon {
-    source: LedgerSource,
+    ledger: Arc<Ledger>,
     cfg: DaemonConfig,
     rx: mpsc::Receiver<CommitEvent>,
-    gauge_prefix: String,
     dmeta: DaemonMeta,
     /// Logical clock: max transaction timestamp seen.
     clock: u64,
@@ -293,33 +275,13 @@ pub struct IndexerDaemon {
 }
 
 impl IndexerDaemon {
-    /// A daemon for a standalone ledger. Subscribes to commit events and
-    /// loads any persisted progress; call [`IndexerDaemon::catch_up`] (or
+    /// A daemon for `ledger`. Subscribes to commit events and loads any
+    /// persisted progress; call [`IndexerDaemon::catch_up`] (or
     /// [`IndexerDaemon::spawn`], which does) to consume history committed
     /// while no daemon was running.
     pub fn new(ledger: Arc<Ledger>, cfg: DaemonConfig) -> Result<IndexerDaemon> {
-        Self::from_source(LedgerSource::Single(ledger), cfg, "m1".to_string())
-    }
-
-    /// A daemon for shard `shard` of a sharded ledger (gauges are
-    /// exported under `m1.shard.<i>.*`).
-    pub fn for_shard(
-        ledger: Arc<ShardedLedger>,
-        shard: usize,
-        cfg: DaemonConfig,
-    ) -> Result<IndexerDaemon> {
-        let prefix = format!("m1.shard.{shard}");
-        Self::from_source(LedgerSource::Shard(ledger, shard), cfg, prefix)
-    }
-
-    fn from_source(
-        source: LedgerSource,
-        cfg: DaemonConfig,
-        gauge_prefix: String,
-    ) -> Result<IndexerDaemon> {
-        let ledger = source.ledger();
         let rx = ledger.subscribe();
-        let meta = m1::read_meta(ledger)?.unwrap_or_default();
+        let meta = m1::read_meta(&ledger)?.unwrap_or_default();
         if !meta.epochs.is_empty() {
             match cfg.policy.fixed_u() {
                 Some(u) if meta.u != u => {
@@ -337,12 +299,11 @@ impl IndexerDaemon {
                 _ => {}
             }
         }
-        let dmeta = read_daemon_meta(ledger)?.unwrap_or_default();
+        let dmeta = read_daemon_meta(&ledger)?.unwrap_or_default();
         let indexed_to = meta.indexed_to();
         let live_floor = ledger.height();
         Ok(IndexerDaemon {
             rx,
-            gauge_prefix,
             next_block: dmeta.horizon_block,
             dmeta,
             clock: indexed_to,
@@ -351,7 +312,7 @@ impl IndexerDaemon {
             buffer: BTreeMap::new(),
             data_blocks_pending: 0,
             report: DaemonReport::default(),
-            source,
+            ledger,
             cfg,
         })
     }
@@ -369,12 +330,7 @@ impl IndexerDaemon {
     /// by: consumed-but-pending data blocks plus everything not yet
     /// consumed (conservatively counted as data).
     pub fn lag_blocks(&self) -> u64 {
-        self.data_blocks_pending
-            + self
-                .source
-                .ledger()
-                .height()
-                .saturating_sub(self.next_block)
+        self.data_blocks_pending + self.ledger.height().saturating_sub(self.next_block)
     }
 
     /// Consume every block already on the chain (the restart / adoption
@@ -382,7 +338,7 @@ impl IndexerDaemon {
     /// epochs whenever the configured lag is exceeded.
     pub fn catch_up(&mut self) -> Result<()> {
         loop {
-            let height = self.source.ledger().height();
+            let height = self.ledger.height();
             if self.next_block >= height {
                 break;
             }
@@ -426,7 +382,7 @@ impl IndexerDaemon {
 
     /// Read and consume the next block.
     fn consume_next_block(&mut self) -> Result<()> {
-        let ledger = self.source.ledger();
+        let ledger = &*self.ledger;
         let block = ledger.get_block(self.next_block)?;
         let tel = ledger.telemetry();
         let mut buffered = 0u64;
@@ -552,7 +508,7 @@ impl IndexerDaemon {
         self.buffer = keep;
         let extra = [(Bytes::from_static(M1_DAEMON_KEY), self.dmeta.encode())];
         let report = m1::run_epoch_prepared(
-            self.source.ledger(),
+            &self.ledger,
             &items,
             epoch,
             self.cfg.policy.fixed_u(),
@@ -562,22 +518,19 @@ impl IndexerDaemon {
         self.data_blocks_pending = 0;
         self.report.epochs += 1;
         self.report.index_pairs += report.indexes as u64;
-        let tel = self.source.ledger().telemetry();
+        let tel = self.ledger.telemetry();
         tel.count("m1.daemon.epochs", 1);
         tel.count("m1.daemon.index_pairs", report.indexes as u64);
         Ok(())
     }
 
-    /// Export the daemon's freshness gauges (`<prefix>.indexed_horizon`,
-    /// `<prefix>.lag_blocks`, `<prefix>.theta_generations`).
+    /// Export the daemon's freshness gauges (`m1.indexed_horizon`,
+    /// `m1.lag_blocks`, `m1.theta_generations`).
     fn publish_gauges(&self) {
-        let ledger = self.source.ledger();
-        let reg = ledger.telemetry().registry();
-        reg.gauge_owned(format!("{}.indexed_horizon", self.gauge_prefix))
-            .set(self.indexed_to as i64);
-        reg.gauge_owned(format!("{}.lag_blocks", self.gauge_prefix))
-            .set(self.lag_blocks() as i64);
-        reg.gauge_owned(format!("{}.theta_generations", self.gauge_prefix))
+        let reg = self.ledger.telemetry().registry();
+        reg.gauge("m1.indexed_horizon").set(self.indexed_to as i64);
+        reg.gauge("m1.lag_blocks").set(self.lag_blocks() as i64);
+        reg.gauge("m1.theta_generations")
             .set_max(self.dmeta.generation as i64);
     }
 
@@ -629,28 +582,6 @@ impl DaemonHandle {
         self.join
             .join()
             .map_err(|_| Error::InvalidArgument("m1 daemon thread panicked".to_string()))?
-    }
-}
-
-/// One daemon per shard of a [`ShardedLedger`], each chasing its own tip
-/// (shards stripe disjoint key sets, so the indexers are independent).
-pub struct ShardedDaemon {
-    handles: Vec<DaemonHandle>,
-}
-
-impl ShardedDaemon {
-    /// Spawn one daemon thread per shard.
-    pub fn spawn(ledger: &Arc<ShardedLedger>, cfg: DaemonConfig) -> Result<ShardedDaemon> {
-        let mut handles = Vec::with_capacity(ledger.shard_count());
-        for i in 0..ledger.shard_count() {
-            handles.push(IndexerDaemon::for_shard(Arc::clone(ledger), i, cfg)?.spawn());
-        }
-        Ok(ShardedDaemon { handles })
-    }
-
-    /// Stop every shard daemon, returning one report per shard.
-    pub fn stop(self) -> Result<Vec<DaemonReport>> {
-        self.handles.into_iter().map(DaemonHandle::stop).collect()
     }
 }
 
@@ -751,38 +682,18 @@ pub fn index_freshness(ledger: &Ledger) -> Result<Option<IndexFreshness>> {
     }))
 }
 
-/// Publish the M1 freshness gauges from the on-chain records (scrape-time
-/// refresh for `/metrics`; works whether or not a daemon is running):
-/// `m1.shard.<i>.{indexed_horizon,lag_blocks,theta_generations}` per
-/// shard, plus conservative aggregates (worst horizon, worst lag, highest
-/// generation) under the plain `m1.*` names.
-pub fn publish_m1_gauges_sharded(ledger: &ShardedLedger) -> Result<()> {
+/// Publish the M1 freshness gauges (`m1.indexed_horizon`,
+/// `m1.lag_blocks`, `m1.theta_generations`) from the on-chain records:
+/// the scrape-time refresh for `/metrics`, which works whether or not a
+/// daemon is running. Publishes nothing when the ledger has no M1 index.
+pub fn publish_m1_gauges(ledger: &Ledger) -> Result<()> {
+    let Some(f) = index_freshness(ledger)? else {
+        return Ok(());
+    };
     let reg = ledger.telemetry().registry();
-    let mut worst_horizon = u64::MAX;
-    let mut worst_lag = 0u64;
-    let mut max_gen = 0u64;
-    let mut any = false;
-    for i in 0..ledger.shard_count() {
-        let shard = ledger.shard(i);
-        let Some(f) = index_freshness(shard)? else {
-            continue;
-        };
-        any = true;
-        worst_horizon = worst_horizon.min(f.indexed_to);
-        worst_lag = worst_lag.max(f.lag_blocks);
-        max_gen = max_gen.max(f.generation);
-        reg.gauge_owned(format!("m1.shard.{i}.indexed_horizon"))
-            .set(f.indexed_to as i64);
-        reg.gauge_owned(format!("m1.shard.{i}.lag_blocks"))
-            .set(f.lag_blocks as i64);
-        reg.gauge_owned(format!("m1.shard.{i}.theta_generations"))
-            .set(f.generation as i64);
-    }
-    if any {
-        reg.gauge("m1.indexed_horizon").set(worst_horizon as i64);
-        reg.gauge("m1.lag_blocks").set(worst_lag as i64);
-        reg.gauge("m1.theta_generations").set(max_gen as i64);
-    }
+    reg.gauge("m1.indexed_horizon").set(f.indexed_to as i64);
+    reg.gauge("m1.lag_blocks").set(f.lag_blocks as i64);
+    reg.gauge("m1.theta_generations").set(f.generation as i64);
     Ok(())
 }
 
@@ -893,7 +804,7 @@ mod tests {
         assert_eq!(report.indexed_to, 400);
         // The daemon's incremental epochs never re-scan history: total
         // consumed blocks ≈ chain length, not O(chain²) as in Table III.
-        let m1 = M1Engine::default();
+        let m1 = M1Engine;
         for tau in [
             Interval::new(0, 400),
             Interval::new(55, 165),
@@ -942,7 +853,7 @@ mod tests {
             report.blocks_consumed
         );
         assert_eq!(report.late_events, 0);
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(0, 400))
             .unwrap();
         let want = TqfEngine
@@ -993,7 +904,7 @@ mod tests {
         );
         // Catalog path answers still agree with the base scan.
         for key in [EntityId::shipment(0), EntityId::shipment(1)] {
-            let got = M1Engine::default()
+            let got = M1Engine
                 .events_for_key(&ledger, key, Interval::new(0, 400))
                 .unwrap();
             let want = TqfEngine
@@ -1087,7 +998,7 @@ mod tests {
         let report = daemon.stop().unwrap();
         assert_eq!(report.indexed_to, 400, "final flush reaches the tip");
         assert_eq!(report.late_events, 0);
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(5, 395))
             .unwrap();
         let want = TqfEngine

@@ -62,25 +62,6 @@ pub trait TemporalEngine {
     }
 }
 
-/// All keys of `kind` across every shard of a
-/// [`fabric_ledger::ShardedLedger`] — each shard's sorted list merged,
-/// re-sorted and deduplicated, so the result equals what
-/// [`TemporalEngine::list_keys`] returns on a single-shard ledger holding
-/// the same data.
-pub fn list_keys_sharded(
-    engine: &dyn TemporalEngine,
-    ledger: &fabric_ledger::ShardedLedger,
-    kind: EntityKind,
-) -> Result<Vec<EntityId>> {
-    let mut all = Vec::new();
-    for shard in ledger.shards() {
-        all.extend(engine.list_keys(shard, kind)?);
-    }
-    all.sort();
-    all.dedup();
-    Ok(all)
-}
-
 /// Decode a raw ledger value into an [`Event`] for `subject`, returning an
 /// error on malformed payloads (index metadata never reaches this path).
 pub fn decode_event(subject: EntityId, value: &[u8]) -> Result<Event> {

@@ -189,8 +189,7 @@ impl ExplainQuery for M1Engine {
             });
         };
         let thetas = crate::m1::overlapping_thetas(ledger, key, tau, &meta)?;
-        let residual =
-            crate::m1::residual_window(tau, meta.indexed_to()).filter(|_| self.scan_unindexed_tail);
+        let residual = crate::m1::residual_window(tau, meta.indexed_to());
         let profile = ledger.history_profile(&key.key())?;
         Ok(m1_plan(key, tau, &thetas, residual, &profile))
     }
@@ -301,9 +300,9 @@ mod tests {
                 (plan, d.ghfk_calls, d.blocks_deserialized)
             },
             {
-                let plan = M1Engine::default().explain(&base, key, tau).unwrap();
+                let plan = M1Engine.explain(&base, key, tau).unwrap();
                 let before = base.stats();
-                M1Engine::default().events_for_key(&base, key, tau).unwrap();
+                M1Engine.events_for_key(&base, key, tau).unwrap();
                 let d = base.stats().delta(&before);
                 (plan, d.ghfk_calls, d.blocks_deserialized)
             },
@@ -341,7 +340,7 @@ mod tests {
         M1Indexer::fixed(&strategy)
             .run_epoch(&base, &[EntityId::shipment(0)], Interval::new(0, 400))
             .unwrap();
-        let plan = M1Engine::default()
+        let plan = M1Engine
             .explain(&base, EntityId::shipment(0), Interval::new(0, 400))
             .unwrap();
         assert_eq!(plan.ghfk_calls(), 4);
@@ -353,7 +352,7 @@ mod tests {
     fn unindexed_m1_plan_is_empty() {
         let dir = TempDir::new("noidx");
         let base = fabric_ledger::Ledger::open(&dir.0, LedgerConfig::small_for_tests()).unwrap();
-        let plan = M1Engine::default()
+        let plan = M1Engine
             .explain(&base, EntityId::shipment(0), Interval::new(0, 100))
             .unwrap();
         assert_eq!(plan.ghfk_calls(), 0);

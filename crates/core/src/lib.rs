@@ -18,8 +18,8 @@
 //! ([`interval`]), partition strategies including the paper's future-work
 //! event-count-balanced variant ([`partition`]), the `EV(k,θ)` value codec
 //! ([`evset`]), the M2 base-data compatibility layer ([`base_api`]), the
-//! supply-chain temporal join — query Q — ([`join`]), parallel and
-//! sharded query execution ([`parallel`]), and measurement utilities
+//! supply-chain temporal join — query Q — ([`join`]), parallel query
+//! execution ([`parallel`]), and measurement utilities
 //! ([`stats`]).
 //!
 //! ## Example: M2 end to end
@@ -74,15 +74,15 @@ pub use analyze::{explain_analyze, AnalyzedPlan, StepMeasurement};
 pub use base_api::M2BaseApi;
 pub use cursor::{drain, EventCursor};
 pub use daemon::{
-    index_freshness, publish_m1_gauges_sharded, DaemonConfig, DaemonHandle, DaemonMeta,
-    DaemonReport, IndexFreshness, IndexerDaemon, ShardedDaemon, ThetaPolicy,
+    index_freshness, publish_m1_gauges, DaemonConfig, DaemonHandle, DaemonMeta, DaemonReport,
+    IndexFreshness, IndexerDaemon, ThetaPolicy,
 };
-pub use engine::{list_keys_sharded, TemporalEngine};
+pub use engine::TemporalEngine;
 pub use evset::{EvSet, TemporalEvent};
 pub use explain::{ExplainQuery, PlanStep, QueryPlan};
 pub use interval::Interval;
 pub use join::{build_stays, ferry_query, FerryRecord, JoinOutcome, Span, Stay, StayBuilder};
-pub use m1::{M1Engine, M1Indexer, M1Maintenance};
+pub use m1::{M1Engine, M1Indexer};
 pub use m2::{M2Encoder, M2Engine};
 pub use parallel::{events_for_keys_parallel, ferry_query_parallel};
 pub use partition::{EventCountBalanced, FixedLength, PartitionStrategy};

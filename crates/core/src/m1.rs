@@ -413,65 +413,13 @@ fn append_catalog(ledger: &Ledger, key: EntityId, created: &[Interval]) -> Resul
     Ok(1)
 }
 
-/// A periodic-maintenance policy: keep M1 indexes within `period` ticks of
-/// the ledger's logical clock.
-///
-/// The paper runs its indexing process "periodically" (every 25K
-/// timestamps in Table III). This helper makes that operational: feed it
-/// the ledger's current logical time — typically the `max_timestamp` of
-/// [`fabric_ledger::ledger::CommitEvent`]s from
-/// [`fabric_ledger::Ledger::subscribe`] — and it runs exactly the epochs
-/// that have become due. Idempotent and crash-safe: progress is read from
-/// the on-chain metadata every call.
-#[derive(Debug, Clone, Copy)]
-pub struct M1Maintenance {
-    /// Epoch length (the paper's 25K).
-    pub period: u64,
-    /// Index-interval length (the paper's `u`).
-    pub u: u64,
-}
-
-impl M1Maintenance {
-    /// Run every epoch that is fully covered by `now`. Returns one report
-    /// per epoch executed (possibly none).
-    pub fn run_due_epochs(
-        &self,
-        ledger: &Ledger,
-        keys: &[EntityId],
-        now: u64,
-    ) -> Result<Vec<M1BuildReport>> {
-        assert!(self.period > 0 && self.u > 0);
-        let strategy = FixedLength { u: self.u };
-        let indexer = M1Indexer::fixed(&strategy);
-        let mut reports = Vec::new();
-        loop {
-            let indexed_to = read_meta(ledger)?.map_or(0, |m| m.indexed_to());
-            let next_end = indexed_to + self.period;
-            if next_end > now {
-                break;
-            }
-            reports.push(indexer.run_epoch(ledger, keys, Interval::new(indexed_to, next_end))?);
-        }
-        Ok(reports)
-    }
-}
-
 /// The Model-M1 query engine (paper §VI-2).
-#[derive(Debug, Clone, Copy)]
-pub struct M1Engine {
-    /// When `true` (default), query ranges beyond the indexed horizon fall
-    /// back to a TQF scan of the base data so results stay complete; the
-    /// paper's experiments always query inside the indexed range.
-    pub scan_unindexed_tail: bool,
-}
-
-impl Default for M1Engine {
-    fn default() -> Self {
-        M1Engine {
-            scan_unindexed_tail: true,
-        }
-    }
-}
+///
+/// A query range beyond the indexed horizon falls back to a TQF scan of
+/// the base data for that residual tail, so results stay complete; the
+/// paper's experiments always query inside the indexed range.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct M1Engine;
 
 /// Read the first historical state of `(key, theta)` — one block — and
 /// filter its events to `tau`.
@@ -565,11 +513,7 @@ impl TemporalEngine for M1Engine {
         let meta = read_meta(ledger)?
             .ok_or_else(|| Error::InvalidArgument("M1 indexes have not been built".to_string()))?;
         let thetas = overlapping_thetas(ledger, key, tau, &meta)?;
-        let residual = if self.scan_unindexed_tail {
-            residual_window(tau, meta.indexed_to())
-        } else {
-            None
-        };
+        let residual = residual_window(tau, meta.indexed_to());
         Ok(Box::new(M1Cursor::new(
             ledger, key, tau, thetas, residual, span,
         )))
@@ -652,7 +596,7 @@ mod tests {
             Interval::new(100, 200),
             Interval::new(395, 400),
         ] {
-            let m1 = M1Engine::default()
+            let m1 = M1Engine
                 .events_for_key(&ledger, EntityId::shipment(0), tau)
                 .unwrap();
             let tqf = TqfEngine
@@ -671,7 +615,7 @@ mod tests {
             .run_epoch(&ledger, &[EntityId::shipment(0)], Interval::new(0, 400))
             .unwrap();
         let before = ledger.stats();
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(0, 200))
             .unwrap();
         assert_eq!(got.len(), 20);
@@ -703,7 +647,7 @@ mod tests {
             .count();
         assert_eq!(composites, 0);
         // But the index is readable from history-db.
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(0, 100))
             .unwrap();
         assert_eq!(got.len(), 10);
@@ -724,7 +668,7 @@ mod tests {
         let meta = read_meta(&ledger).unwrap().unwrap();
         assert_eq!(meta.epochs.len(), 2);
         assert_eq!(meta.indexed_to(), 400);
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(150, 250))
             .unwrap();
         let times: Vec<u64> = got.iter().map(|e| e.time).collect();
@@ -779,19 +723,11 @@ mod tests {
             .run_epoch(&ledger, &[EntityId::shipment(0)], Interval::new(0, 200))
             .unwrap();
         // Query past the indexed horizon (events at 210..400 not indexed).
-        let got = M1Engine::default()
+        let got = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(150, 300))
             .unwrap();
         let times: Vec<u64> = got.iter().map(|e| e.time).collect();
         assert_eq!(times, (16..=30).map(|i| i * 10).collect::<Vec<_>>());
-        // With the fallback disabled, only the indexed part is returned.
-        let engine = M1Engine {
-            scan_unindexed_tail: false,
-        };
-        let got = engine
-            .events_for_key(&ledger, EntityId::shipment(0), Interval::new(150, 300))
-            .unwrap();
-        assert_eq!(got.last().unwrap().time, 200);
     }
 
     #[test]
@@ -805,68 +741,7 @@ mod tests {
             .run_epoch(&ledger, &[EntityId::shipment(0)], Interval::new(0, 400))
             .unwrap();
         let tau = Interval::new(90, 310);
-        let m1 = M1Engine::default()
-            .events_for_key(&ledger, EntityId::shipment(0), tau)
-            .unwrap();
-        let tqf = TqfEngine
-            .events_for_key(&ledger, EntityId::shipment(0), tau)
-            .unwrap();
-        assert_eq!(m1, tqf);
-    }
-
-    #[test]
-    fn maintenance_runs_exactly_due_epochs() {
-        let dir = TempDir::new("maintenance");
-        let (ledger, _) = setup(&dir); // events at 10..=400
-        let policy = M1Maintenance { period: 100, u: 50 };
-        // Clock at 250: epochs (0,100] and (100,200] are due.
-        let reports = policy
-            .run_due_epochs(&ledger, &[EntityId::shipment(0)], 250)
-            .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(read_meta(&ledger).unwrap().unwrap().indexed_to(), 200);
-        // Same clock again: nothing new is due (idempotent).
-        let reports = policy
-            .run_due_epochs(&ledger, &[EntityId::shipment(0)], 250)
-            .unwrap();
-        assert!(reports.is_empty());
-        // Clock at 400: two more epochs.
-        let reports = policy
-            .run_due_epochs(&ledger, &[EntityId::shipment(0)], 400)
-            .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(read_meta(&ledger).unwrap().unwrap().indexed_to(), 400);
-    }
-
-    #[test]
-    fn maintenance_driven_by_commit_events() {
-        let dir = TempDir::new("daemon");
-        let ledger = Ledger::open(&dir.0, fabric_ledger::LedgerConfig::small_for_tests()).unwrap();
-        let events: Vec<Event> = (1..=40).map(|i| event(0, i * 10)).collect();
-        let rx = ledger.subscribe();
-        fabric_workload::ingest::ingest(
-            &ledger,
-            &events,
-            fabric_workload::IngestMode::SingleEvent,
-            &fabric_workload::IdentityEncoder,
-        )
-        .unwrap();
-        // Drain commit events; drive maintenance off the logical clock.
-        let policy = M1Maintenance { period: 100, u: 50 };
-        let mut clock = 0;
-        let mut total_epochs = 0;
-        while let Ok(ev) = rx.try_recv() {
-            clock = clock.max(ev.max_timestamp);
-            total_epochs += policy
-                .run_due_epochs(&ledger, &[EntityId::shipment(0)], clock)
-                .unwrap()
-                .len();
-        }
-        assert_eq!(clock, 400);
-        assert_eq!(total_epochs, 4);
-        // Queries over the maintained index agree with TQF.
-        let tau = Interval::new(120, 380);
-        let m1 = M1Engine::default()
+        let m1 = M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), tau)
             .unwrap();
         let tqf = TqfEngine
@@ -879,7 +754,7 @@ mod tests {
     fn query_without_indexes_errors() {
         let dir = TempDir::new("noindex");
         let (ledger, _) = setup(&dir);
-        assert!(M1Engine::default()
+        assert!(M1Engine
             .events_for_key(&ledger, EntityId::shipment(0), Interval::new(0, 100))
             .is_err());
     }

@@ -19,7 +19,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use fabric_ledger::{Error, Ledger, Result, ShardedLedger};
+use fabric_ledger::{Error, Ledger, Result};
 use fabric_telemetry::QueueProbe;
 use fabric_workload::{EntityId, EntityKind, Event};
 
@@ -190,40 +190,21 @@ where
     Ok(peak.load(Ordering::Relaxed))
 }
 
-/// Span name for per-shard query fan-out work (see
-/// [`ShardedLedger::for_each_shard`]).
-pub const SHARD_QUERY_SPAN: &str = "shard.query";
-
-/// Retrieve events for every key in `keys`: keys group by owning shard,
-/// each shard streams its group on `workers` threads, and per-key results
-/// scatter back into `keys` order regardless of scheduling or shard count.
+/// Retrieve events for every key in `keys` on `workers` threads, one
+/// vector per key in `keys` order regardless of scheduling.
 pub fn events_for_keys_parallel(
     engine: &(dyn TemporalEngine + Sync),
-    ledger: &ShardedLedger,
+    ledger: &Ledger,
     keys: &[EntityId],
     tau: Interval,
     workers: usize,
 ) -> Result<Vec<Vec<Event>>> {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ledger.shard_count()];
-    for (i, key) in keys.iter().enumerate() {
-        groups[ledger.shard_index_for_key(&key.key())].push(i);
-    }
-    let gathered = ledger.for_each_shard(SHARD_QUERY_SPAN, |s, shard| {
-        let shard_keys: Vec<EntityId> = groups[s].iter().map(|&i| keys[i]).collect();
-        let mut events = vec![Vec::new(); shard_keys.len()];
-        stream_events_parallel(engine, shard, &shard_keys, tau, workers, |i, ev| {
-            events[i].push(ev);
-            Ok(())
-        })?;
-        Ok(events)
+    let mut events = vec![Vec::new(); keys.len()];
+    stream_events_parallel(engine, ledger, keys, tau, workers, |i, ev| {
+        events[i].push(ev);
+        Ok(())
     })?;
-    let mut out = vec![Vec::new(); keys.len()];
-    for (indices, events) in groups.iter().zip(gathered) {
-        for (&i, evs) in indices.iter().zip(events) {
-            out[i] = evs;
-        }
-    }
-    Ok(out)
+    Ok(events)
 }
 
 /// Stream the cursors of `keys` on `workers` threads into one stay list
@@ -251,64 +232,42 @@ fn fold_stays(
         .collect())
 }
 
-/// Parallel version of [`crate::join::ferry_query`] over the ledger handle:
-/// every shard folds its own keys' stays (concurrently when there are
-/// several, each fanned out over `workers` threads with bounded
-/// buffering), then one global temporal join runs over the merged stay
-/// maps. The router keeps each entity wholly on one shard, so the merged
-/// maps, and so the join records, are those of a plain ledger holding the
-/// same data.
+/// Parallel version of [`crate::join::ferry_query`]: the shipments' and
+/// containers' stays are folded on `workers` threads with bounded
+/// buffering, then one temporal join runs over them. It records the serial
+/// query's stage spans under one `query.ferry.parallel` root.
 pub fn ferry_query_parallel(
     engine: &(dyn TemporalEngine + Sync),
-    ledger: &ShardedLedger,
+    ledger: &Ledger,
     tau: Interval,
     workers: usize,
 ) -> Result<JoinOutcome> {
     let tel = ledger.telemetry();
     let mut query_span = tel.span("query.ferry.parallel").with_label(format!(
-        "{} tau=({},{}] shards={} workers={workers}",
+        "{} tau=({},{}] workers={workers}",
         engine.name(),
         tau.start,
         tau.end,
-        ledger.shard_count()
     ));
     let before = ledger.stats();
     let start = Instant::now();
-    // The stage spans are those of the serial `ferry_query`; with several
-    // shards each set nests under its shard's `shard.query` span.
-    let folded = ledger.for_each_shard(SHARD_QUERY_SPAN, |_, shard| {
-        let (shipments, containers) = {
-            let _s = tel.span("ferry.list_keys");
-            (
-                engine.list_keys(shard, EntityKind::Shipment)?,
-                engine.list_keys(shard, EntityKind::Container)?,
-            )
-        };
-        let retrieval = Instant::now();
-        let (mut scanned, mut peak) = (0usize, 0usize);
-        let mut fold = |phase: &'static str, keys: &[EntityId]| {
-            let _s = tel.span(phase);
-            fold_stays(engine, shard, keys, tau, workers, (&mut scanned, &mut peak))
-        };
-        let stays = (
-            fold("ferry.shipments", &shipments)?,
-            fold("ferry.containers", &containers)?,
-        );
-        Ok((stays, scanned, peak, retrieval.elapsed()))
-    })?;
-    let mut shipment_stays = HashMap::new();
-    let mut container_stays = HashMap::new();
-    let mut events_scanned = 0usize;
-    let mut peak_buffered_events = 0usize;
-    // Shards retrieve concurrently, so the slowest one is the wall time.
-    let mut retrieval_wall = std::time::Duration::ZERO;
-    for ((shipments, containers), scanned, peak, retrieval) in folded {
-        shipment_stays.extend(shipments);
-        container_stays.extend(containers);
-        events_scanned += scanned;
-        peak_buffered_events = peak_buffered_events.max(peak);
-        retrieval_wall = retrieval_wall.max(retrieval);
-    }
+    let (shipments, containers) = {
+        let _s = tel.span("ferry.list_keys");
+        (
+            engine.list_keys(ledger, EntityKind::Shipment)?,
+            engine.list_keys(ledger, EntityKind::Container)?,
+        )
+    };
+    let retrieval = Instant::now();
+    let (mut events_scanned, mut peak_buffered_events) = (0usize, 0usize);
+    let mut fold = |phase: &'static str, keys: &[EntityId]| {
+        let _s = tel.span(phase);
+        let counts = (&mut events_scanned, &mut peak_buffered_events);
+        fold_stays(engine, ledger, keys, tau, workers, counts)
+    };
+    let shipment_stays = fold("ferry.shipments", &shipments)?;
+    let container_stays = fold("ferry.containers", &containers)?;
+    let retrieval_wall = retrieval.elapsed();
     let records = {
         let _s = tel.span("ferry.join");
         temporal_join(&shipment_stays, &container_stays)
@@ -320,7 +279,6 @@ pub fn ferry_query_parallel(
     query_span.record("records", records.len() as u64);
     query_span.record("events_scanned", events_scanned as u64);
     query_span.record("blocks", stats.blocks_deserialized());
-    query_span.record("shards", ledger.shard_count() as u64);
     query_span.record("workers", workers as u64);
     query_span.record("peak_buffered", peak_buffered_events as u64);
     Ok(JoinOutcome {
@@ -365,19 +323,18 @@ mod tests {
     fn parallel_tqf_matches_sequential() {
         let dir = TempDir::new("tqf");
         let workload = generate_scaled(DatasetId::Ds3, 60);
-        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
-        let ledger = handle.sole().unwrap();
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
         ingest(
-            ledger,
+            &ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &IdentityEncoder,
         )
         .unwrap();
         let tau = Interval::new(0, workload.params.t_max / 2);
-        let seq = ferry_query(&TqfEngine, ledger, tau).unwrap();
+        let seq = ferry_query(&TqfEngine, &ledger, tau).unwrap();
         for workers in [1, 2, 4, 8] {
-            let par = ferry_query_parallel(&TqfEngine, &handle, tau, workers).unwrap();
+            let par = ferry_query_parallel(&TqfEngine, &ledger, tau, workers).unwrap();
             assert_eq!(par.records, seq.records, "workers={workers}");
             assert_eq!(par.events_scanned, seq.events_scanned);
         }
@@ -388,10 +345,9 @@ mod tests {
         let dir = TempDir::new("m2");
         let workload = generate_scaled(DatasetId::Ds3, 60);
         let u = workload.params.t_max / 10;
-        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
-        let ledger = handle.sole().unwrap();
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
         ingest(
-            ledger,
+            &ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &M2Encoder { u },
@@ -399,8 +355,8 @@ mod tests {
         .unwrap();
         let tau = Interval::new(workload.params.t_max / 4, workload.params.t_max / 2);
         let engine = M2Engine { u };
-        let seq = ferry_query(&engine, ledger, tau).unwrap();
-        let par = ferry_query_parallel(&engine, &handle, tau, 4).unwrap();
+        let seq = ferry_query(&engine, &ledger, tau).unwrap();
+        let par = ferry_query_parallel(&engine, &ledger, tau, 4).unwrap();
         assert_eq!(par.records, seq.records);
     }
 
@@ -408,10 +364,9 @@ mod tests {
     fn worker_count_edge_cases() {
         let dir = TempDir::new("edges");
         let workload = generate_scaled(DatasetId::Ds3, 100);
-        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
-        let ledger = handle.sole().unwrap();
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
         ingest(
-            ledger,
+            &ledger,
             &workload.events,
             IngestMode::SingleEvent,
             &IdentityEncoder,
@@ -420,73 +375,43 @@ mod tests {
         let keys = workload.keys();
         let tau = Interval::new(0, workload.params.t_max);
         // workers = 0 clamps to 1; workers > keys clamps down.
-        let a = events_for_keys_parallel(&TqfEngine, &handle, &keys, tau, 0).unwrap();
-        let b = events_for_keys_parallel(&TqfEngine, &handle, &keys, tau, 1000).unwrap();
+        let a = events_for_keys_parallel(&TqfEngine, &ledger, &keys, tau, 0).unwrap();
+        let b = events_for_keys_parallel(&TqfEngine, &ledger, &keys, tau, 1000).unwrap();
         assert_eq!(a, b);
         // Empty key list.
-        let none = events_for_keys_parallel(&TqfEngine, &handle, &[], tau, 4).unwrap();
+        let none = events_for_keys_parallel(&TqfEngine, &ledger, &[], tau, 4).unwrap();
         assert!(none.is_empty());
     }
 
     #[test]
-    fn sharded_ferry_and_key_retrieval_match_single_shard() {
-        use fabric_workload::ingest_sharded;
-        let plain_dir = TempDir::new("sharded-plain");
-        let sharded_dir = TempDir::new("sharded-4");
-        // Factor 4 keeps enough distinct entities to populate 4 shards.
-        let workload = generate_scaled(DatasetId::Ds3, 4);
-        let plain = ShardedLedger::open(&plain_dir.0, LedgerConfig::default()).unwrap();
-        let sharded = ShardedLedger::create(&sharded_dir.0, LedgerConfig::default(), 4).unwrap();
-        for ledger in [&plain, &sharded] {
-            ingest_sharded(
-                ledger,
-                &workload.events,
-                IngestMode::MultiEvent,
-                &IdentityEncoder,
-            )
-            .unwrap();
-        }
+    fn parallel_ferry_records_the_serial_stage_spans() {
+        let dir = TempDir::new("spans");
+        let workload = generate_scaled(DatasetId::Ds3, 60);
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        ingest(
+            &ledger,
+            &workload.events,
+            IngestMode::MultiEvent,
+            &IdentityEncoder,
+        )
+        .unwrap();
         let tau = Interval::new(0, workload.params.t_max / 2);
-        let seq = ferry_query(&TqfEngine, plain.sole().unwrap(), tau).unwrap();
-        let shd = ferry_query_parallel(&TqfEngine, &sharded, tau, 2).unwrap();
-        assert_eq!(shd.records, seq.records);
-        assert_eq!(shd.events_scanned, seq.events_scanned);
-        // Key listing merges shards back to the single-ledger list.
-        let shipments = fabric_workload::EntityKind::Shipment;
-        assert_eq!(
-            crate::engine::list_keys_sharded(&TqfEngine, &sharded, shipments).unwrap(),
-            TqfEngine
-                .list_keys(plain.sole().unwrap(), shipments)
-                .unwrap()
-        );
-        // Per-key retrieval scatters back into input order.
-        let keys = workload.keys();
-        let a = events_for_keys_parallel(&TqfEngine, &plain, &keys, tau, 2).unwrap();
-        let b = events_for_keys_parallel(&TqfEngine, &sharded, &keys, tau, 2).unwrap();
-        assert_eq!(a, b);
-        // Either layout records the serial query's stage spans: one set per
-        // partition (under its `shard.query` when there are several) and
-        // the one global join.
-        for ledger in [&plain, &sharded] {
-            let tel = ledger.telemetry();
-            tel.enable();
-            let _ = tel.drain_spans();
-            let out = ferry_query_parallel(&TqfEngine, ledger, tau, 1).unwrap();
-            assert!(out.retrieval_wall <= out.stats.wall);
-            let tree = tel.span_tree();
-            assert_eq!(tree.len(), 1, "one root: query.ferry.parallel");
-            let rendered = fabric_telemetry::render_tree(&tree);
-            let n = ledger.shard_count();
-            for (span, count) in [
-                ("query.ferry.parallel", 1),
-                (SHARD_QUERY_SPAN, if n == 1 { 0 } else { n }),
-                ("ferry.list_keys", n),
-                ("ferry.shipments", n),
-                ("ferry.containers", n),
-                ("ferry.join", 1),
-            ] {
-                assert_eq!(rendered.matches(span).count(), count, "{span}:\n{rendered}");
-            }
+        let tel = ledger.telemetry();
+        tel.enable();
+        let _ = tel.drain_spans();
+        let out = ferry_query_parallel(&TqfEngine, &ledger, tau, 1).unwrap();
+        assert!(out.retrieval_wall <= out.stats.wall);
+        let tree = tel.span_tree();
+        assert_eq!(tree.len(), 1, "one root: query.ferry.parallel");
+        let rendered = fabric_telemetry::render_tree(&tree);
+        for span in [
+            "query.ferry.parallel",
+            "ferry.list_keys",
+            "ferry.shipments",
+            "ferry.containers",
+            "ferry.join",
+        ] {
+            assert_eq!(rendered.matches(span).count(), 1, "{span}:\n{rendered}");
         }
     }
 
@@ -494,24 +419,23 @@ mod tests {
     fn parallel_streaming_keeps_buffering_bounded() {
         let dir = TempDir::new("bounded");
         let workload = generate_scaled(DatasetId::Ds3, 60);
-        let handle = ShardedLedger::open(&dir.0, LedgerConfig::default()).unwrap();
-        let ledger = handle.sole().unwrap();
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
         ingest(
-            ledger,
+            &ledger,
             &workload.events,
             IngestMode::MultiEvent,
             &IdentityEncoder,
         )
         .unwrap();
         let tau = Interval::new(0, workload.params.t_max);
-        let par = ferry_query_parallel(&TqfEngine, &handle, tau, 4).unwrap();
+        let par = ferry_query_parallel(&TqfEngine, &ledger, tau, 4).unwrap();
         let keys = workload.keys().len();
         assert!(
             par.peak_buffered_events <= SLOT_CAPACITY * keys,
             "peak {} exceeds hard bound",
             par.peak_buffered_events
         );
-        let seq = ferry_query(&TqfEngine, ledger, tau).unwrap();
+        let seq = ferry_query(&TqfEngine, &ledger, tau).unwrap();
         assert_eq!(seq.peak_buffered_events, 0, "serial path never buffers");
         assert_eq!(par.records, seq.records);
     }

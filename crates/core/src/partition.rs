@@ -8,10 +8,8 @@
 //! hot keys get finer intervals — and is compared against fixed-`u` in the
 //! ablation benchmarks.
 //!
-//! These strategies partition *time* within one ledger. Partitioning the
-//! *key space* across ledgers is a different axis entirely — see
-//! [`fabric_ledger::sharded`] for the key-range-sharded commit path and
-//! [`crate::parallel`] for the query fan-out that spans it.
+//! These strategies partition *time* within one ledger; the key space is
+//! never partitioned.
 
 use crate::interval::Interval;
 

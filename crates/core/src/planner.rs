@@ -372,7 +372,7 @@ impl TemporalEngine for AutoEngine {
             AccessPath::M1 { .. } => {
                 // The M1 engine's own cursor recomputes the residual from
                 // the same metadata, so it matches `choice.path` exactly.
-                M1Engine::default().events_cursor(ledger, key, tau)?
+                M1Engine.events_cursor(ledger, key, tau)?
             }
             AccessPath::M2 => Box::new(M2Cursor::new(ledger, key, tau)?),
         })

@@ -45,14 +45,6 @@ impl QueryStats {
     pub fn get_state_calls(&self) -> u64 {
         self.io.get_state_calls
     }
-
-    /// Counter-wise and time-wise sum.
-    pub fn merge(&self, other: &QueryStats) -> QueryStats {
-        QueryStats {
-            wall: self.wall + other.wall,
-            io: self.io.merge(&other.io),
-        }
-    }
 }
 
 /// Run `f` against `ledger`, capturing wall time and counter deltas.
@@ -116,31 +108,6 @@ impl SimCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_counters() {
-        let a = QueryStats {
-            wall: Duration::from_millis(5),
-            io: IoStatsSnapshot {
-                ghfk_calls: 2,
-                blocks_deserialized: 10,
-                ..Default::default()
-            },
-        };
-        let b = QueryStats {
-            wall: Duration::from_millis(7),
-            io: IoStatsSnapshot {
-                ghfk_calls: 3,
-                get_state_calls: 4,
-                ..Default::default()
-            },
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.ghfk_calls(), 5);
-        assert_eq!(m.blocks_deserialized(), 10);
-        assert_eq!(m.get_state_calls(), 4);
-        assert_eq!(m.wall, Duration::from_millis(12));
-    }
 
     #[test]
     fn sim_model_is_linear_in_counters() {

@@ -145,29 +145,6 @@ impl IoStatsSnapshot {
                 .saturating_sub(earlier.events_committed),
         }
     }
-
-    /// Counter-wise sum `self + other` (saturating). Sharded ledgers use
-    /// this to aggregate per-partition counters into one query-cost view.
-    pub fn merge(&self, other: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            blocks_written: self.blocks_written.saturating_add(other.blocks_written),
-            blocks_deserialized: self
-                .blocks_deserialized
-                .saturating_add(other.blocks_deserialized),
-            txs_decoded: self.txs_decoded.saturating_add(other.txs_decoded),
-            block_bytes_read: self.block_bytes_read.saturating_add(other.block_bytes_read),
-            block_bytes_written: self
-                .block_bytes_written
-                .saturating_add(other.block_bytes_written),
-            cache_hits: 0,
-            ghfk_calls: self.ghfk_calls.saturating_add(other.ghfk_calls),
-            get_state_calls: self.get_state_calls.saturating_add(other.get_state_calls),
-            range_scan_calls: self.range_scan_calls.saturating_add(other.range_scan_calls),
-            txs_committed: self.txs_committed.saturating_add(other.txs_committed),
-            blocks_committed: self.blocks_committed.saturating_add(other.blocks_committed),
-            events_committed: self.events_committed.saturating_add(other.events_committed),
-        }
-    }
 }
 
 impl std::fmt::Display for IoStatsSnapshot {
@@ -244,24 +221,6 @@ mod tests {
         };
         assert_eq!(a.diff(&b), a.delta(&b));
         assert_eq!(a.diff(&b).ghfk_calls, 4);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let a = IoStatsSnapshot {
-            ghfk_calls: 7,
-            events_committed: 2,
-            ..Default::default()
-        };
-        let b = IoStatsSnapshot {
-            ghfk_calls: 3,
-            blocks_deserialized: 5,
-            ..Default::default()
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.ghfk_calls, 10);
-        assert_eq!(m.events_committed, 2);
-        assert_eq!(m.blocks_deserialized, 5);
     }
 
     #[test]

@@ -33,9 +33,13 @@ use crate::hash::Digest;
 use crate::index::{ChainTip, HistoryEntries, HistoryLocation, LedgerIndex};
 use crate::iostats::{IoStats, IoStatsSnapshot};
 use crate::orderer::BlockCutter;
-use crate::sharded::{holds_sharded_layout, SHARDS_META};
 use crate::statedb::{StateDb, VersionedValue};
 use crate::tx::{BlockNum, Timestamp, Transaction, TxNum, ValidationCode, Version};
+
+/// Entries that only a sharded ledger (the N-partition layout older builds
+/// wrote) keeps at its root: the partition count and the first partition.
+/// A directory holding either is neither opened nor backed up into.
+const SHARDED_LAYOUT: [&str; 2] = ["SHARDS", "shard-00"];
 
 /// One state-database update produced by a committed block:
 /// `(key, new value or None for delete, committing version)`.
@@ -104,13 +108,13 @@ impl Ledger {
         tel: Telemetry,
     ) -> Result<Self> {
         let dir = dir.into();
-        // Opening the root of a sharded layout would create an empty
-        // ledger beside the partitions that hold the data.
-        if holds_sharded_layout(&dir) {
+        // A directory written by a build that partitioned the ledger holds
+        // its data under `shard-NN/`; opening its root would create an
+        // empty ledger beside the partitions.
+        if let Some(found) = SHARDED_LAYOUT.iter().find(|n| dir.join(n).exists()) {
             return Err(Error::InvalidArgument(format!(
-                "{} holds a sharded ledger ({SHARDS_META} or shard-00): \
-                 open it with ShardedLedger::open",
-                dir.display()
+                "{} is part of a sharded ledger layout, which is no longer supported",
+                dir.join(found).display()
             )));
         }
         let stats = IoStats::new_shared();
@@ -635,7 +639,8 @@ impl Ledger {
     /// steps, so a backup taken against a live ledger is still consistent.
     pub fn backup(&self, dest: impl Into<PathBuf>) -> Result<()> {
         let dest = dest.into();
-        if dest.join("blocks").exists() {
+        let held = |n: &str| dest.join(n).exists();
+        if held("blocks") || SHARDED_LAYOUT.iter().any(|n| held(n)) {
             return Err(Error::InvalidArgument(format!(
                 "backup destination {} already holds a ledger",
                 dest.display()
@@ -1148,6 +1153,55 @@ mod tests {
         }
         ledger.cut_block().unwrap();
         assert_eq!(ledger.height(), 2);
+    }
+
+    /// Sorted names directly under `dir` (`ls`).
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Open `dir`, expecting the sharded-layout refusal naming `found`, and
+    /// back a ledger up into it, expecting a refusal; check the directory
+    /// listing is what it was before.
+    fn assert_refused_untouched(dir: &Path, found: &str) {
+        let before = listing(dir);
+        let err = Ledger::open(dir, LedgerConfig::small_for_tests()).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        let named = dir.join(found).display().to_string();
+        assert!(err.to_string().contains(&named), "{err}");
+        assert!(err.to_string().contains("no longer supported"), "{err}");
+        let src = TempDir::new("layout-backup-src");
+        let err = open(&src).backup(dir).unwrap_err();
+        assert!(err.to_string().contains("already holds a ledger"), "{err}");
+        // No `blocks/`, `index/` or `state/` planted beside the partitions.
+        assert_eq!(listing(dir), before);
+    }
+
+    #[test]
+    fn a_shards_file_is_refused_and_touches_nothing() {
+        // What a sharded build wrote: the count beside its partitions.
+        let dir = TempDir::new("layout-shards");
+        std::fs::create_dir(dir.0.join("shard-00")).unwrap();
+        std::fs::create_dir(dir.0.join("shard-01")).unwrap();
+        std::fs::write(dir.0.join("SHARDS"), "2\n").unwrap();
+        assert_refused_untouched(&dir.0, "SHARDS");
+        // The file alone is refused too, whatever it holds.
+        let dir = TempDir::new("layout-shards-only");
+        std::fs::write(dir.0.join("SHARDS"), "").unwrap();
+        assert_refused_untouched(&dir.0, "SHARDS");
+    }
+
+    #[test]
+    fn a_bare_shard_directory_is_refused_and_touches_nothing() {
+        // A sharded backup torn before it wrote `SHARDS`.
+        let dir = TempDir::new("layout-shard00");
+        std::fs::create_dir(dir.0.join("shard-00")).unwrap();
+        assert_refused_untouched(&dir.0, "shard-00");
     }
 
     #[test]

@@ -28,9 +28,6 @@
 //! * **One synchronous commit path** ([`ledger`]): validate → append →
 //!   index → state on the caller's thread; a block number returned by
 //!   [`Ledger::submit`] means the block is applied and readable.
-//! * **Key-range sharding** ([`sharded`]): opt-in [`ShardedLedger`] router
-//!   over N partitions — each a full [`Ledger`] — committing concurrently
-//!   with deterministic global block numbering.
 //!
 //! ## Example
 //!
@@ -69,7 +66,6 @@ pub mod index;
 pub mod iostats;
 pub mod ledger;
 pub mod orderer;
-pub mod sharded;
 pub mod shim;
 pub mod statedb;
 pub mod tx;
@@ -84,7 +80,6 @@ pub use hash::{sha256, Digest};
 pub use index::HistoryEntryMeta;
 pub use iostats::{IoStats, IoStatsSnapshot};
 pub use ledger::{CommitEvent, HistoricalState, HistoryIterator, Ledger, StateUpdate};
-pub use sharded::{ShardRouter, ShardedLedger};
 pub use shim::TxSimulator;
 pub use statedb::VersionedValue;
 pub use tx::{

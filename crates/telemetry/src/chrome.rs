@@ -4,8 +4,8 @@
 //! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
 //! complete (`"ph":"X"`) event per span, grouped so each **trace** becomes
 //! a process row (`pid` = trace id) and each **thread lane** a track
-//! (`tid` = lane). Cross-thread spans — per-shard commit streams, parallel
-//! cursor workers — therefore land on their own lanes but stay nested
+//! (`tid` = lane). Cross-thread spans — parallel cursor workers — therefore
+//! land on their own lanes but stay nested
 //! under the one trace they follow from. Metadata events name each
 //! process row after its root span so the UI reads
 //! `trace 12: ledger.commit` instead of a bare number.
@@ -25,26 +25,6 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Lane id base for per-shard tracks: spans named `shard.*` carrying a
-/// `shard <i>` label are pinned to lane `SHARD_LANE_BASE + i`, so every
-/// shard shows as one stable track ("shard 0", "shard 1", …) regardless
-/// of which OS thread happened to run its commit or query work.
-pub const SHARD_LANE_BASE: u64 = 1_000_000;
-
-fn shard_lane(r: &SpanRecord) -> Option<u64> {
-    if !r.name.starts_with("shard.") {
-        return None;
-    }
-    let n: u64 = r.label.as_deref()?.strip_prefix("shard ")?.parse().ok()?;
-    Some(SHARD_LANE_BASE + n)
-}
-
-/// The track a span renders on: its per-shard lane when it is shard work,
-/// its recording thread's lane otherwise.
-fn lane_of(r: &SpanRecord) -> u64 {
-    shard_lane(r).unwrap_or(r.thread)
-}
-
 fn complete_event(out: &mut String, r: &SpanRecord) {
     let _ = write!(
         out,
@@ -53,7 +33,7 @@ fn complete_event(out: &mut String, r: &SpanRecord) {
         micros(r.start_ns),
         micros(r.dur_ns),
         r.trace,
-        lane_of(r),
+        r.thread,
         r.id,
     );
     if let Some(parent) = r.parent {
@@ -105,7 +85,7 @@ pub fn chrome_trace_with_counters(records: &[SpanRecord], points: &[TrackPoint])
         if r.id == r.trace {
             root_names.insert(r.trace, r);
         }
-        lanes.insert((r.trace, lane_of(r)), ());
+        lanes.insert((r.trace, r.thread), ());
     }
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -128,14 +108,9 @@ pub fn chrome_trace_with_counters(records: &[SpanRecord], points: &[TrackPoint])
     }
     for (trace, lane) in lanes.keys() {
         push_sep(&mut out);
-        let name = if *lane >= SHARD_LANE_BASE {
-            format!("shard {}", lane - SHARD_LANE_BASE)
-        } else {
-            format!("lane {lane}")
-        };
         let _ = write!(
             out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{trace},\"tid\":{lane},\"args\":{{\"name\":\"{name}\"}}}}",
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{trace},\"tid\":{lane},\"args\":{{\"name\":\"lane {lane}\"}}}}",
         );
     }
     if !points.is_empty() {
@@ -280,38 +255,6 @@ mod tests {
             chrome_trace_with_counters(&[rec(1, None, 1, 1, "ledger.commit", 0)], &[]),
             chrome_trace(&[rec(1, None, 1, 1, "ledger.commit", 0)])
         );
-    }
-
-    #[test]
-    fn shard_spans_pin_to_stable_shard_lanes() {
-        let root = rec(1, None, 1, 1, "ledger.commit", 0);
-        let mut s0 = rec(2, Some(1), 1, 7, "shard.commit", 10);
-        s0.label = Some("shard 0".into());
-        let mut s1 = rec(3, Some(1), 1, 9, "shard.commit", 20);
-        s1.label = Some("shard 1".into());
-        // Same shard on a different OS thread next block: same lane.
-        let mut s0b = rec(4, Some(1), 1, 11, "shard.commit", 30);
-        s0b.label = Some("shard 0".into());
-        let out = chrome_trace(&[root, s0, s1, s0b]);
-        let lane0 = SHARD_LANE_BASE;
-        let lane1 = SHARD_LANE_BASE + 1;
-        // One thread_name metadata row plus two span events on shard 0's lane.
-        assert_eq!(
-            out.matches(&format!("\"tid\":{lane0},")).count(),
-            3,
-            "{out}"
-        );
-        assert!(out.contains(&format!("\"tid\":{lane1},")), "{out}");
-        assert!(out.contains("{\"name\":\"shard 0\"}"), "{out}");
-        assert!(out.contains("{\"name\":\"shard 1\"}"), "{out}");
-        // Raw thread lanes of the shard spans never materialize.
-        assert!(!out.contains("\"tid\":7,"), "{out}");
-        assert!(!out.contains("\"tid\":9,"), "{out}");
-        // A shard-named span without the label keeps its thread lane.
-        let bare = rec(5, None, 5, 3, "shard.query", 0);
-        let out = chrome_trace(&[bare]);
-        assert!(out.contains("\"tid\":3,"), "{out}");
-        assert!(out.contains("{\"name\":\"lane 3\"}"), "{out}");
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl Gauge {
 }
 
 /// Instrument name: static on the hot paths (no allocation), owned for
-/// runtime-shaped names like per-shard cache gauges.
+/// runtime-shaped names like per-queue probe gauges.
 type Name = std::borrow::Cow<'static, str>;
 
 /// Name → instrument maps. Hot-path names are static strings so the data
@@ -109,9 +109,9 @@ impl Registry {
         get_or_create(&self.gauges, Name::Borrowed(name))
     }
 
-    /// A gauge with a runtime-constructed name (e.g. the per-partition
-    /// gauges `ledger.shard.3.blocks`). Allocates on first use of
-    /// each name; callers on hot paths should cache the handle.
+    /// A gauge with a runtime-constructed name (e.g. a queue probe's
+    /// `queue.query.slots.depth`). Allocates on first use of each name;
+    /// callers on hot paths should cache the handle.
     pub fn gauge_owned(&self, name: impl Into<String>) -> Arc<Gauge> {
         get_or_create(&self.gauges, Name::Owned(name.into()))
     }
@@ -254,8 +254,8 @@ mod tests {
         r.gauge("depth").set(3);
         r.gauge_owned(String::from("depth")).add(2);
         assert_eq!(r.snapshot().gauge("depth"), Some(5));
-        r.gauge_owned(format!("shard{}.hits", 7)).set(9);
-        assert_eq!(r.snapshot().gauge("shard7.hits"), Some(9));
+        r.gauge_owned(format!("queue{}.hits", 7)).set(9);
+        assert_eq!(r.snapshot().gauge("queue7.hits"), Some(9));
     }
 
     #[test]

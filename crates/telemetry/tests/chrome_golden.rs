@@ -3,8 +3,8 @@
 //! If an exporter change is intentional, regenerate the golden with
 //! `UPDATE_GOLDEN=1 cargo test -p fabric-telemetry --test chrome_golden`.
 //!
-//! The fixture mirrors what `tfq trace --export chrome` records on a
-//! sharded ingest + parallel query: one commit trace whose stage spans
+//! The fixture mirrors what `tfq trace --export chrome` records on an
+//! ingest + parallel query: one commit trace whose stage spans
 //! ran on worker lanes, and one query trace with a per-key cursor span
 //! on a fan-out lane.
 

@@ -15,8 +15,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use fabric_ledger::sharded::SHARD_COMMIT_SPAN;
-use fabric_ledger::{Ledger, Result, ShardedLedger, TxSimulator};
+use fabric_ledger::{Ledger, Result, TxSimulator};
 
 use crate::event::Event;
 
@@ -121,52 +120,6 @@ pub fn ingest(
     }
     ledger.cut_block()?;
     let blocks = ledger.stats().blocks_committed - blocks_before;
-    Ok(IngestReport {
-        events: events.len() as u64,
-        txs,
-        blocks,
-        wall: start.elapsed(),
-    })
-}
-
-/// Ingest `events` (in time order) into a [`ShardedLedger`]: the stream
-/// is split by routed on-chain key and each shard ingests its slice
-/// concurrently ([`ShardedLedger::for_each_shard`] under `shard.commit`
-/// spans, so traces show one lane per shard).
-///
-/// Within a shard, events keep their global time order, and every
-/// entity's events land wholly on its owning shard — so per-key history
-/// is identical to a single-shard ingest of the same stream. ME batching
-/// applies *per shard*: batch boundaries differ from the single-ledger
-/// run (each shard sees only its own key subset), but the set of
-/// committed events is the same.
-///
-/// The returned report sums `events`/`txs`/`blocks` across shards; its
-/// `wall` is the whole fan-out's duration (the slowest shard).
-pub fn ingest_sharded(
-    ledger: &ShardedLedger,
-    events: &[Event],
-    mode: IngestMode,
-    encoder: &(dyn EventEncoder + Sync),
-) -> Result<IngestReport> {
-    let start = Instant::now();
-    let mut per_shard: Vec<Vec<Event>> = vec![Vec::new(); ledger.shard_count()];
-    for ev in events {
-        let (key, _) = encoder.encode(ev);
-        per_shard[ledger.shard_index_for_key(&key)].push(*ev);
-    }
-    let reports = ledger.for_each_shard(SHARD_COMMIT_SPAN, |i, shard| {
-        if per_shard[i].is_empty() {
-            return Ok(None);
-        }
-        ingest(shard, &per_shard[i], mode, encoder).map(Some)
-    })?;
-    let mut txs = 0u64;
-    let mut blocks = 0u64;
-    for r in reports.into_iter().flatten() {
-        txs += r.txs;
-        blocks += r.blocks;
-    }
     Ok(IngestReport {
         events: events.len() as u64,
         txs,
@@ -300,20 +253,6 @@ mod tests {
         assert_eq!(total, w.events.len());
     }
 
-    /// Read every blockfile's raw bytes, sorted by file name.
-    fn blockfile_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(dir.join("blocks")).unwrap() {
-            let entry = entry.unwrap();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("blockfile_") {
-                out.push((name, std::fs::read(entry.path()).unwrap()));
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Satellite: `IngestReport` invariants — `blocks` equals the ledger
     /// height delta and `txs` equals the sum of per-block tx counts,
     /// including the forced final cut of a partial batch.
@@ -358,100 +297,6 @@ mod tests {
     #[test]
     fn report_invariants_hold_for_me() {
         assert_report_invariants(IngestMode::MultiEvent, "inv-me");
-    }
-
-    /// Satellite: a 1-shard [`ShardedLedger`] ingest is byte-identical to
-    /// a plain [`Ledger`] fed the same stream — the router is a no-op and
-    /// the single shard sees the exact same batches.
-    #[test]
-    fn one_shard_sharded_ingest_matches_plain_ledger() {
-        use fabric_ledger::ShardedLedger;
-        let w = generate_scaled(DatasetId::Ds3, 40);
-        let plain_dir = TempDir::new("shard1-plain");
-        let sharded_dir = TempDir::new("shard1-sharded");
-        let config = LedgerConfig::small_for_tests();
-        let plain = Ledger::open(&plain_dir.0, config.clone()).unwrap();
-        let plain_report = ingest(&plain, &w.events, IngestMode::MultiEvent, &IdentityEncoder);
-        let plain_report = plain_report.unwrap();
-        plain.flush_stores().unwrap();
-        let sharded = ShardedLedger::create(&sharded_dir.0, config, 1).unwrap();
-        let report = ingest_sharded(
-            &sharded,
-            &w.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        sharded.flush_stores().unwrap();
-        assert_eq!(report.events, plain_report.events);
-        assert_eq!(report.txs, plain_report.txs);
-        assert_eq!(report.blocks, plain_report.blocks);
-        assert_eq!(
-            blockfile_bytes(&plain_dir.0),
-            blockfile_bytes(&sharded_dir.0.join("shard-00")),
-            "1-shard blockfiles must be byte-identical to the plain ledger"
-        );
-    }
-
-    /// Satellite: a 4-shard ingest loses no events — every entity's
-    /// history is complete on its owning shard and the report totals add
-    /// up across shards.
-    #[test]
-    fn four_shard_ingest_preserves_per_key_histories() {
-        use fabric_ledger::ShardedLedger;
-        // Factor 4 keeps ~7 shipments — enough distinct entity ordinals
-        // to cover all four shards.
-        let w = generate_scaled(DatasetId::Ds3, 4);
-        let plain_dir = TempDir::new("shard4-plain");
-        let sharded_dir = TempDir::new("shard4-sharded");
-        let config = LedgerConfig::small_for_tests();
-        let plain = Ledger::open(&plain_dir.0, config.clone()).unwrap();
-        ingest(&plain, &w.events, IngestMode::MultiEvent, &IdentityEncoder).unwrap();
-        let sharded = ShardedLedger::create(&sharded_dir.0, config, 4).unwrap();
-        let report = ingest_sharded(
-            &sharded,
-            &w.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        assert_eq!(report.events as usize, w.events.len());
-        assert_eq!(report.blocks, sharded.height());
-        assert_eq!(sharded.stats().events_committed, report.events);
-        // At this scale the workload spreads across all four shards.
-        assert!(
-            sharded.heights().iter().all(|&h| h > 0),
-            "expected every shard to commit blocks: {:?}",
-            sharded.heights()
-        );
-        // Per-key histories match the single-ledger run exactly.
-        let mut keys: Vec<_> = w.events.iter().map(|e| e.subject.key().to_vec()).collect();
-        keys.sort();
-        keys.dedup();
-        for key in keys {
-            let want = plain
-                .get_history_for_key(&key)
-                .unwrap()
-                .collect_all()
-                .unwrap();
-            let got = sharded
-                .get_history_for_key(&key)
-                .unwrap()
-                .collect_all()
-                .unwrap();
-            assert_eq!(
-                want.len(),
-                got.len(),
-                "history length for {:?}",
-                String::from_utf8_lossy(&key)
-            );
-            // ME batch boundaries (and so tx timestamps) differ per
-            // shard; the committed event sequence — the values — must
-            // not.
-            for (a, b) in want.iter().zip(got.iter()) {
-                assert_eq!(a.value, b.value);
-            }
-        }
     }
 
     #[test]

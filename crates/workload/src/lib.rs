@@ -44,4 +44,4 @@ pub use dataset::DatasetId;
 pub use entity::{EntityId, EntityKind};
 pub use event::{Event, EventKind};
 pub use generator::{EventDistribution, GeneratedWorkload, WorkloadParams};
-pub use ingest::{ingest, ingest_sharded, EventEncoder, IdentityEncoder, IngestMode, IngestReport};
+pub use ingest::{ingest, EventEncoder, IdentityEncoder, IngestMode, IngestReport};

@@ -41,7 +41,7 @@ fn main() -> fabric_ledger::Result<()> {
 
     // Reporting window: the middle half of the timeline.
     let window = Interval::new(t_max / 4, 3 * t_max / 4);
-    let engine = M1Engine::default();
+    let engine = M1Engine;
     let outcome = ferry_query(&engine, &ledger, window)?;
     println!(
         "window {window}: {} ferry records from {} events ({} blocks deserialized, {:?})\n",

@@ -73,7 +73,7 @@ fn main() -> fabric_ledger::Result<()> {
     // What does the index buy? Same query, TQF vs M1, on a late window.
     let tau = Interval::new(t_max * 3 / 4, t_max * 3 / 4 + t_max / 10);
     let tqf = ferry_query(&TqfEngine, &ledger, tau)?;
-    let m1 = ferry_query(&M1Engine::default(), &ledger, tau)?;
+    let m1 = ferry_query(&M1Engine, &ledger, tau)?;
     assert_eq!(tqf.records, m1.records);
     println!(
         "\nquery {tau}: TQF {} blocks vs M1 {} blocks ({}x fewer), same {} records",
@@ -100,7 +100,7 @@ fn main() -> fabric_ledger::Result<()> {
         &keys,
         Interval::new(0, t_max),
     )?;
-    let m1_bal = ferry_query(&M1Engine::default(), &ledger_bal, tau)?;
+    let m1_bal = ferry_query(&M1Engine, &ledger_bal, tau)?;
     assert_eq!(m1_bal.records, m1.records);
     println!(
         "\nbalanced strategy: {} index pairs (fixed-u built {} per epoch×4), \

@@ -62,7 +62,7 @@ fn main() -> fabric_ledger::Result<()> {
     let u = t_max / 20;
     let strategy = FixedLength { u };
     M1Indexer::fixed(&strategy).run_epoch(&base, &workload.keys(), Interval::new(0, t_max))?;
-    let m1 = ferry_query(&M1Engine::default(), &base, tau)?;
+    let m1 = ferry_query(&M1Engine, &base, tau)?;
     println!(
         "M1:     {} ferry records | {} GHFK calls | {} blocks deserialized | {:?}",
         m1.records.len(),

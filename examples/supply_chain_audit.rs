@@ -85,7 +85,7 @@ fn main() -> fabric_ledger::Result<()> {
     )?;
 
     let window = Interval::new(100, 900); // between the checkpoints
-    let engine = M1Engine::default();
+    let engine = M1Engine;
 
     // 1. Which trucks handled the damaged shipment in the window?
     let ship_events = engine.events_for_key(&ledger, s_damaged, window)?;

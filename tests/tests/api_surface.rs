@@ -60,7 +60,7 @@ fn config_surface_is_fourteen_knobs() {
 }
 
 #[test]
-fn cli_option_surface_is_twenty_seven_names() {
+fn cli_option_surface_is_twenty_six_names() {
     // `tfq` is a binary, so its option table and usage text are read from
     // the source. A new `--name` fails here until it is listed, as a new
     // config field does above, and until the usage text says where it goes.
@@ -80,8 +80,7 @@ fn cli_option_surface_is_twenty_seven_names() {
     assert_eq!(names, [
         "adaptive", "addr", "addr-file", "backend", "engine", "export", "format", "from", "hz",
         "index-lag", "ingest", "key", "limit", "m2-u", "max-u", "min-u", "mode", "out",
-        "requests", "scale", "shards", "slow-factor", "slow-log", "slow-ms", "to", "u",
-        "workers",
+        "requests", "scale", "slow-factor", "slow-log", "slow-ms", "to", "u", "workers",
     ]);
     // Every `--name` the usage text shows is an option, and every option is
     // shown there.
@@ -180,7 +179,7 @@ fn boundary_timestamps_are_half_open() {
     let tqf = TqfEngine
         .events_for_key(&base, EntityId::shipment(0), tau)
         .unwrap();
-    let m1 = M1Engine::default()
+    let m1 = M1Engine
         .events_for_key(&base, EntityId::shipment(0), tau)
         .unwrap();
     let m2e = M2Engine { u: 100 }
@@ -206,9 +205,7 @@ fn m1_list_keys_ignores_index_artifacts() {
         &IdentityEncoder,
     )
     .unwrap();
-    let before_ships = M1Engine::default()
-        .list_keys(&ledger, EntityKind::Shipment)
-        .unwrap();
+    let before_ships = M1Engine.list_keys(&ledger, EntityKind::Shipment).unwrap();
     let strategy = FixedLength {
         u: workload.params.t_max / 10,
     };
@@ -219,13 +216,9 @@ fn m1_list_keys_ignores_index_artifacts() {
             Interval::new(0, workload.params.t_max),
         )
         .unwrap();
-    let after_ships = M1Engine::default()
-        .list_keys(&ledger, EntityKind::Shipment)
-        .unwrap();
+    let after_ships = M1Engine.list_keys(&ledger, EntityKind::Shipment).unwrap();
     assert_eq!(before_ships, after_ships);
-    let conts = M1Engine::default()
-        .list_keys(&ledger, EntityKind::Container)
-        .unwrap();
+    let conts = M1Engine.list_keys(&ledger, EntityKind::Container).unwrap();
     assert_eq!(
         conts.len() as u32,
         workload.params.containers,
@@ -254,7 +247,7 @@ fn engines_handle_key_with_no_events_in_window() {
         .events_for_key(&base, EntityId::shipment(0), early)
         .unwrap()
         .is_empty());
-    assert!(M1Engine::default()
+    assert!(M1Engine
         .events_for_key(&base, EntityId::shipment(0), early)
         .unwrap()
         .is_empty());
@@ -264,7 +257,7 @@ fn engines_handle_key_with_no_events_in_window() {
         .events_for_key(&base, EntityId::shipment(0), late)
         .unwrap()
         .is_empty());
-    assert!(M1Engine::default()
+    assert!(M1Engine
         .events_for_key(&base, EntityId::shipment(0), late)
         .unwrap()
         .is_empty());

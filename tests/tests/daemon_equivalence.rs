@@ -132,7 +132,7 @@ fn assert_same_answers(
     keys: &[EntityId],
     taus: &[Interval],
 ) {
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let auto = AutoEngine::default();
     for &key in keys {
         for &tau in taus {
@@ -184,9 +184,7 @@ fn lag_grid_matches_batch_rebuilt_m1_and_tqf() {
             // data; the hybrid path must already agree with TQF.
             let so_far = Interval::new(0, t_max);
             let tqf = TqfEngine.events_for_key(&ledger, spot_key, so_far).unwrap();
-            let live = M1Engine::default()
-                .events_for_key(&ledger, spot_key, so_far)
-                .unwrap();
+            let live = M1Engine.events_for_key(&ledger, spot_key, so_far).unwrap();
             assert_eq!(live, tqf, "mid-batch watermark diverged at lag {lag}");
         }
         daemon.flush().unwrap();
@@ -237,7 +235,7 @@ fn hybrid_cursor_at_horizon_boundary_reads_bounded_tail() {
 
     // Boundary windows across the horizon agree with TQF on both the
     // hybrid M1 path and the planner.
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let auto = AutoEngine::default();
     for &key in &keys {
         for tau in windows(t_max, horizon) {
@@ -415,7 +413,7 @@ fn adaptive_theta_answers_match_fixed_theta_and_tqf() {
 
     // θ is a cost knob, never a correctness knob: both maintained indexes
     // and the raw scan agree on every window, on both chains.
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     for &key in &keys {
         for tau in windows(t_max, report.indexed_to) {
             let via_fixed = m1.events_for_key(&fixed_ledger, key, tau).unwrap();
@@ -461,7 +459,7 @@ fn prop_random_windows_agree_on_daemon_maintained_chain() {
         (0u64..50, 1u64..25).prop_map(move |(i, n)| Interval::new(i * u, (i + n) * u)),
         Just(Interval::new(0, 1)),
     ];
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let auto = AutoEngine::default();
     TestRunner::default()
         .run(&strategy, |tau| {

@@ -62,14 +62,14 @@ fn assert_equivalent(
         // Per-key event equivalence.
         for key in workload.keys() {
             let a = TqfEngine.events_for_key(&base, key, tau).unwrap();
-            let b = M1Engine::default().events_for_key(&base, key, tau).unwrap();
+            let b = M1Engine.events_for_key(&base, key, tau).unwrap();
             let c = m2_engine.events_for_key(&m2, key, tau).unwrap();
             assert_eq!(a, b, "[{tag}] TQF vs M1 for {key} over {tau}");
             assert_eq!(a, c, "[{tag}] TQF vs M2 for {key} over {tau}");
         }
         // Join equivalence.
         let a = ferry_query(&TqfEngine, &base, tau).unwrap();
-        let b = ferry_query(&M1Engine::default(), &base, tau).unwrap();
+        let b = ferry_query(&M1Engine, &base, tau).unwrap();
         let c = ferry_query(&m2_engine, &m2, tau).unwrap();
         assert_eq!(a.records, b.records, "[{tag}] join TQF vs M1 over {tau}");
         assert_eq!(a.records, c.records, "[{tag}] join TQF vs M2 over {tau}");
@@ -242,7 +242,7 @@ fn log_backend_is_equivalent_to_lsm() {
 
     // The table-1 query suite: TQF (pure GHFK) and M1 (index-assisted)
     // per-key events plus the ferry join, over every window shape.
-    let m1_engine = M1Engine::default();
+    let m1_engine = M1Engine;
     for tau in windows(t_max) {
         for key in workload.keys() {
             assert_eq!(
@@ -405,8 +405,8 @@ fn periodic_m1_equals_oneshot_m1() {
     let oneshot = build("oneshot", 1);
     let periodic = build("periodic", 4);
     for tau in windows(t_max) {
-        let a = ferry_query(&M1Engine::default(), &oneshot, tau).unwrap();
-        let b = ferry_query(&M1Engine::default(), &periodic, tau).unwrap();
+        let a = ferry_query(&M1Engine, &oneshot, tau).unwrap();
+        let b = ferry_query(&M1Engine, &periodic, tau).unwrap();
         assert_eq!(
             a.records, b.records,
             "epoch count must not affect answers ({tau})"

@@ -85,7 +85,7 @@ fn tqf_cost_grows_rightward_m1_flat_m2_flat() {
                 .blocks_deserialized(),
         );
         m1_blocks.push(
-            ferry_query(&M1Engine::default(), &base, tau)
+            ferry_query(&M1Engine, &base, tau)
                 .unwrap()
                 .stats
                 .blocks_deserialized(),
@@ -156,7 +156,7 @@ fn m1_ghfk_calls_match_arithmetic() {
 
     let keys = workload.params.total_keys() as u64;
     let tau = Interval::new(0, 5 * u); // aligned window of 5 intervals
-    let outcome = ferry_query(&M1Engine::default(), &base, tau).unwrap();
+    let outcome = ferry_query(&M1Engine, &base, tau).unwrap();
     assert_eq!(outcome.stats.ghfk_calls(), keys * 5);
     // And one block per non-empty interval at most.
     assert!(outcome.stats.blocks_deserialized() <= keys * 5);
@@ -205,7 +205,7 @@ fn larger_u_means_fewer_m1_calls_and_blocks() {
         M1Indexer::fixed(&strategy)
             .run_epoch(&base, &workload.keys(), Interval::new(0, t_max))
             .unwrap();
-        let outcome = ferry_query(&M1Engine::default(), &base, tau).unwrap();
+        let outcome = ferry_query(&M1Engine, &base, tau).unwrap();
         let blocks = outcome.stats.blocks_deserialized();
         assert!(
             blocks < previous_blocks,

@@ -109,7 +109,7 @@ fn cost(engine: &dyn TemporalEngine, ledger: &Ledger, key: EntityId, tau: Interv
 fn cursor_drain_matches_eager_cost_and_partial_consumption_costs_less() {
     let fx = Fixture::build("cursor-cost", IngestMode::SingleEvent, 1.0);
     let tau = Interval::new(0, fx.t_max);
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let m2 = M2Engine { u: fx.u };
     let cases: [(&str, &dyn TemporalEngine, &Ledger); 3] = [
         ("tqf", &TqfEngine, &fx.base),
@@ -180,7 +180,7 @@ fn auto_planner_never_beaten_by_a_fixed_engine() {
         Interval::new(t / 7 + 1, t / 7 + 13),
         Interval::new(fx.u, 3 * fx.u), // θ-aligned
     ];
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let m2 = M2Engine { u: fx.u };
     for tau in windows {
         for key in fx.keys() {
@@ -241,7 +241,7 @@ fn auto_matches_every_fixed_engine_on_random_windows() {
         // Degenerate leading window, before any event.
         Just(Interval::new(0, 1)),
     ];
-    let m1 = M1Engine::default();
+    let m1 = M1Engine;
     let m2 = M2Engine { u };
     let keys = fx.keys();
     TestRunner::default()

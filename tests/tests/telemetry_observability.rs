@@ -87,7 +87,7 @@ fn explain_analyze_measured_within_predicted_for_all_engines() {
             "TQF measured exceeded prediction:\n{}",
             tqf.render()
         );
-        let m1 = explain_analyze(&M1Engine::default(), &ledger, key, tau).unwrap();
+        let m1 = explain_analyze(&M1Engine, &ledger, key, tau).unwrap();
         assert!(
             m1.within_bounds(),
             "M1 measured exceeded prediction:\n{}",
@@ -114,7 +114,7 @@ fn span_blocks_match_iostats_delta_per_engine() {
     let tau = Interval::new(0, t_max / 2);
     let tel = ledger.telemetry();
 
-    for engine in [&TqfEngine as &dyn TemporalEngine, &M1Engine::default()] {
+    for engine in [&TqfEngine as &dyn TemporalEngine, &M1Engine] {
         tel.enable();
         tel.reset();
         let before = ledger.stats();
@@ -185,7 +185,7 @@ fn disabled_telemetry_records_nothing_across_the_stack() {
     let (ledger, t_max, _) = indexed_ledger(&dir);
     let tel = ledger.telemetry();
     assert!(!tel.is_enabled());
-    ferry_query(&M1Engine::default(), &ledger, Interval::new(0, t_max)).unwrap();
+    ferry_query(&M1Engine, &ledger, Interval::new(0, t_max)).unwrap();
     assert!(tel.span_tree().is_empty(), "no spans when disabled");
     // Queue probes register their instruments when the ledger opens, so
     // the snapshot lists them; disabled telemetry records no *values*.
