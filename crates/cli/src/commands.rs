@@ -1,6 +1,5 @@
 //! Command implementations for `tfq`.
 
-use fabric_kvstore::Backend;
 use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_workload::dataset::{self, DatasetId};
 use fabric_workload::ingest::{ingest, IdentityEncoder, IngestMode};
@@ -64,12 +63,7 @@ const USAGE: &str = "usage: tfq <command> ...
   serve   <dir> [--addr H:P] [--slow-ms N] [--slow-factor F] [--slow-log PATH]
                 [--index-lag N [--u U | --adaptive EVENTS]]
                 [--addr-file PATH] [--requests N]
-write-path flags (any command taking <dir>):
-  --backend lsm|log|auto     storage engine for the index and state
-                             stores (default auto: resolve from the
-                             directory's on-disk ENGINE marker, falling
-                             back to lsm; the choice is persisted and
-                             checked on reopen)
+indexer daemon flags:
   --index-lag N              demo/serve/index-daemon: run the M1 indexer
                              daemon, cutting an epoch whenever more than N
                              data blocks are unindexed (default 0)
@@ -85,7 +79,6 @@ const OPTIONS: &[&str] = &[
     "adaptive",
     "addr",
     "addr-file",
-    "backend",
     "engine",
     "export",
     "format",
@@ -114,23 +107,9 @@ fn led(e: fabric_ledger::Error) -> String {
     e.to_string()
 }
 
-/// Ledger config from the flag shared by every command: `--backend`.
-fn config_from(args: &Args) -> Result<LedgerConfig, String> {
-    let mut config = LedgerConfig::default();
-    match args.opt("backend") {
-        None | Some("auto") => {}
-        Some("lsm") => config.backend = Backend::Lsm,
-        Some("log") => config.backend = Backend::Log,
-        Some(other) => {
-            return Err(format!("--backend must be lsm|log|auto, got '{other}'"));
-        }
-    }
-    Ok(config)
-}
-
 /// Open (or create) the ledger at `<dir>`.
-fn open(args: &Args, dir: &str) -> Result<Ledger, String> {
-    Ledger::open(dir, config_from(args)?).map_err(led)
+fn open(dir: &str) -> Result<Ledger, String> {
+    Ledger::open(dir, LedgerConfig::default()).map_err(led)
 }
 
 /// Route `argv` to a command.
@@ -192,7 +171,7 @@ fn demo(args: &Args) -> CliResult {
     } else {
         dataset::generate_scaled(id, scale)
     };
-    let ledger = std::sync::Arc::new(open(args, dir)?);
+    let ledger = std::sync::Arc::new(open(dir)?);
     // With --index-lag the M1 indexer daemon chases the ingest live: it is
     // spawned before the first block commits and stopped (with a final
     // flush) after the last, so the demo ends fully indexed.
@@ -222,7 +201,7 @@ fn demo(args: &Args) -> CliResult {
 }
 
 fn info(args: &Args) -> CliResult {
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let stats = ledger.stats();
     println!("height:      {}", ledger.height());
     println!("tip:         {}", ledger.last_hash());
@@ -252,7 +231,7 @@ fn info(args: &Args) -> CliResult {
 
 fn verify(args: &Args, out: &mut dyn Write) -> CliResult {
     let started = std::time::Instant::now();
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let tip = ledger.verify_chain().map_err(|e| format!("FAILED: {e}"))?;
     outln!(
         out,
@@ -265,7 +244,7 @@ fn verify(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 fn block(args: &Args) -> CliResult {
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let num: u64 = args
         .pos(2, "number")?
         .parse()
@@ -298,7 +277,7 @@ fn block(args: &Args) -> CliResult {
 
 fn history(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = args.pos(2, "key")?;
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let mut iter = ledger.get_history_for_key(key.as_bytes()).map_err(led)?;
     let mut n = 0;
     while let Some(state) = iter.next().map_err(led)? {
@@ -327,7 +306,7 @@ fn history(args: &Args, out: &mut dyn Write) -> CliResult {
 fn backup(args: &Args) -> CliResult {
     let dest = args.pos(2, "dest-dir")?;
     let started = std::time::Instant::now();
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     ledger.backup(dest).map_err(led)?;
     println!(
         "backed up {} block(s) to {dest} in {:?}",
@@ -366,7 +345,7 @@ fn replay(args: &Args) -> CliResult {
     };
     let mut events = fabric_workload::trace::load_trace(trace_path).map_err(|e| e.to_string())?;
     events.sort_by_key(|e| (e.time, e.subject));
-    let ledger = open(args, dir)?;
+    let ledger = open(dir)?;
     let report = match args.opt_u64("m2-u")? {
         Some(u) => ingest(&ledger, &events, mode, &M2Encoder { u }),
         None => ingest(&ledger, &events, mode, &IdentityEncoder),
@@ -380,7 +359,7 @@ fn replay(args: &Args) -> CliResult {
 }
 
 fn tx_lookup(args: &Args) -> CliResult {
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let id_hex = args.pos(2, "txid-hex")?;
     let digest = fabric_ledger::Digest::from_hex(id_hex)
         .ok_or_else(|| "txid must be 64 hex chars".to_string())?;
@@ -436,7 +415,7 @@ fn events(args: &Args, out: &mut dyn Write) -> CliResult {
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
     let engine = pick_engine(args)?;
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let before = ledger.stats();
     let started = std::time::Instant::now();
     let events = engine.events_for_key(&ledger, key, tau).map_err(led)?;
@@ -459,7 +438,7 @@ fn events(args: &Args, out: &mut dyn Write) -> CliResult {
 fn join(args: &Args, out: &mut dyn Write) -> CliResult {
     let tau = parse_tau(args, 2)?;
     let engine = pick_engine(args)?;
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let outcome = ferry_query_parallel(engine.as_ref(), &ledger, tau, 1).map_err(led)?;
     for r in outcome.records.iter().take(20) {
         outln!(
@@ -487,7 +466,7 @@ fn join(args: &Args, out: &mut dyn Write) -> CliResult {
 
 fn explain(args: &Args) -> CliResult {
     use temporal_core::explain::ExplainQuery;
-    let ledger = &open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
@@ -514,7 +493,7 @@ fn explain(args: &Args) -> CliResult {
 }
 
 fn analyze(args: &Args) -> CliResult {
-    let ledger = &open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args.pos(1, "dir")?)?;
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
@@ -542,7 +521,7 @@ fn plan(args: &Args, out: &mut dyn Write) -> CliResult {
     let key = EntityId::from_key(args.pos(2, "key")?.as_bytes())
         .ok_or_else(|| "key must look like S00001 / C00001".to_string())?;
     let tau = parse_tau(args, 3)?;
-    let ledger = &open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args.pos(1, "dir")?)?;
     let choice = AutoEngine::default()
         .choose(ledger, key, tau)
         .map_err(led)?;
@@ -555,7 +534,7 @@ fn plan(args: &Args, out: &mut dyn Write) -> CliResult {
 }
 
 fn stats(args: &Args) -> CliResult {
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let tau = parse_tau(args, 2)?;
     let engine = pick_engine(args)?;
     let tel = ledger.telemetry();
@@ -693,7 +672,7 @@ fn record_workload(
 }
 
 fn trace(args: &Args) -> CliResult {
-    let ledger = open(args, args.pos(1, "dir")?)?;
+    let ledger = open(args.pos(1, "dir")?)?;
     let tau = parse_tau(args, 2)?;
     let export = match args.opt("export") {
         None => None,
@@ -745,7 +724,7 @@ impl Drop for ScratchDir {
 /// full window.
 fn open_session(args: &Args) -> Result<(Ledger, Option<Interval>, Option<ScratchDir>), String> {
     match args.pos_opt(1) {
-        Some(dir) => Ok((open(args, dir)?, Some(parse_tau(args, 2)?), None)),
+        Some(dir) => Ok((open(dir)?, Some(parse_tau(args, 2)?), None)),
         None => {
             if args.opt("ingest").is_none() {
                 return Err("need <dir> <t1> <t2> or --ingest ds1|ds2|ds3".to_string());
@@ -756,7 +735,7 @@ fn open_session(args: &Args) -> Result<(Ledger, Option<Interval>, Option<Scratch
                 std::thread::current().id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let ledger = open(args, dir.to_str().ok_or("temp dir is not utf-8")?)?;
+            let ledger = open(dir.to_str().ok_or("temp dir is not utf-8")?)?;
             Ok((ledger, None, Some(ScratchDir(dir))))
         }
     }
@@ -872,7 +851,7 @@ fn print_daemon_report(prefix: &str, r: &temporal_core::DaemonReport) {
 fn index_daemon(args: &Args) -> CliResult {
     let dir = args.pos(1, "dir")?;
     let cfg = daemon_config_from(args)?;
-    let ledger = std::sync::Arc::new(open(args, dir)?);
+    let ledger = std::sync::Arc::new(open(dir)?);
     let mut daemon = temporal_core::IndexerDaemon::new(ledger, cfg).map_err(led)?;
     daemon.catch_up().map_err(led)?;
     daemon.flush().map_err(led)?;
@@ -881,7 +860,7 @@ fn index_daemon(args: &Args) -> CliResult {
 }
 
 fn index(args: &Args) -> CliResult {
-    let ledger = &open(args, args.pos(1, "dir")?)?;
+    let ledger = &open(args.pos(1, "dir")?)?;
     let u = args
         .opt_u64("u")?
         .ok_or_else(|| "index requires --u".to_string())?;
@@ -1356,29 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_selects_and_persists_the_engine() {
-        let dir = TempDir::new("backend");
-        // Build on the value-log engine; the marker persists the choice.
-        run(&["demo", dir.s(), "ds3", "--scale", "400", "--backend", "log"]).unwrap();
-        assert!(dir.0.join("state").join("ENGINE").exists());
-        assert!(dir.0.join("index").join("ENGINE").exists());
-        // Auto (default) resolves the marker; explicit log matches too.
-        run(&["verify", dir.s()]).unwrap();
-        run(&["info", dir.s(), "--backend", "log"]).unwrap();
-        run(&["history", dir.s(), "S00000", "--backend", "auto"]).unwrap();
-        run(&["join", dir.s(), "0", "5000"]).unwrap();
-        // Reopening a marked directory as lsm is a refused mismatch.
-        assert!(run(&["info", dir.s(), "--backend", "lsm"]).is_err());
-        assert!(run(&["info", dir.s(), "--backend", "rocks"]).is_err());
-        // An LSM ledger stays marker-free and refuses --backend log.
-        let lsm = TempDir::new("backend-lsm");
-        run(&["demo", lsm.s(), "ds3", "--scale", "400", "--backend", "lsm"]).unwrap();
-        assert!(!lsm.0.join("state").join("ENGINE").exists());
-        assert!(run(&["info", lsm.s(), "--backend", "log"]).is_err());
-        run(&["info", lsm.s()]).unwrap();
-    }
-
-    #[test]
     fn bad_arguments_are_reported() {
         let dir = TempDir::new("bad");
         run(&["demo", dir.s(), "ds3", "--scale", "400"]).unwrap();
@@ -1408,6 +1364,7 @@ mod tests {
             ("demo", concat!("--wal-group", "-commit"), "on"),
             ("join", concat!("--cache", "-blocks"), "64"),
             ("history", concat!("--coal", "esce"), "off"),
+            ("info", "--backend", "log"),
         ] {
             let err = run(&[cmd, dir.s(), flag, value]).unwrap_err();
             assert!(

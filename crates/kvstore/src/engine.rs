@@ -1,20 +1,14 @@
-//! The pluggable storage-engine boundary.
+//! The storage-engine boundary.
 //!
 //! Everything above this crate — the ledger indexes, the state database, the
-//! CLI — talks to storage through the [`StorageEngine`] trait, so the
-//! concrete engine is a deployment choice rather than a compile-time one.
-//! Two implementations ship today:
+//! CLI — talks to storage through the [`StorageEngine`] trait. One engine
+//! implements it, the LSM [`crate::KvStore`] (WAL + memtable + SSTables);
+//! the trait stays so that callers can wrap a store, e.g. to count the
+//! entries a scan pulls.
 //!
-//! * [`crate::KvStore`] — the LSM (WAL + memtable + SSTables), the default.
-//! * [`crate::LogStore`] — a bitcask-style value log (append-only data
-//!   files with an in-memory offset index), which trades range-scan
-//!   locality for strictly sequential writes and cheap garbage collection
-//!   of overwritten values.
-//!
-//! [`open_engine`] resolves which implementation owns a directory. Value-log
-//! directories carry an `ENGINE` marker file; LSM directories deliberately
-//! do **not**, so every store created before this boundary existed keeps its
-//! byte-identical on-disk layout and auto-detects as LSM.
+//! [`open_engine`] opens the store in a directory. Directories written by the
+//! value-log engine that older builds shipped carry an `ENGINE` marker file;
+//! they are refused by name and left untouched, never opened as an empty LSM.
 
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
@@ -26,12 +20,12 @@ use fabric_telemetry::Telemetry;
 use crate::batch::WriteBatch;
 use crate::error::{Error, Result};
 use crate::metrics::MetricsSnapshot;
-use crate::options::{Backend, Options};
+use crate::options::Options;
 use crate::store::{KvStore, RangeIter, StorageStats};
-use crate::vlog::{LogRangeIter, LogStore};
 
-/// Name of the backend marker file written into value-log directories.
-pub const ENGINE_MARKER: &str = "ENGINE";
+/// Name of the marker file the value-log engine of older builds wrote into
+/// its store directories. LSM directories never hold one.
+const ENGINE_MARKER: &str = "ENGINE";
 
 /// A shared, dynamically dispatched storage engine.
 pub type SharedEngine = Arc<dyn StorageEngine>;
@@ -62,18 +56,9 @@ impl EngineIter for RangeIter {
     }
 }
 
-impl EngineIter for LogRangeIter {
-    fn next(&mut self) -> Result<Option<(Bytes, Bytes)>> {
-        LogRangeIter::next(self)
-    }
-}
-
-/// The full storage surface the upper layers use. Object-safe so engines can
-/// be swapped at runtime (`Arc<dyn StorageEngine>`).
+/// The full storage surface the upper layers use. Object-safe so a store can
+/// be wrapped at runtime (`Arc<dyn StorageEngine>`).
 pub trait StorageEngine: Send + Sync + std::fmt::Debug {
-    /// Which implementation this is.
-    fn backend(&self) -> Backend;
-
     /// Insert or overwrite one key.
     fn put(&self, key: Bytes, value: Bytes) -> Result<()>;
 
@@ -118,10 +103,6 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
 }
 
 impl StorageEngine for KvStore {
-    fn backend(&self) -> Backend {
-        Backend::Lsm
-    }
-
     fn put(&self, key: Bytes, value: Bytes) -> Result<()> {
         KvStore::put(self, key, value)
     }
@@ -175,124 +156,30 @@ impl StorageEngine for KvStore {
     }
 }
 
-impl StorageEngine for LogStore {
-    fn backend(&self) -> Backend {
-        Backend::Log
-    }
-
-    fn put(&self, key: Bytes, value: Bytes) -> Result<()> {
-        LogStore::put(self, key, value)
-    }
-
-    fn delete(&self, key: Bytes) -> Result<()> {
-        LogStore::delete(self, key)
-    }
-
-    fn write(&self, batch: WriteBatch) -> Result<()> {
-        LogStore::write(self, batch)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        LogStore::get(self, key)
-    }
-
-    fn range(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> Result<Box<dyn EngineIter>> {
-        Ok(Box::new(LogStore::range(self, start, end)?))
-    }
-
-    fn prefix(&self, prefix: &[u8]) -> Result<Box<dyn EngineIter>> {
-        Ok(Box::new(LogStore::prefix(self, prefix)?))
-    }
-
-    fn flush(&self) -> Result<()> {
-        LogStore::flush(self)
-    }
-
-    fn compact(&self) -> Result<()> {
-        LogStore::compact(self)
-    }
-
-    fn checkpoint(&self, dest: &Path) -> Result<()> {
-        LogStore::checkpoint(self, dest)
-    }
-
-    fn storage_stats(&self) -> StorageStats {
-        LogStore::storage_stats(self)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        LogStore::metrics(self)
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        LogStore::telemetry(self)
-    }
-
-    fn dir(&self) -> &Path {
-        LogStore::dir(self)
-    }
-}
-
-/// Read the backend marker in `dir`, if one is present. `Ok(None)` means the
-/// directory is unmarked (an LSM store, or not a store at all).
-pub fn detect_backend(dir: &Path) -> Result<Option<Backend>> {
-    let marker = dir.join(ENGINE_MARKER);
-    match std::fs::read_to_string(&marker) {
-        Ok(text) => match text.trim() {
-            "lsm" => Ok(Some(Backend::Lsm)),
-            "log" => Ok(Some(Backend::Log)),
-            other => Err(Error::corruption(
-                &marker,
-                format!("unknown backend marker {other:?}"),
-            )),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(Error::io(
-            format!("reading backend marker {}", marker.display()),
-            e,
-        )),
-    }
-}
-
-/// Open the engine that owns `dir`, creating it if needed.
-///
-/// Resolution rules:
-///
-/// * A marked directory always opens as its marked backend; asking for the
-///   other backend explicitly is an error rather than a silent reformat.
-/// * An unmarked directory resolves [`Backend::Auto`] to LSM — this is what
-///   keeps pre-boundary stores opening unchanged.
-/// * An unmarked directory that already holds an LSM store (has a
-///   `MANIFEST`) refuses to open as `log`.
+/// Open the store in `dir`, creating it if needed. A value-log directory
+/// is refused first (see [`refuse_value_log`]).
 pub fn open_engine(
     dir: impl Into<PathBuf>,
     options: Options,
     tel: Telemetry,
 ) -> Result<SharedEngine> {
     let dir = dir.into();
-    let marked = detect_backend(&dir)?;
-    let resolved = match (marked, options.backend) {
-        (Some(found), Backend::Auto) => found,
-        (Some(found), requested) if requested == found => found,
-        (Some(found), requested) => {
-            return Err(Error::InvalidArgument(format!(
-                "store at {} uses the {found} backend; cannot open it as {requested}",
-                dir.display()
-            )))
-        }
-        (None, Backend::Auto) => Backend::Lsm,
-        (None, Backend::Log) if dir.join("MANIFEST").exists() => {
-            return Err(Error::InvalidArgument(format!(
-                "store at {} holds an lsm store; cannot open it as log",
-                dir.display()
-            )))
-        }
-        (None, requested) => requested,
-    };
-    Ok(match resolved {
-        Backend::Log => Arc::new(LogStore::open_with_telemetry(dir, options, tel)?),
-        _ => Arc::new(KvStore::open_with_telemetry(dir, options, tel)?),
-    })
+    refuse_value_log(&dir)?;
+    Ok(Arc::new(KvStore::open_with_telemetry(dir, options, tel)?))
+}
+
+/// Refuse a store directory that holds an `ENGINE` marker: the value-log
+/// engine that wrote it is no longer supported. The error names the marker,
+/// and nothing is created, so the directory is left as it was.
+pub fn refuse_value_log(dir: &Path) -> Result<()> {
+    let marker = dir.join(ENGINE_MARKER);
+    if marker.exists() {
+        return Err(Error::InvalidArgument(format!(
+            "{} marks a value-log store, which is no longer supported",
+            marker.display()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -319,68 +206,29 @@ mod tests {
         }
     }
 
-    fn opts(backend: Backend) -> Options {
-        Options {
-            backend,
-            ..Options::small_for_tests()
-        }
-    }
-
     #[test]
-    fn auto_resolves_fresh_dir_to_lsm() {
-        let dir = TempDir::new("auto-lsm");
-        let db = open_engine(&dir.0, opts(Backend::Auto), Telemetry::disabled()).unwrap();
-        assert_eq!(db.backend(), Backend::Lsm);
-        // The LSM layout stays marker-free: pre-boundary stores must keep
-        // their exact on-disk shape.
-        assert!(!dir.0.join(ENGINE_MARKER).exists());
-        assert!(dir.0.join("MANIFEST").exists());
-    }
-
-    #[test]
-    fn log_dirs_are_marked_and_autodetected() {
-        let dir = TempDir::new("auto-log");
-        {
-            let db = open_engine(&dir.0, opts(Backend::Log), Telemetry::disabled()).unwrap();
-            db.put(Bytes::from_static(b"k"), Bytes::from_static(b"v"))
-                .unwrap();
-            assert_eq!(db.backend(), Backend::Log);
-        }
-        assert_eq!(detect_backend(&dir.0).unwrap(), Some(Backend::Log));
-        let db = open_engine(&dir.0, opts(Backend::Auto), Telemetry::disabled()).unwrap();
-        assert_eq!(db.backend(), Backend::Log);
-        assert_eq!(db.get(b"k").unwrap().unwrap(), &b"v"[..]);
-    }
-
-    #[test]
-    fn backend_mismatch_is_rejected() {
-        let dir = TempDir::new("mismatch");
-        drop(open_engine(&dir.0, opts(Backend::Log), Telemetry::disabled()).unwrap());
-        let err = open_engine(&dir.0, opts(Backend::Lsm), Telemetry::disabled()).unwrap_err();
-        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
-    }
-
-    #[test]
-    fn unmarked_lsm_dir_refuses_log_backend() {
-        let dir = TempDir::new("unmarked");
-        drop(open_engine(&dir.0, opts(Backend::Lsm), Telemetry::disabled()).unwrap());
-        let err = open_engine(&dir.0, opts(Backend::Log), Telemetry::disabled()).unwrap_err();
-        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
-    }
-
-    #[test]
-    fn garbage_marker_is_corruption() {
-        let dir = TempDir::new("garbage-marker");
+    fn value_log_dir_is_refused_and_left_untouched() {
+        let dir = TempDir::new("value-log");
         std::fs::create_dir_all(&dir.0).unwrap();
-        std::fs::write(dir.0.join(ENGINE_MARKER), "riak\n").unwrap();
-        let err = open_engine(&dir.0, opts(Backend::Auto), Telemetry::disabled()).unwrap_err();
-        assert!(matches!(err, Error::Corruption { .. }), "{err}");
+        std::fs::write(dir.0.join(ENGINE_MARKER), "log\n").unwrap();
+        let err =
+            open_engine(&dir.0, Options::small_for_tests(), Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert!(err.to_string().contains(ENGINE_MARKER), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, [ENGINE_MARKER], "refusing wrote into the directory");
     }
 
     #[test]
     fn trait_surface_matches_concrete_store() {
         let dir = TempDir::new("surface");
-        let db = open_engine(&dir.0, opts(Backend::Auto), Telemetry::disabled()).unwrap();
+        let db = open_engine(&dir.0, Options::small_for_tests(), Telemetry::disabled()).unwrap();
+        // A fresh directory is an LSM store, and it is never marked.
+        assert!(dir.0.join("MANIFEST").exists());
+        assert!(!dir.0.join(ENGINE_MARKER).exists());
         db.put(Bytes::from_static(b"a"), Bytes::from_static(b"1"))
             .unwrap();
         let mut batch = WriteBatch::new();
@@ -391,7 +239,6 @@ mod tests {
         let all = iter.collect_all().unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(&all[0].0[..], b"b");
-        assert_eq!(db.storage_stats().backend, Backend::Lsm);
         assert!(db.metrics().puts >= 2);
         assert_eq!(db.dir(), &dir.0);
     }

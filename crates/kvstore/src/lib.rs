@@ -54,16 +54,12 @@ pub mod metrics;
 pub mod options;
 pub mod sstable;
 pub mod store;
-pub mod vlog;
 pub mod wal;
 
 pub use batch::{BatchOp, WriteBatch};
-pub use engine::{
-    detect_backend, open_engine, EngineIter, SharedEngine, StorageEngine, ENGINE_MARKER,
-};
+pub use engine::{open_engine, refuse_value_log, EngineIter, SharedEngine, StorageEngine};
 pub use error::{Error, Result};
 pub use memtable::Slot;
 pub use metrics::MetricsSnapshot;
-pub use options::{Backend, Options};
+pub use options::Options;
 pub use store::{fsync_dir, prefix_end, KvStore, RangeIter, StorageStats};
-pub use vlog::{LogRangeIter, LogStore};

@@ -576,7 +576,6 @@ impl KvStore {
             wal_bytes: inner.wal.bytes_written(),
             memtable_entries: inner.memtable.len() as u64,
             memtable_bytes: inner.memtable.approx_bytes() as u64,
-            ..StorageStats::default()
         }
     }
 
@@ -596,45 +595,17 @@ impl KvStore {
     }
 }
 
-/// Point-in-time storage occupancy (see [`KvStore::storage_stats`] and
-/// [`crate::LogStore::storage_stats`]). One struct serves both engines;
-/// fields that do not apply to a backend read zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Point-in-time storage occupancy (see [`KvStore::storage_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// Which engine produced these numbers.
-    pub backend: crate::options::Backend,
-    /// LSM: live SSTables backing the store.
+    /// Live SSTables backing the store.
     pub sstables: u64,
-    /// Bytes appended to the current append log: the LSM's write-ahead log,
-    /// or the value log's active data file.
+    /// Bytes appended to the current write-ahead log.
     pub wal_bytes: u64,
-    /// LSM: entries (values + tombstones) in the active memtable.
+    /// Entries (values + tombstones) in the active memtable.
     pub memtable_entries: u64,
-    /// LSM: approximate bytes held by the active memtable.
+    /// Approximate bytes held by the active memtable.
     pub memtable_bytes: u64,
-    /// Value log: data files on disk (sealed + active).
-    pub data_files: u64,
-    /// Value log: estimated bytes of dead entries awaiting compaction.
-    pub uncompacted_bytes: u64,
-    /// Value log: merge compactions run since open.
-    pub compactions: u64,
-}
-
-impl Default for StorageStats {
-    fn default() -> Self {
-        StorageStats {
-            // Stats always describe a concrete engine, so the default is the
-            // default engine, not `Backend::Auto`.
-            backend: crate::options::Backend::Lsm,
-            sstables: 0,
-            wal_bytes: 0,
-            memtable_entries: 0,
-            memtable_bytes: 0,
-            data_files: 0,
-            uncompacted_bytes: 0,
-            compactions: 0,
-        }
-    }
 }
 
 /// Smallest byte string strictly greater than every string with `prefix`.

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use fabric_kvstore::{KvStore, LogStore, Options, WriteBatch};
+use fabric_kvstore::{KvStore, Options, WriteBatch};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -243,132 +243,5 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn log_store_matches_sorted_map_model(ops in prop::collection::vec(op_strategy(), 1..60), seed in any::<u64>()) {
-        // Same model test against the value-log engine, whose tiny
-        // small_for_tests file/compaction thresholds force frequent
-        // rotations and automatic merges: compaction and reopen must
-        // never lose a live key or resurrect a deleted one.
-        let dir = TempDir::new(seed.wrapping_add(3_000_000));
-        let mut db = LogStore::open(&dir.0, Options::small_for_tests()).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Put(k, v) => {
-                    db.put(k.clone(), v.clone()).unwrap();
-                    model.insert(k, v);
-                }
-                Op::Delete(k) => {
-                    db.delete(k.clone()).unwrap();
-                    model.remove(&k);
-                }
-                Op::Batch(entries) => {
-                    let mut batch = WriteBatch::new();
-                    for (k, v) in &entries {
-                        match v {
-                            Some(v) => { batch.put(k.clone(), v.clone()); }
-                            None => { batch.delete(k.clone()); }
-                        }
-                    }
-                    db.write(batch).unwrap();
-                    for (k, v) in entries {
-                        match v {
-                            Some(v) => { model.insert(k, v); }
-                            None => { model.remove(&k); }
-                        }
-                    }
-                }
-                Op::Flush => db.flush().unwrap(),
-                Op::Compact => db.compact().unwrap(),
-                Op::Reopen => {
-                    drop(db);
-                    db = LogStore::open(&dir.0, Options::small_for_tests()).unwrap();
-                }
-            }
-            for (k, v) in model.iter().take(4) {
-                let got = db.get(k).unwrap();
-                prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-            }
-        }
-        let scan = |db: &LogStore| -> Vec<(Vec<u8>, Vec<u8>)> {
-            db.range(Bound::Unbounded, Bound::Unbounded)
-                .unwrap()
-                .collect_all()
-                .unwrap()
-                .into_iter()
-                .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                .collect()
-        };
-        let expected: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        prop_assert_eq!(scan(&db), expected.clone(), "full scan diverged from model");
-        // A forced merge plus one reopen must be invisible too.
-        db.compact().unwrap();
-        prop_assert_eq!(scan(&db), expected.clone(), "scan diverged after compaction");
-        drop(db);
-        let db = LogStore::open(&dir.0, Options::small_for_tests()).unwrap();
-        prop_assert_eq!(scan(&db), expected, "scan diverged after reopen");
-    }
-
-    #[test]
-    fn log_torn_tail_recovers_to_last_whole_record(
-        ops in prop::collection::vec((key_strategy(), value_strategy()), 1..30),
-        chop in 1usize..48,
-        seed in any::<u64>(),
-    ) {
-        // Write every op as one record into a single data file, tear an
-        // arbitrary number of bytes off its tail, and reopen: recovery
-        // must keep exactly the records whose frames survive whole —
-        // the store equals the model of that operation prefix.
-        let dir = TempDir::new(seed.wrapping_add(4_000_000));
-        let mut opts = Options::small_for_tests();
-        opts.log_file_max_bytes = u64::MAX; // one data file
-        opts.log_compaction_bytes = u64::MAX; // no merges: frames = ops
-        {
-            let db = LogStore::open(&dir.0, opts.clone()).unwrap();
-            for (k, v) in &ops {
-                db.put(k.clone(), v.clone()).unwrap();
-            }
-        }
-        let vlog = std::fs::read_dir(&dir.0)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "vlog"))
-            .max()
-            .expect("data file exists");
-        let data = std::fs::read(&vlog).unwrap();
-        // Walk the CRC framing to find each record's end offset.
-        let mut ends = Vec::new();
-        let mut off = 0usize;
-        while off + 8 <= data.len() {
-            let len = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap()) as usize;
-            if off + 8 + len > data.len() {
-                break;
-            }
-            off += 8 + len;
-            ends.push(off);
-        }
-        prop_assert_eq!(ends.len(), ops.len(), "one record per put");
-        let keep = data.len() - chop.min(data.len());
-        std::fs::write(&vlog, &data[..keep]).unwrap();
-        let survivors = ends.iter().filter(|&&e| e <= keep).count();
-        let db = LogStore::open(&dir.0, opts).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for (k, v) in &ops[..survivors] {
-            model.insert(k.clone(), v.clone());
-        }
-        let got: Vec<(Vec<u8>, Vec<u8>)> = db
-            .range(Bound::Unbounded, Bound::Unbounded)
-            .unwrap()
-            .collect_all()
-            .unwrap()
-            .into_iter()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        let want: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        prop_assert_eq!(got, want, "recovered to a different prefix");
     }
 }

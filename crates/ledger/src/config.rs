@@ -1,6 +1,6 @@
 //! Ledger configuration.
 
-use fabric_kvstore::{Backend, Options as KvOptions};
+use fabric_kvstore::Options as KvOptions;
 
 /// Configuration for a [`crate::ledger::Ledger`].
 #[derive(Debug, Clone)]
@@ -17,12 +17,6 @@ pub struct LedgerConfig {
     pub state_db: KvOptions,
     /// Options for the index store (block locations + history index).
     pub index_db: KvOptions,
-    /// Storage engine backing the index and state stores. The default,
-    /// [`Backend::Auto`], resolves from each store directory's on-disk
-    /// marker (falling back to the LSM for fresh or pre-boundary
-    /// directories), so existing ledgers keep opening unchanged; set
-    /// explicitly to create a ledger on the value-log engine.
-    pub backend: Backend,
 }
 
 impl Default for LedgerConfig {
@@ -33,7 +27,6 @@ impl Default for LedgerConfig {
             blockfile_max_bytes: 64 << 20,
             state_db: KvOptions::default(),
             index_db: KvOptions::default(),
-            backend: Backend::Auto,
         }
     }
 }
@@ -47,19 +40,12 @@ impl LedgerConfig {
             blockfile_max_bytes: 8 << 10,
             state_db: KvOptions::small_for_tests(),
             index_db: KvOptions::small_for_tests(),
-            backend: Backend::Auto,
         }
     }
 
     /// Builder-style setter for [`LedgerConfig::block_max_txs`].
     pub fn with_block_max_txs(mut self, n: usize) -> Self {
         self.block_max_txs = n;
-        self
-    }
-
-    /// Builder-style setter for [`LedgerConfig::backend`].
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -78,25 +64,16 @@ mod tests {
             blockfile_max_bytes,
             state_db,
             index_db,
-            backend,
         } = LedgerConfig::default();
         assert_eq!(block_max_txs, 10);
         assert_eq!(block_max_bytes, 512 << 10);
         assert_eq!(blockfile_max_bytes, 64 << 20);
         assert!(!state_db.sync_wal && !index_db.sync_wal);
-        assert_eq!(
-            backend,
-            Backend::Auto,
-            "backend must auto-detect so existing ledgers keep opening"
-        );
     }
 
     #[test]
     fn builders_apply() {
-        let c = LedgerConfig::default()
-            .with_block_max_txs(50)
-            .with_backend(Backend::Log);
+        let c = LedgerConfig::default().with_block_max_txs(50);
         assert_eq!(c.block_max_txs, 50);
-        assert_eq!(c.backend, Backend::Log);
     }
 }

@@ -331,9 +331,6 @@ mod tests {
     }
 
     impl StorageEngine for Counting {
-        fn backend(&self) -> fabric_kvstore::Backend {
-            self.inner.backend()
-        }
         fn put(&self, key: Bytes, value: Bytes) -> fabric_kvstore::Result<()> {
             self.inner.put(key, value)
         }

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use fabric_kvstore::{open_engine, Backend};
+use fabric_kvstore::{open_engine, refuse_value_log};
 use fabric_telemetry::{SpanGuard, Telemetry};
 
 use crate::block::Block;
@@ -117,6 +117,10 @@ impl Ledger {
                 dir.join(found).display()
             )));
         }
+        // Both stores are checked before the block files create anything,
+        // so a refused directory is left as it was.
+        refuse_value_log(&dir.join("index"))?;
+        refuse_value_log(&dir.join("state"))?;
         let stats = IoStats::new_shared();
         let blockfiles = BlockFileManager::open_with_telemetry(
             dir.join("blocks"),
@@ -124,18 +128,8 @@ impl Ledger {
             stats.clone(),
             tel.clone(),
         )?;
-        // Engine resolution per store directory: `config.backend` seeds the
-        // per-store options, and the on-disk marker wins for existing dirs
-        // (see `fabric_kvstore::open_engine`), so reopening an existing
-        // ledger never silently reformats it.
-        let mut index_opts = config.index_db.clone();
-        let mut state_opts = config.state_db.clone();
-        if config.backend != Backend::Auto {
-            index_opts.backend = config.backend;
-            state_opts.backend = config.backend;
-        }
-        let index_db = open_engine(dir.join("index"), index_opts, tel.clone())?;
-        let state_db = open_engine(dir.join("state"), state_opts, tel.clone())?;
+        let index_db = open_engine(dir.join("index"), config.index_db, tel.clone())?;
+        let state_db = open_engine(dir.join("state"), config.state_db, tel.clone())?;
         let index = LedgerIndex::new(index_db);
         let state = StateDb::new(state_db);
         let tip = index.chain_tip()?.unwrap_or(ChainTip {
@@ -595,20 +589,6 @@ impl Ledger {
         set("indexdb.wal_bytes", index.wal_bytes);
         set("indexdb.memtable_entries", index.memtable_entries);
         set("indexdb.memtable_bytes", index.memtable_bytes);
-        // Per-backend shape: which engine hosts each store (0 = lsm,
-        // 1 = log) and the value-log occupancy counters. The log gauges
-        // read zero on LSM-backed stores, so scrapes see a stable set of
-        // series regardless of backend.
-        reg.gauge("statedb.kv.backend")
-            .set(state.backend.as_gauge());
-        set("statedb.kv.log.data_files", state.data_files);
-        set("statedb.kv.log.uncompacted_bytes", state.uncompacted_bytes);
-        set("statedb.kv.log.compactions", state.compactions);
-        reg.gauge("indexdb.kv.backend")
-            .set(index.backend.as_gauge());
-        set("indexdb.kv.log.data_files", index.data_files);
-        set("indexdb.kv.log.uncompacted_bytes", index.uncompacted_bytes);
-        set("indexdb.kv.log.compactions", index.compactions);
         // Write-path shape: the fsync count per store is the headline
         // durability cost.
         set(
@@ -646,6 +626,8 @@ impl Ledger {
                 dest.display()
             )));
         }
+        refuse_value_log(&dest.join("index"))?;
+        refuse_value_log(&dest.join("state"))?;
         let blocks_dest = dest.join("blocks");
         std::fs::create_dir_all(&blocks_dest)
             .map_err(|e| Error::io("creating backup dir".to_string(), e))?;
@@ -1155,14 +1137,21 @@ mod tests {
         assert_eq!(ledger.height(), 2);
     }
 
-    /// Sorted names directly under `dir` (`ls`).
-    fn listing(dir: &Path) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        names
+    /// Every path under `dir`, relative and sorted (`ls -R`).
+    fn listing(dir: &Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    todo.push(path.clone());
+                }
+                out.push(path.strip_prefix(dir).unwrap().to_path_buf());
+            }
+        }
+        out.sort();
+        out
     }
 
     /// Open `dir`, expecting the sharded-layout refusal naming `found`, and
@@ -1202,6 +1191,27 @@ mod tests {
         let dir = TempDir::new("layout-shard00");
         std::fs::create_dir(dir.0.join("shard-00")).unwrap();
         assert_refused_untouched(&dir.0, "shard-00");
+    }
+
+    #[test]
+    fn a_value_log_store_is_refused_and_touches_nothing() {
+        // What the value-log engine of older builds left in a store dir.
+        for store in ["index", "state"] {
+            let dir = TempDir::new("layout-value-log");
+            std::fs::create_dir(dir.0.join(store)).unwrap();
+            std::fs::write(dir.0.join(store).join("ENGINE"), "log\n").unwrap();
+            let before = listing(&dir.0);
+            let named = dir.0.join(store).join("ENGINE").display().to_string();
+            let err = Ledger::open(&dir.0, LedgerConfig::small_for_tests()).unwrap_err();
+            assert!(err.to_string().contains(&named), "{err}");
+            assert!(err.to_string().contains("no longer supported"), "{err}");
+            // Nor is a backup written into it.
+            let src = TempDir::new("layout-value-log-src");
+            let err = open(&src).backup(&dir.0).unwrap_err();
+            assert!(err.to_string().contains(&named), "{err}");
+            // No `blocks/`, `MANIFEST` or `.wal` appeared.
+            assert_eq!(listing(&dir.0), before, "{store}");
+        }
     }
 
     #[test]

@@ -93,27 +93,31 @@ pub fn ingest(
         IngestMode::MultiEvent => {
             let mut batch_keys: HashSet<Bytes> = HashSet::new();
             let mut sim = TxSimulator::new(ledger);
-            let mut batch_last_time = 0u64;
+            // A transaction's stamp bounds every event it carries: the
+            // bounded history scan skips entries stamped at or before its
+            // start, so a batch is stamped with its largest event time.
+            let mut batch_max_time = 0u64;
             let mut batch_len = 0usize;
             for ev in events {
                 let subject_key = ev.key();
                 if batch_keys.contains(&subject_key) {
                     // Maximal run ended: seal the batch as one transaction.
                     let tx = std::mem::replace(&mut sim, TxSimulator::new(ledger))
-                        .into_transaction(batch_last_time)?;
+                        .into_transaction(batch_max_time)?;
                     ledger.submit(tx)?;
                     txs += 1;
                     batch_keys.clear();
+                    batch_max_time = 0;
                     batch_len = 0;
                 }
                 let (key, value) = encoder.encode(ev);
                 sim.put_state(key, value);
                 batch_keys.insert(subject_key);
-                batch_last_time = ev.time;
+                batch_max_time = batch_max_time.max(ev.time);
                 batch_len += 1;
             }
             if batch_len > 0 {
-                ledger.submit(sim.into_transaction(batch_last_time)?)?;
+                ledger.submit(sim.into_transaction(batch_max_time)?)?;
                 txs += 1;
             }
         }

@@ -33,7 +33,7 @@ impl Drop for TempDir {
 }
 
 #[test]
-fn config_surface_is_fourteen_knobs() {
+fn config_surface_is_ten_knobs() {
     // Both patterns are exhaustive on purpose (no `..`): a field added to
     // either struct fails to compile here until it is listed and counted,
     // so the knob count in CHANGES.md cannot drift unnoticed.
@@ -43,7 +43,6 @@ fn config_surface_is_fourteen_knobs() {
         blockfile_max_bytes: _,
         state_db,
         index_db: _,
-        backend: _,
     } = LedgerConfig::default();
     let fabric_kvstore::Options {
         memtable_max_bytes: _,
@@ -51,16 +50,13 @@ fn config_surface_is_fourteen_knobs() {
         sparse_index_interval: _,
         bloom_bits_per_key: _,
         compaction_trigger: _,
-        backend: _,
-        log_file_max_bytes: _,
-        log_compaction_bytes: _,
     } = state_db;
     // Buffered WALs by default; durability is opt-in.
     assert!(!sync_wal);
 }
 
 #[test]
-fn cli_option_surface_is_twenty_six_names() {
+fn cli_option_surface_is_twenty_five_names() {
     // `tfq` is a binary, so its option table and usage text are read from
     // the source. A new `--name` fails here until it is listed, as a new
     // config field does above, and until the usage text says where it goes.
@@ -78,9 +74,9 @@ fn cli_option_surface_is_twenty_six_names() {
         .collect();
     #[rustfmt::skip]
     assert_eq!(names, [
-        "adaptive", "addr", "addr-file", "backend", "engine", "export", "format", "from", "hz",
-        "index-lag", "ingest", "key", "limit", "m2-u", "max-u", "min-u", "mode", "out",
-        "requests", "scale", "slow-factor", "slow-log", "slow-ms", "to", "u", "workers",
+        "adaptive", "addr", "addr-file", "engine", "export", "format", "from", "hz", "index-lag",
+        "ingest", "key", "limit", "m2-u", "max-u", "min-u", "mode", "out", "requests", "scale",
+        "slow-factor", "slow-log", "slow-ms", "to", "u", "workers",
     ]);
     // Every `--name` the usage text shows is an option, and every option is
     // shown there.
@@ -150,6 +146,37 @@ fn queries_on_empty_ledger() {
         .collect_all()
         .unwrap();
     assert!(history.is_empty());
+}
+
+#[test]
+fn me_batch_is_stamped_with_its_largest_event_time() {
+    // Out of time order inside one ME batch: s0@10, then s1@5. The one
+    // transaction must be stamped 10, or the bounded scan from 7 skips it
+    // and loses s0's event at 10.
+    use temporal_core::cursor::{drain, TqfCursor};
+    let dir = TempDir::new("me-stamp");
+    let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+    let event = |subject: u32, time: u64| Event {
+        subject: EntityId::shipment(subject),
+        target: EntityId::container(0),
+        time,
+        kind: EventKind::Load,
+    };
+    let report = ingest(
+        &ledger,
+        &[event(0, 10), event(1, 5)],
+        IngestMode::MultiEvent,
+        &IdentityEncoder,
+    )
+    .unwrap();
+    assert_eq!(report.txs, 1);
+    assert_eq!(ledger.get_block(0).unwrap().txs[0].timestamp, 10);
+    let s0 = EntityId::shipment(0);
+    let tau = Interval::new(7, 20);
+    let full = drain(&mut TqfCursor::new(&ledger, s0, tau).unwrap()).unwrap();
+    let bounded = drain(&mut TqfCursor::new_after(&ledger, s0, tau, 7).unwrap()).unwrap();
+    assert_eq!(full, [event(0, 10)]);
+    assert_eq!(bounded, full);
 }
 
 #[test]

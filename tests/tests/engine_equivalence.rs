@@ -3,7 +3,6 @@
 //! window — differing only in cost. If this holds, every performance
 //! comparison in the benchmark harness compares like with like.
 
-use fabric_kvstore::Backend;
 use fabric_ledger::{Ledger, LedgerConfig};
 use fabric_workload::dataset::{generate_scaled, DatasetId};
 use fabric_workload::generator::{EventDistribution, GeneratedWorkload, WorkloadParams};
@@ -166,210 +165,6 @@ fn u_larger_than_t_max_equivalence() {
         10_000,
         &windows(500),
     );
-}
-
-/// Every `blockfile_*` under `dir`, name-sorted, with its exact bytes.
-fn read_blockfiles(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("blockfile_") {
-            out.push((name, std::fs::read(entry.path()).unwrap()));
-        }
-    }
-    out.sort();
-    out
-}
-
-#[test]
-fn log_backend_is_equivalent_to_lsm() {
-    // The storage-engine boundary must be invisible above the kvstore:
-    // the same workload ingested on the LSM and on the value-log engine
-    // produces bit-identical blockfiles, identical current state
-    // (including the M1 EV-set rows and the null tombstones the indexer
-    // writes), identical GHFK history, and identical query answers with
-    // identical cost counters.
-    let workload = generate_scaled(DatasetId::Ds3, 40);
-    let t_max = workload.params.t_max;
-    let u = t_max / 25;
-    let dir = TempDir::new("backend");
-
-    let build_base = |sub: &str, backend: Backend| -> Ledger {
-        let config = LedgerConfig::default().with_backend(backend);
-        let ledger = Ledger::open(dir.0.join(sub), config).unwrap();
-        ingest(
-            &ledger,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        let strategy = FixedLength { u };
-        M1Indexer::fixed(&strategy)
-            .run_epoch(&ledger, &workload.keys(), Interval::new(0, t_max))
-            .unwrap();
-        ledger
-    };
-    let lsm = build_base("lsm", Backend::Lsm);
-    let log = build_base("log", Backend::Log);
-
-    assert_eq!(lsm.height(), log.height());
-    assert_eq!(lsm.last_hash(), log.last_hash(), "identical hash chains");
-    assert_eq!(
-        read_blockfiles(&dir.0.join("lsm").join("blocks")),
-        read_blockfiles(&dir.0.join("log").join("blocks")),
-        "bit-identical block files"
-    );
-    assert_eq!(
-        lsm.get_state_by_range(None, None).unwrap(),
-        log.get_state_by_range(None, None).unwrap(),
-        "identical current state (events + M1 index rows)"
-    );
-    for key in workload.keys() {
-        let a: Vec<_> = lsm
-            .get_history_for_key(&key.key())
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        let b: Vec<_> = log
-            .get_history_for_key(&key.key())
-            .unwrap()
-            .collect_all()
-            .unwrap();
-        assert_eq!(a, b, "GHFK history for {key}");
-    }
-
-    // The table-1 query suite: TQF (pure GHFK) and M1 (index-assisted)
-    // per-key events plus the ferry join, over every window shape.
-    let m1_engine = M1Engine;
-    for tau in windows(t_max) {
-        for key in workload.keys() {
-            assert_eq!(
-                TqfEngine.events_for_key(&lsm, key, tau).unwrap(),
-                TqfEngine.events_for_key(&log, key, tau).unwrap(),
-                "TQF events for {key} over {tau}"
-            );
-            assert_eq!(
-                m1_engine.events_for_key(&lsm, key, tau).unwrap(),
-                m1_engine.events_for_key(&log, key, tau).unwrap(),
-                "M1 events for {key} over {tau}"
-            );
-        }
-        let a = ferry_query(&TqfEngine, &lsm, tau).unwrap();
-        let b = ferry_query(&TqfEngine, &log, tau).unwrap();
-        assert_eq!(a.records, b.records, "TQF join over {tau}");
-        assert_eq!(a.events_scanned, b.events_scanned, "TQF cost over {tau}");
-        let a = ferry_query(&m1_engine, &lsm, tau).unwrap();
-        let b = ferry_query(&m1_engine, &log, tau).unwrap();
-        assert_eq!(a.records, b.records, "M1 join over {tau}");
-        assert_eq!(a.events_scanned, b.events_scanned, "M1 cost over {tau}");
-    }
-}
-
-#[test]
-fn log_backend_m2_matches_lsm_m2() {
-    // Same check for the M2 interval-encoded layout, whose values are
-    // rewritten in place far more often — the compaction-heavy shape.
-    let workload = generate_scaled(DatasetId::Ds3, 40);
-    let t_max = workload.params.t_max;
-    let u = t_max / 25;
-    let dir = TempDir::new("backend-m2");
-
-    let build = |sub: &str, backend: Backend| -> Ledger {
-        let config = LedgerConfig::default().with_backend(backend);
-        let ledger = Ledger::open(dir.0.join(sub), config).unwrap();
-        ingest(
-            &ledger,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &M2Encoder { u },
-        )
-        .unwrap();
-        ledger
-    };
-    let lsm = build("lsm", Backend::Lsm);
-    let log = build("log", Backend::Log);
-    assert_eq!(lsm.last_hash(), log.last_hash());
-    assert_eq!(
-        lsm.get_state_by_range(None, None).unwrap(),
-        log.get_state_by_range(None, None).unwrap()
-    );
-    let m2_engine = M2Engine { u };
-    for tau in windows(t_max) {
-        let a = ferry_query(&m2_engine, &lsm, tau).unwrap();
-        let b = ferry_query(&m2_engine, &log, tau).unwrap();
-        assert_eq!(a.records, b.records, "M2 join over {tau}");
-        assert_eq!(a.events_scanned, b.events_scanned, "M2 cost over {tau}");
-    }
-}
-
-#[test]
-fn log_backend_reopens_after_torn_index_tail() {
-    // Crash simulation on the value-log engine: tear the tail off the
-    // index store's newest data file (dropping the final batch — the last
-    // block's index rows and chain tip), then reopen. The vlog recovery
-    // truncates the torn record and ledger recovery re-applies the lost
-    // block from the blockfiles, converging to the LSM ledger's answers.
-    let workload = generate_scaled(DatasetId::Ds3, 40);
-    let t_max = workload.params.t_max;
-    let dir = TempDir::new("backend-crash");
-
-    let build = |sub: &str, backend: Backend| {
-        let config = LedgerConfig::default().with_backend(backend);
-        let ledger = Ledger::open(dir.0.join(sub), config).unwrap();
-        ingest(
-            &ledger,
-            &workload.events,
-            IngestMode::MultiEvent,
-            &IdentityEncoder,
-        )
-        .unwrap();
-        ledger
-    };
-    let lsm = build("lsm", Backend::Lsm);
-    let want_height = lsm.height();
-    let want = ferry_query(&TqfEngine, &lsm, Interval::new(0, t_max))
-        .unwrap()
-        .records;
-    drop(build("log", Backend::Log));
-
-    let index_dir = dir.0.join("log").join("index");
-    let mut vlogs: Vec<_> = std::fs::read_dir(&index_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "vlog"))
-        .collect();
-    vlogs.sort();
-    let newest = vlogs.last().expect("index store holds data files");
-    let data = std::fs::read(newest).unwrap();
-    assert!(data.len() > 16, "active file must hold records");
-    std::fs::write(newest, &data[..data.len() - 9]).unwrap();
-
-    // Auto resolves the on-disk marker back to the log engine.
-    let log = Ledger::open(dir.0.join("log"), LedgerConfig::default()).unwrap();
-    assert_eq!(log.height(), want_height, "lost block re-applied");
-    log.verify_chain().unwrap();
-    let got = ferry_query(&TqfEngine, &log, Interval::new(0, t_max))
-        .unwrap()
-        .records;
-    assert_eq!(got, want, "answers identical after crash recovery");
-
-    // Losing the stores entirely also rebuilds — but a bare directory no
-    // longer carries the engine marker, so the backend must be named.
-    std::fs::remove_dir_all(dir.0.join("log").join("index")).unwrap();
-    std::fs::remove_dir_all(dir.0.join("log").join("state")).unwrap();
-    drop(log);
-    let log = Ledger::open(
-        dir.0.join("log"),
-        LedgerConfig::default().with_backend(Backend::Log),
-    )
-    .unwrap();
-    assert_eq!(log.height(), want_height);
-    let got = ferry_query(&TqfEngine, &log, Interval::new(0, t_max))
-        .unwrap()
-        .records;
-    assert_eq!(got, want, "answers identical after full store rebuild");
 }
 
 #[test]

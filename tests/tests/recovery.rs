@@ -94,6 +94,63 @@ fn indexes_rebuilt_after_index_db_loss() {
 }
 
 #[test]
+fn torn_index_wal_tail_is_reapplied_from_blocks() {
+    // Crash mid-write of the index store: tear the tail off its newest
+    // WAL, dropping the final batch (the last block's index rows and the
+    // chain tip), then reopen. The WAL replay discards the torn record and
+    // ledger recovery re-applies the lost block from the block files.
+    let dir = TempDir::new("idx-wal-tear");
+    let workload = generate_scaled(DatasetId::Ds3, 40);
+    let t_max = workload.params.t_max;
+    let want_height;
+    let want;
+    {
+        let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+        ingest(
+            &ledger,
+            &workload.events,
+            IngestMode::MultiEvent,
+            &IdentityEncoder,
+        )
+        .unwrap();
+        want_height = ledger.height();
+        want = ferry_query(&TqfEngine, &ledger, Interval::new(0, t_max))
+            .unwrap()
+            .records;
+        // No flush: the index rows of the last block live in the WAL.
+    }
+    let newest = std::fs::read_dir(dir.0.join("index"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+        .max()
+        .expect("index store holds a WAL");
+    let data = std::fs::read(&newest).unwrap();
+    assert!(data.len() > 16, "the WAL must hold records");
+    std::fs::write(&newest, &data[..data.len() - 9]).unwrap();
+    // The tear took the chain tip with it: the index alone is behind.
+    {
+        use fabric_ledger::index::LedgerIndex;
+        let store = fabric_kvstore::open_engine(
+            dir.0.join("index"),
+            fabric_kvstore::Options::default(),
+            fabric_ledger::Telemetry::disabled(),
+        )
+        .unwrap();
+        let torn = LedgerIndex::new(store).chain_tip().unwrap();
+        assert!(torn.map_or(0, |t| t.height) < want_height, "{torn:?}");
+    }
+
+    let ledger = Ledger::open(&dir.0, LedgerConfig::default()).unwrap();
+    assert_eq!(ledger.height(), want_height, "lost block re-applied");
+    ledger.verify_chain().unwrap();
+    let got = ferry_query(&TqfEngine, &ledger, Interval::new(0, t_max))
+        .unwrap()
+        .records;
+    assert_eq!(got, want, "answers identical after the torn tail");
+}
+
+#[test]
 fn torn_block_tail_is_discarded_and_ledger_continues() {
     let dir = TempDir::new("torn");
     let height_before;
