@@ -554,7 +554,7 @@ impl SsTableReader {
 /// through the open file for as long as the cursor lives. The first read
 /// is exactly one segment, and so is the read that finishes positioning a
 /// seek; a seek usually needs no more. Later reads take up to
-/// [`READ_AHEAD`] bytes of whole segments, so full scans stay sequential.
+/// 64 KiB (`READ_AHEAD`) of whole segments, so full scans stay sequential.
 #[derive(Debug)]
 pub struct SsTableIter {
     table: Arc<SsTableReader>,

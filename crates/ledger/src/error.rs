@@ -9,8 +9,13 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors surfaced by ledger operations.
 #[derive(Debug)]
 pub enum Error {
-    /// Failure in the underlying key-value store (state-db or indexes).
-    Store(fabric_kvstore::Error),
+    /// Failure in one of the ledger's two key-value stores.
+    Store {
+        /// Which store failed: `"index"` or `"state"`.
+        store: &'static str,
+        /// The underlying error.
+        source: fabric_kvstore::Error,
+    },
     /// An underlying I/O operation failed.
     Io {
         /// What the ledger was doing when the failure occurred.
@@ -46,18 +51,39 @@ impl Error {
             detail: detail.into(),
         }
     }
+
+    /// A failure of the index store (block locations, history, tx ids).
+    pub(crate) fn index_store(source: fabric_kvstore::Error) -> Self {
+        Error::Store {
+            store: "index",
+            source,
+        }
+    }
+
+    /// A failure of the state store (current value of every key).
+    pub(crate) fn state_store(source: fabric_kvstore::Error) -> Self {
+        Error::Store {
+            store: "state",
+            source,
+        }
+    }
 }
 
+/// For callers outside the ledger that reach a store directly and convert
+/// its error with `?`; the ledger's own code names the store instead.
 impl From<fabric_kvstore::Error> for Error {
-    fn from(e: fabric_kvstore::Error) -> Self {
-        Error::Store(e)
+    fn from(source: fabric_kvstore::Error) -> Self {
+        Error::Store {
+            store: "key-value",
+            source,
+        }
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Store(e) => write!(f, "state store error: {e}"),
+            Error::Store { store, source } => write!(f, "{store} store error: {source}"),
             Error::Io { context, source } => write!(f, "i/o error while {context}: {source}"),
             Error::Corruption { file, detail } => {
                 write!(f, "ledger corruption in {}: {detail}", file.display())
@@ -71,7 +97,7 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Store(e) => Some(e),
+            Error::Store { source, .. } => Some(source),
             Error::Io { source, .. } => Some(source),
             _ => None,
         }
@@ -84,10 +110,12 @@ mod tests {
 
     #[test]
     fn store_errors_convert() {
-        let inner = fabric_kvstore::Error::InvalidArgument("x".into());
-        let err: Error = inner.into();
-        assert!(matches!(err, Error::Store(_)));
-        assert!(err.to_string().contains("state store"));
+        let inner = || fabric_kvstore::Error::InvalidArgument("x".into());
+        let err = Error::state_store(inner());
+        assert!(matches!(err, Error::Store { store: "state", .. }));
+        assert!(err.to_string().starts_with("state store error: "));
+        let err = Error::index_store(inner());
+        assert!(err.to_string().starts_with("index store error: "));
     }
 
     #[test]

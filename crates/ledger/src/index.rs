@@ -1,4 +1,5 @@
-//! Block-location and history indexes, hosted on one [`KvStore`].
+//! Block-location and history indexes, hosted on one
+//! [`KvStore`](fabric_kvstore::KvStore).
 //!
 //! Three keyspaces share the store, separated by a one-byte prefix:
 //!
@@ -114,7 +115,7 @@ impl Iterator for HistoryEntries {
         match self.iter.next() {
             Ok(Some((k, v))) => Some(self.parse(&k, &v)),
             Ok(None) => None,
-            Err(e) => Some(Err(e.into())),
+            Err(e) => Some(Err(Error::index_store(e))),
         }
     }
 }
@@ -207,13 +208,13 @@ impl LedgerIndex {
         tip_bytes.extend_from_slice(&tip.height.to_le_bytes());
         tip_bytes.extend_from_slice(&tip.last_hash.0);
         batch.put(meta_key("tip"), tip_bytes);
-        self.db.write(batch)?;
+        self.db.write(batch).map_err(Error::index_store)?;
         Ok(())
     }
 
     /// Look up where a block lives.
     pub fn block_location(&self, num: BlockNum) -> Result<Option<BlockLocation>> {
-        match self.db.get(&block_key(num))? {
+        match self.db.get(&block_key(num)).map_err(Error::index_store)? {
             Some(bytes) => Ok(Some(BlockLocation::decode(&bytes)?)),
             None => Ok(None),
         }
@@ -235,14 +236,14 @@ impl LedgerIndex {
     pub(crate) fn history_entries(&self, key: &[u8]) -> Result<HistoryEntries> {
         let prefix = history_prefix(key);
         Ok(HistoryEntries {
-            iter: self.db.prefix(&prefix)?,
+            iter: self.db.prefix(&prefix).map_err(Error::index_store)?,
             prefix_len: prefix.len(),
         })
     }
 
     /// Where the transaction with `id` was committed, if anywhere.
     pub fn tx_location(&self, id: &crate::tx::TxId) -> Result<Option<(BlockNum, TxNum)>> {
-        let Some(bytes) = self.db.get(&txid_key(id))? else {
+        let Some(bytes) = self.db.get(&txid_key(id)).map_err(Error::index_store)? else {
             return Ok(None);
         };
         if bytes.len() != 12 {
@@ -259,7 +260,7 @@ impl LedgerIndex {
 
     /// Read the persisted chain tip, if the ledger has one.
     pub fn chain_tip(&self) -> Result<Option<ChainTip>> {
-        let Some(bytes) = self.db.get(&meta_key("tip"))? else {
+        let Some(bytes) = self.db.get(&meta_key("tip")).map_err(Error::index_store)? else {
             return Ok(None);
         };
         if bytes.len() != 40 {
@@ -276,15 +277,13 @@ impl LedgerIndex {
 
     /// Flush the underlying store (used by tests and clean shutdown).
     pub fn flush(&self) -> Result<()> {
-        self.db.flush()?;
-        Ok(())
+        self.db.flush().map_err(Error::index_store)
     }
 
     /// Checkpoint the underlying store into `dest` (see
     /// [`StorageEngine::checkpoint`]).
     pub fn checkpoint(&self, dest: impl Into<std::path::PathBuf>) -> Result<()> {
-        self.db.checkpoint(&dest.into())?;
-        Ok(())
+        self.db.checkpoint(&dest.into()).map_err(Error::index_store)
     }
 }
 

@@ -119,8 +119,8 @@ impl Ledger {
         }
         // Both stores are checked before the block files create anything,
         // so a refused directory is left as it was.
-        refuse_value_log(&dir.join("index"))?;
-        refuse_value_log(&dir.join("state"))?;
+        refuse_value_log(&dir.join("index")).map_err(Error::index_store)?;
+        refuse_value_log(&dir.join("state")).map_err(Error::state_store)?;
         let stats = IoStats::new_shared();
         let blockfiles = BlockFileManager::open_with_telemetry(
             dir.join("blocks"),
@@ -128,8 +128,10 @@ impl Ledger {
             stats.clone(),
             tel.clone(),
         )?;
-        let index_db = open_engine(dir.join("index"), config.index_db, tel.clone())?;
-        let state_db = open_engine(dir.join("state"), config.state_db, tel.clone())?;
+        let index_db = open_engine(dir.join("index"), config.index_db, tel.clone())
+            .map_err(Error::index_store)?;
+        let state_db = open_engine(dir.join("state"), config.state_db, tel.clone())
+            .map_err(Error::state_store)?;
         let index = LedgerIndex::new(index_db);
         let state = StateDb::new(state_db);
         let tip = index.chain_tip()?.unwrap_or(ChainTip {
@@ -626,8 +628,8 @@ impl Ledger {
                 dest.display()
             )));
         }
-        refuse_value_log(&dest.join("index"))?;
-        refuse_value_log(&dest.join("state"))?;
+        refuse_value_log(&dest.join("index")).map_err(Error::index_store)?;
+        refuse_value_log(&dest.join("state")).map_err(Error::state_store)?;
         let blocks_dest = dest.join("blocks");
         std::fs::create_dir_all(&blocks_dest)
             .map_err(|e| Error::io("creating backup dir".to_string(), e))?;
@@ -1202,12 +1204,16 @@ mod tests {
             std::fs::write(dir.0.join(store).join("ENGINE"), "log\n").unwrap();
             let before = listing(&dir.0);
             let named = dir.0.join(store).join("ENGINE").display().to_string();
+            // The message names the store that refused, not just "a store".
+            let says = format!("{store} store error: ");
             let err = Ledger::open(&dir.0, LedgerConfig::small_for_tests()).unwrap_err();
+            assert!(err.to_string().starts_with(&says), "{err}");
             assert!(err.to_string().contains(&named), "{err}");
             assert!(err.to_string().contains("no longer supported"), "{err}");
             // Nor is a backup written into it.
             let src = TempDir::new("layout-value-log-src");
             let err = open(&src).backup(&dir.0).unwrap_err();
+            assert!(err.to_string().starts_with(&says), "{err}");
             assert!(err.to_string().contains(&named), "{err}");
             // No `blocks/`, `MANIFEST` or `.wal` appeared.
             assert_eq!(listing(&dir.0), before, "{store}");

@@ -67,7 +67,7 @@ impl StateDb {
 
     /// Current state of `key`, with its committing version.
     pub fn get(&self, key: &[u8]) -> Result<Option<VersionedValue>> {
-        match self.db.get(key)? {
+        match self.db.get(key).map_err(Error::state_store)? {
             Some(bytes) => Ok(Some(VersionedValue::decode(&bytes)?)),
             None => Ok(None),
         }
@@ -99,7 +99,7 @@ impl StateDb {
                 }
             }
         }
-        self.db.write(batch)?;
+        self.db.write(batch).map_err(Error::state_store)?;
         Ok(())
     }
 
@@ -112,9 +112,12 @@ impl StateDb {
     ) -> Result<Vec<(Bytes, VersionedValue)>> {
         let start_bound = start.map_or(Bound::Unbounded, Bound::Included);
         let end_bound = end.map_or(Bound::Unbounded, Bound::Excluded);
-        let mut iter = self.db.range(start_bound, end_bound)?;
+        let mut iter = self
+            .db
+            .range(start_bound, end_bound)
+            .map_err(Error::state_store)?;
         let mut out = Vec::new();
-        while let Some((k, v)) = iter.next()? {
+        while let Some((k, v)) = iter.next().map_err(Error::state_store)? {
             out.push((k, VersionedValue::decode(&v)?));
         }
         Ok(out)
@@ -122,9 +125,9 @@ impl StateDb {
 
     /// Keys starting with `prefix`, with their current states.
     pub fn prefix(&self, prefix: &[u8]) -> Result<Vec<(Bytes, VersionedValue)>> {
-        let mut iter = self.db.prefix(prefix)?;
+        let mut iter = self.db.prefix(prefix).map_err(Error::state_store)?;
         let mut out = Vec::new();
-        while let Some((k, v)) = iter.next()? {
+        while let Some((k, v)) = iter.next().map_err(Error::state_store)? {
             out.push((k, VersionedValue::decode(&v)?));
         }
         Ok(out)
@@ -132,9 +135,12 @@ impl StateDb {
 
     /// Number of live keys (diagnostic; walks the store).
     pub fn key_count(&self) -> Result<usize> {
-        let mut iter = self.db.range(Bound::Unbounded, Bound::Unbounded)?;
+        let mut iter = self
+            .db
+            .range(Bound::Unbounded, Bound::Unbounded)
+            .map_err(Error::state_store)?;
         let mut n = 0;
-        while iter.next()?.is_some() {
+        while iter.next().map_err(Error::state_store)?.is_some() {
             n += 1;
         }
         Ok(n)
@@ -142,15 +148,13 @@ impl StateDb {
 
     /// Flush the underlying store.
     pub fn flush(&self) -> Result<()> {
-        self.db.flush()?;
-        Ok(())
+        self.db.flush().map_err(Error::state_store)
     }
 
     /// Checkpoint the underlying store into `dest` (see
     /// [`StorageEngine::checkpoint`]).
     pub fn checkpoint(&self, dest: impl Into<std::path::PathBuf>) -> Result<()> {
-        self.db.checkpoint(&dest.into())?;
-        Ok(())
+        self.db.checkpoint(&dest.into()).map_err(Error::state_store)
     }
 }
 

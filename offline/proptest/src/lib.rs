@@ -268,7 +268,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S>(S, SizeRange);
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
