@@ -253,6 +253,20 @@ mod tests {
         drop(wal);
         assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
         assert_eq!(replay(&path).unwrap(), vec![b"golden record".to_vec()]);
+
+        // A 200-byte payload (0, 1, ..., 199), long enough that its CRC
+        // goes through the carry-less-multiply kernel where the CPU has
+        // one; the CRC is the one the table-only code wrote.
+        let payload: Vec<u8> = (0..200).collect();
+        let mut golden = 0xFD84_1F57u32.to_le_bytes().to_vec();
+        golden.extend_from_slice(&200u32.to_le_bytes());
+        golden.extend_from_slice(&payload);
+        let path = dir.path().join("golden-long.wal");
+        let mut wal = Wal::create(&path, false).unwrap();
+        assert_eq!(wal.append(&payload).unwrap(), golden.len() as u64);
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+        assert_eq!(replay(&path).unwrap(), vec![payload]);
     }
 
     #[test]

@@ -553,6 +553,44 @@ mod tests {
     }
 
     #[test]
+    fn frame_checksum_is_pinned() {
+        // `[len][crc32(payload)][payload]`, little-endian. The payload is
+        // 292 bytes, so where the CPU has PCLMULQDQ both the append
+        // and the read compute its CRC with the carry-less-multiply
+        // kernel; GOLDEN_CRC is the one the table-only code wrote. A frame
+        // written that way must read back, and appending the same block
+        // must write the same bytes.
+        const GOLDEN_LEN: u32 = 292;
+        const GOLDEN_CRC: u32 = 0xCAEF_D800;
+        let tx = Transaction::new(
+            7,
+            vec![],
+            vec![KvWrite {
+                key: Bytes::from_static(b"golden"),
+                value: Some(Bytes::from(vec![0xA5; 160])),
+            }],
+        )
+        .unwrap();
+        let block = Block::new(0, Digest::ZERO, vec![tx], vec![ValidationCode::Valid]).unwrap();
+        let payload = block.encode();
+        assert_eq!(payload.len() as u32, GOLDEN_LEN);
+        let mut frame = GOLDEN_LEN.to_le_bytes().to_vec();
+        frame.extend_from_slice(&GOLDEN_CRC.to_le_bytes());
+        frame.extend_from_slice(&payload);
+
+        let written = TempDir::new("golden-append");
+        let mgr = BlockFileManager::open(&written.0, 1 << 20, IoStats::new_shared()).unwrap();
+        let loc = mgr.append_block(&block).unwrap();
+        drop(mgr);
+        assert_eq!(std::fs::read(file_path(&written.0, 0)).unwrap(), frame);
+
+        let pinned = TempDir::new("golden-read");
+        std::fs::write(file_path(&pinned.0, 0), &frame).unwrap();
+        let mgr = BlockFileManager::open(&pinned.0, 1 << 20, IoStats::new_shared()).unwrap();
+        assert_eq!(mgr.read_block(loc).unwrap(), block);
+    }
+
+    #[test]
     fn read_block_txs_decodes_selectively() {
         let dir = TempDir::new("selective");
         let stats = IoStats::new_shared();

@@ -111,6 +111,15 @@ mod tests {
     #[test]
     fn store_errors_convert() {
         let inner = || fabric_kvstore::Error::InvalidArgument("x".into());
+        let err: Error = inner().into();
+        assert!(matches!(
+            err,
+            Error::Store {
+                store: "key-value",
+                ..
+            }
+        ));
+        assert!(err.to_string().starts_with("key-value store error: "));
         let err = Error::state_store(inner());
         assert!(matches!(err, Error::Store { store: "state", .. }));
         assert!(err.to_string().starts_with("state store error: "));
